@@ -192,9 +192,7 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, (np.floating,)):
+    if isinstance(v, (float, np.floating)):
         return repr(float(v))
     if isinstance(v, (int, np.integer)):
         return str(int(v))
@@ -311,7 +309,8 @@ def _predict(cfg: RunConfig, state: NormalFormState):
     return predict_spectrum(
         state, h=h, epsilon=None, maslov=maslov, window=(window[0], window[1]),
         scaling=cfg.get("quantize", "scaling", "oscillator"),
-        n_res_max=cfg.get("quantize", "n_res_max", 6, int))
+        n_res_max=cfg.get("quantize", "n_res_max", 6, int),
+        alpha=cfg.delta().alpha)
 
 
 def cmd_spectrum(cfg: RunConfig, outdir: Path, seed: int) -> int:
@@ -592,9 +591,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the [run] seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="recorded in the manifest; numerical kernels "
-                             "use library threading")
     args = parser.parse_args(argv)
     try:
         cfg = RunConfig(Path(args.config))

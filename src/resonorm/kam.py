@@ -494,7 +494,7 @@ def kam_step(state: NormalFormState, Kplus: int, gamma: float,
         rs_moved, _ = lie_transform_auto(rs.scale(w), F, 1.0, tol=lie_tol)
         new_rterms.append((s, rs_moved.scale(1.0 / w)))
 
-    flat_new, P_next = P_raw.partition(flat_remainder_part)
+    flat_new, P_next = P_raw.partition(flat_remainder_part(P_raw))
     if not flat_new.is_zero():
         new_rterms.append((s_new, flat_new.scale(eps ** (-s_new))))
 

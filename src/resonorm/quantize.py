@@ -111,12 +111,14 @@ def remainder_bound(h: float, epsilon: float, alpha: float, cC=(1.0, 1.0), *,
 def predict_spectrum(state: NormalFormState, h: float, epsilon: float | None,
                      maslov, window, *, scaling: str = "oscillator",
                      n_res_max: int = 8, max_entries: int = 200_000,
-                     cC=(1.0, 1.0)) -> SpectrumPrediction:
+                     cC=(1.0, 1.0), alpha: float = 2.0) -> SpectrumPrediction:
     """Enumerate all predicted eigenvalues inside the window [lo, hi].
 
     The torus quantum numbers run over the integer box that can reach the
     window given the frequency signs; every accumulated eps-series is
-    evaluated at the run's epsilon unless an override is given.
+    evaluated at the run's epsilon unless an override is given.  alpha is
+    the Gevrey index of the divisor function, which sets the remainder
+    bound.
     """
     if scaling not in RESONANT_SCALINGS:
         raise ConfigError(f"unknown resonant scaling {scaling!r}")
@@ -189,14 +191,8 @@ def predict_spectrum(state: NormalFormState, h: float, epsilon: float | None,
     return SpectrumPrediction(
         entries=entries, h=h, epsilon=eps, maslov=maslov,
         lambdas_u=lam_u, lambdas_v=lam_v,
-        remainder=remainder_bound(h, eps, _alpha_guess(state), cC),
+        remainder=remainder_bound(h, eps, alpha, cC),
         scaling=scaling, base_shift=base, off_block_mass=off)
-
-
-def _alpha_guess(state) -> float:
-    # the Gevrey index is a property of the divisor function, not the state;
-    # the remainder bound only needs a representative value
-    return 2.0
 
 
 # ---------------------------------------------------------------------------

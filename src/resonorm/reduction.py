@@ -603,12 +603,12 @@ def reduce_hamiltonian(h0_taylor: TaylorData, P0: FourierTaylorSeries | None,
     rem = Hred - N_lin - N_quad - FourierTaylorSeries.constant(geo_red, const)
 
     if eps_red > 0:
-        flat, pert = rem.partition(_flat_part)
+        flat, pert = rem.partition(_flat_part(rem))
         P1 = pert.scale(1.0 / eps_red)
     else:
         # nothing carries an epsilon prefactor: all angle-free content is
         # integrable data and belongs to the flat remainder
-        flat, pert = rem.partition(lambda k, j, q: knorm(k) == 0)
+        flat, pert = rem.partition(rem.knorms() == 0)
         P1 = pert
         if not pert.is_zero():
             raise InvariantError("perturbation present at epsilon = 0")

@@ -2,10 +2,17 @@
 
 A series is a finite sum  sum_{k,j,q} c_{kjq} e^{i<k,x>} y^j z^q  with
 x in T^d (angles), y in R^d (actions) and z = (u, v) in R^(2*d0) (one
-position/momentum pair per resonant direction).  Coefficients live in a
-sparse map keyed by the integer multi-index (k, j, q); absent keys are
-exact zeros.  Series values are immutable: every operation is a pure
-function returning a new series, so values can be shared freely.
+position/momentum pair per resonant direction).  Series values are
+immutable: every operation is a pure function returning a new series, so
+values can be shared freely.
+
+Representation.  A series stores its support as one integer exponent
+matrix, one row per term and 2d + 2d0 columns (the k, j and q digits side
+by side), and its coefficients as one complex128 vector.  Rows are
+distinct, carry nonzero coefficients and are kept in lexicographic
+(k, j, q) order, so equal series have equal arrays and the text form
+needs no sort.  `terms()` decodes the rows into ((k, j, q), c) tuples for
+callers that walk a series term by term.
 
 The canonical bracket convention used throughout is
 
@@ -13,9 +20,21 @@ The canonical bracket convention used throughout is
            + sum_j (df/du_j dg/dv_j - df/dv_j dg/du_j)
 
 which makes {<w,y>, e^{i<k,x>}} = i<k,w> e^{i<k,x>}.
+
+The bracket runs as d + d0 fused channels over the pairs of operand terms.
+Channel i (angle/action pair) weighs a pair by i(j1_i k2_i - k1_i j2_i),
+channel a (resonant pair u_a, v_a) by q1_u q2_v - q1_v q2_u; a pair with a
+nonzero weight yields one term.  Exponent rows are packed into transient
+int64 codes in a mixed radix taken from the operands' digit ranges (the
+Kronecker substitution), so the product monomial is code1 + code2 and the
+derivative is a fixed stride subtracted per channel.  The pair grid is
+walked in blocks of PAIR_BLOCK pairs; equal codes are merged by a stable
+sort and a segment sum whenever the terms emitted since the last merge
+outnumber the merged result, and once more at the end.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +43,13 @@ from .errors import GeometryMismatchError, InvariantError
 
 PRUNE_EPS = 1e-15
 LIE_ORDER_CAP = 32
+#: Operand term pairs the bracket processes at once; bounds its scratch memory.
+PAIR_BLOCK = 4096
+#: Widest mixed-radix code the bracket packs into an int64.
+CODE_BITS = 62
+#: (|j|, |q|) of the monomial shapes the generator ansatz and cutoff keep:
+#: constant, linear-y, linear-z, quadratic-z.
+ANSATZ_SHAPES = ((0, 0), (1, 0), (0, 1), (0, 2))
 
 
 @dataclass(frozen=True)
@@ -47,14 +73,15 @@ class PhaseGeometry:
     def zdim(self) -> int:
         return 2 * self.d0
 
+    @property
+    def width(self) -> int:
+        """Columns of an exponent row: k, j and q digits."""
+        return 2 * self.d + self.zdim
+
 
 def knorm(k) -> int:
     """Sup-norm of a Fourier multi-index; the |k| used by all cutoffs."""
     return max((abs(int(c)) for c in k), default=0)
-
-
-def _degree(j, q) -> int:
-    return sum(j) + sum(q)
 
 
 class TruncationLog:
@@ -67,9 +94,6 @@ class TruncationLog:
         if dropped_terms:
             self.records.append((op, dropped_mass, dropped_terms))
 
-    def total_dropped(self) -> float:
-        return sum(r[1] for r in self.records)
-
     def drain(self):
         out, self.records = self.records, []
         return out
@@ -79,8 +103,51 @@ class TruncationLog:
 TRUNCATION_LOG = TruncationLog()
 
 
+# -- array helpers -----------------------------------------------------------
+
+def _canonical(exps, coefs):
+    """Rows sorted lexicographically, coefficients of equal rows summed in
+    their order of appearance (the sort is stable)."""
+    order = np.lexsort(exps.T[::-1])
+    exps, coefs = exps[order], coefs[order]
+    if len(exps) < 2:
+        return exps, coefs
+    starts = np.flatnonzero(np.concatenate(
+        ([True], np.any(exps[1:] != exps[:-1], axis=1))))
+    if len(starts) == len(exps):
+        return exps, coefs
+    return exps[starts], np.add.reduceat(coefs, starts)
+
+
+def _kept(coefs, prune: bool, label: str):
+    """Mask of the coefficients a series stores.  Exact zeros always go;
+    with prune, so does |c| <= PRUNE_EPS, its mass logged under label."""
+    if not prune:
+        return coefs != 0
+    mag = np.abs(coefs)
+    small = mag <= PRUNE_EPS
+    lost = mag[small & (mag != 0)]
+    if lost.size:
+        TRUNCATION_LOG.add(f"prune:{label}", float(lost.sum()), int(lost.size))
+    return ~small
+
+
+def _make(geometry, kmax, degmax, exps, coefs, *, label=None):
+    """Series from rows already in canonical order, without validation.
+    With a label, small coefficients are pruned and logged under it;
+    without, the coefficients are taken to be nonzero already."""
+    if label is not None:
+        keep = _kept(coefs, True, label)
+        if not keep.all():
+            exps, coefs = exps[keep], coefs[keep]
+    s = FourierTaylorSeries.__new__(FourierTaylorSeries)
+    s._store(geometry, kmax, degmax, exps, coefs)
+    return s
+
+
 class FourierTaylorSeries:
-    """Immutable sparse series; see module docstring for the monomial shape.
+    """Immutable sparse series; see module docstring for the monomial shape
+    and the storage.
 
     Parameters
     ----------
@@ -92,47 +159,60 @@ class FourierTaylorSeries:
     coeffs : mapping from (k, j, q) tuples to complex, optional
     """
 
-    __slots__ = ("geometry", "kmax", "degmax", "_coeffs")
+    __slots__ = ("geometry", "kmax", "degmax", "_exps", "_coefs")
 
     def __init__(self, geometry: PhaseGeometry, kmax: int, degmax: int,
                  coeffs=None, *, prune: bool = True, _label: str = "init"):
-        object.__setattr__(self, "geometry", geometry)
-        object.__setattr__(self, "kmax", int(kmax))
-        object.__setattr__(self, "degmax", int(degmax))
-        store = {}
-        dropped = 0.0
-        ndropped = 0
-        for (k, j, q), c in (coeffs or {}).items():
-            k = tuple(int(v) for v in k)
-            j = tuple(int(v) for v in j)
-            q = tuple(int(v) for v in q)
-            self._check_key(k, j, q)
-            c = complex(c)
-            if prune and abs(c) <= PRUNE_EPS:
-                if c != 0:
-                    dropped += abs(c)
-                    ndropped += 1
-                continue
-            if c != 0:
-                store[(k, j, q)] = c
-        if ndropped:
-            TRUNCATION_LOG.add(f"prune:{_label}", dropped, ndropped)
-        object.__setattr__(self, "_coeffs", store)
+        keys = list(coeffs) if coeffs else []
+        values = [coeffs[key] for key in keys]
+        exps = self._check_keys(geometry, int(kmax), int(degmax), keys)
+        coefs = np.array(values, dtype=complex).reshape(len(keys))
+        keep = _kept(coefs, prune, _label)
+        exps, coefs = _canonical(exps[keep], coefs[keep])
+        self._store(geometry, kmax, degmax, exps, coefs)
+
+    def _store(self, geometry, kmax, degmax, exps, coefs):
+        exps.flags.writeable = False
+        coefs.flags.writeable = False
+        for name, value in (("geometry", geometry), ("kmax", int(kmax)),
+                            ("degmax", int(degmax)), ("_exps", exps),
+                            ("_coefs", coefs)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("FourierTaylorSeries is immutable")
 
-    def _check_key(self, k, j, q):
-        g = self.geometry
-        if len(k) != g.d or len(j) != g.d or len(q) != g.zdim:
-            raise ValueError(f"index dims {len(k)},{len(j)},{len(q)} do not "
-                             f"match geometry d={g.d}, 2*d0={g.zdim}")
-        if knorm(k) > self.kmax:
-            raise ValueError(f"mode {k} exceeds kmax={self.kmax}")
-        if any(v < 0 for v in j) or any(v < 0 for v in q):
-            raise ValueError("polynomial powers must be non-negative")
-        if _degree(j, q) > self.degmax:
-            raise ValueError(f"degree {_degree(j, q)} exceeds degmax={self.degmax}")
+    @staticmethod
+    def _check_keys(g: PhaseGeometry, kmax: int, degmax: int, keys):
+        """Exponent matrix of (k, j, q) keys; raises ValueError on the first
+        key of the wrong shape, beyond kmax or degmax, or with a negative
+        power."""
+        n = len(keys)
+        try:
+            blocks = [np.array([key[p] for key in keys],
+                               dtype=np.int64).reshape(n, w)
+                      for p, w in enumerate((g.d, g.d, g.zdim))]
+        except ValueError:
+            for k, j, q in keys:
+                if len(k) != g.d or len(j) != g.d or len(q) != g.zdim:
+                    raise ValueError(
+                        f"index dims {len(k)},{len(j)},{len(q)} do not "
+                        f"match geometry d={g.d}, 2*d0={g.zdim}") from None
+            raise
+        exps = np.concatenate(blocks, axis=1)
+        kn = np.abs(blocks[0]).max(axis=1, initial=0)
+        negative = (exps[:, g.d:] < 0).any(axis=1)
+        deg = exps[:, g.d:].sum(axis=1)
+        bad = (kn > kmax) | negative | (deg > degmax)
+        if bad.any():
+            i = int(np.argmax(bad))
+            if kn[i] > kmax:
+                raise ValueError(f"mode {tuple(blocks[0][i].tolist())} "
+                                 f"exceeds kmax={kmax}")
+            if negative[i]:
+                raise ValueError("polynomial powers must be non-negative")
+            raise ValueError(f"degree {int(deg[i])} exceeds degmax={degmax}")
+        return exps
 
     # -- constructors -------------------------------------------------------
 
@@ -148,7 +228,7 @@ class FourierTaylorSeries:
         if kmax is None:
             kmax = max((knorm(k) for (k, _, _), _ in items), default=0)
         if degmax is None:
-            degmax = max((_degree(j, q) for (_, j, q), _ in items), default=0)
+            degmax = max((sum(j) + sum(q) for (_, j, q), _ in items), default=0)
         agg = {}
         for key, c in items:
             agg[key] = agg.get(key, 0j) + c
@@ -211,44 +291,65 @@ class FourierTaylorSeries:
 
     # -- basic access -------------------------------------------------------
 
+    def knorms(self) -> np.ndarray:
+        """|k| of every stored term, in storage order."""
+        return np.abs(self._exps[:, :self.geometry.d]).max(axis=1, initial=0)
+
+    def degrees(self) -> np.ndarray:
+        """|j| + |q| of every stored term, in storage order."""
+        return self._exps[:, self.geometry.d:].sum(axis=1)
+
     def coeff(self, k, j=None, q=None) -> complex:
         g = self.geometry
         j = (0,) * g.d if j is None else tuple(j)
         q = (0,) * g.zdim if q is None else tuple(q)
-        return self._coeffs.get((tuple(k), j, q), 0j)
+        row = np.array(tuple(k) + j + q, dtype=np.int64)
+        if row.shape != (g.width,):
+            return 0j
+        hit = np.flatnonzero((self._exps == row).all(axis=1))
+        return complex(self._coefs[hit[0]]) if hit.size else 0j
 
     def terms(self):
-        return self._coeffs.items()
+        """((k, j, q), c) per stored term, in lexicographic (k, j, q) order."""
+        d = self.geometry.d
+        return [((tuple(r[:d]), tuple(r[d:2 * d]), tuple(r[2 * d:])), c)
+                for r, c in zip(self._exps.tolist(), self._coefs.tolist())]
 
     def __len__(self):
-        return len(self._coeffs)
+        return len(self._coefs)
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not len(self._coefs)
 
     def norm_l1(self) -> float:
-        return sum(abs(c) for c in self._coeffs.values())
+        return float(np.abs(self._coefs).sum())
 
     def is_real(self, tol: float = 1e-12) -> bool:
         """True iff c_{-k,j,q} = conj(c_{k,j,q}) for every stored index."""
-        for (k, j, q), c in self._coeffs.items():
-            mk = tuple(-v for v in k)
-            if abs(self._coeffs.get((mk, j, q), 0j) - c.conjugate()) > tol:
-                return False
-        return True
+        _, gap = _canonical(np.concatenate((self._exps, self._reflected())),
+                            np.concatenate((self._coefs, -self._coefs.conj())))
+        return bool(np.all(np.abs(gap) <= tol))
+
+    def _reflected(self):
+        """Exponent rows with k negated (not in canonical order)."""
+        out = self._exps.copy()
+        out[:, :self.geometry.d] *= -1
+        return out
 
     def __repr__(self):
         g = self.geometry
         return (f"FourierTaylorSeries(d={g.d}, d0={g.d0}, kmax={self.kmax}, "
-                f"degmax={self.degmax}, terms={len(self._coeffs)})")
+                f"degmax={self.degmax}, terms={len(self)})")
 
     def __eq__(self, other):
         if not isinstance(other, FourierTaylorSeries):
             return NotImplemented
-        return self.geometry == other.geometry and self._coeffs == other._coeffs
+        return (self.geometry == other.geometry
+                and np.array_equal(self._exps, other._exps)
+                and np.array_equal(self._coefs, other._coefs))
 
     def __hash__(self):
-        return hash((self.geometry, frozenset(self._coeffs.items())))
+        return hash((self.geometry, tuple(self.terms())))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -261,12 +362,10 @@ class FourierTaylorSeries:
         if isinstance(other, (int, float, complex)):
             other = FourierTaylorSeries.constant(self.geometry, other)
         self._require_same_geometry(other)
-        out = dict(self._coeffs)
-        for key, c in other._coeffs.items():
-            out[key] = out.get(key, 0j) + c
-        return FourierTaylorSeries(self.geometry, max(self.kmax, other.kmax),
-                                   max(self.degmax, other.degmax), out,
-                                   _label="add")
+        exps, coefs = _canonical(np.concatenate((self._exps, other._exps)),
+                                 np.concatenate((self._coefs, other._coefs)))
+        return _make(self.geometry, max(self.kmax, other.kmax),
+                     max(self.degmax, other.degmax), exps, coefs, label="add")
 
     __radd__ = __add__
 
@@ -282,63 +381,25 @@ class FourierTaylorSeries:
         c = complex(c)
         if c == 0:
             return FourierTaylorSeries.zero(self.geometry)
-        out = {key: v * c for key, v in self._coeffs.items()}
-        return FourierTaylorSeries(self.geometry, self.kmax, self.degmax, out,
-                                   _label="scale")
+        return _make(self.geometry, self.kmax, self.degmax, self._exps,
+                     self._coefs * c, label="scale")
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
             return self.scale(other)
         self._require_same_geometry(other)
-        out = {}
-        for (k1, j1, q1), c1 in self._coeffs.items():
-            for (k2, j2, q2), c2 in other._coeffs.items():
-                key = (tuple(a + b for a, b in zip(k1, k2)),
-                       tuple(a + b for a, b in zip(j1, j2)),
-                       tuple(a + b for a, b in zip(q1, q2)))
-                out[key] = out.get(key, 0j) + c1 * c2
-        return FourierTaylorSeries(self.geometry, self.kmax + other.kmax,
-                                   self.degmax + other.degmax, out,
-                                   _label="mul")
+        ia, ib = np.divmod(np.arange(len(self) * len(other)), len(other))
+        exps, coefs = _canonical(self._exps[ia] + other._exps[ib],
+                                 self._coefs[ia] * other._coefs[ib])
+        return _make(self.geometry, self.kmax + other.kmax,
+                     self.degmax + other.degmax, exps, coefs, label="mul")
 
     __rmul__ = __mul__
 
     def conjugate(self):
-        out = {(tuple(-v for v in k), j, q): c.conjugate()
-               for (k, j, q), c in self._coeffs.items()}
-        return FourierTaylorSeries(self.geometry, self.kmax, self.degmax, out)
-
-    # -- calculus -----------------------------------------------------------
-
-    def diff_x(self, i: int):
-        out = {}
-        for (k, j, q), c in self._coeffs.items():
-            if k[i]:
-                out[(k, j, q)] = out.get((k, j, q), 0j) + 1j * k[i] * c
-        return FourierTaylorSeries(self.geometry, self.kmax, self.degmax, out,
-                                   prune=False)
-
-    def diff_y(self, i: int):
-        out = {}
-        for (k, j, q), c in self._coeffs.items():
-            if j[i]:
-                j2 = list(j)
-                j2[i] -= 1
-                key = (k, tuple(j2), q)
-                out[key] = out.get(key, 0j) + j[i] * c
-        return FourierTaylorSeries(self.geometry, self.kmax,
-                                   max(0, self.degmax - 1), out, prune=False)
-
-    def diff_z(self, a: int):
-        out = {}
-        for (k, j, q), c in self._coeffs.items():
-            if q[a]:
-                q2 = list(q)
-                q2[a] -= 1
-                key = (k, j, tuple(q2))
-                out[key] = out.get(key, 0j) + q[a] * c
-        return FourierTaylorSeries(self.geometry, self.kmax,
-                                   max(0, self.degmax - 1), out, prune=False)
+        exps, coefs = _canonical(self._reflected(), self._coefs.conj())
+        return _make(self.geometry, self.kmax, self.degmax, exps, coefs,
+                     label="conjugate")
 
     # -- evaluation ---------------------------------------------------------
 
@@ -347,30 +408,23 @@ class FourierTaylorSeries:
         x = np.zeros(g.d) if x is None else np.asarray(x, dtype=float)
         y = np.zeros(g.d) if y is None else np.asarray(y, dtype=float)
         z = np.zeros(g.zdim) if z is None else np.asarray(z, dtype=float)
-        total = 0j
-        for (k, j, q), c in self._coeffs.items():
-            v = c * np.exp(1j * float(np.dot(k, x)))
-            for i, p in enumerate(j):
-                if p:
-                    v *= y[i] ** p
-            for a, p in enumerate(q):
-                if p:
-                    v *= z[a] ** p
-            total += v
-        return total
+        e, d = self._exps, g.d
+        k, j, q = e[:, :d], e[:, d:2 * d], e[:, 2 * d:]
+        v = (self._coefs * np.exp(1j * (k @ x))
+             * np.prod(y ** j, axis=1) * np.prod(z ** q, axis=1))
+        return complex(v.sum())
 
     # -- structural helpers -------------------------------------------------
 
-    def partition(self, pred):
-        """Split into (kept, rest) by a predicate on (k, j, q); exact, no pruning."""
-        kept, rest = {}, {}
-        for key, c in self._coeffs.items():
-            (kept if pred(*key) else rest)[key] = c
-        mk = FourierTaylorSeries(self.geometry, self.kmax, self.degmax, kept,
-                                 prune=False)
-        mr = FourierTaylorSeries(self.geometry, self.kmax, self.degmax, rest,
-                                 prune=False)
-        return mk, mr
+    def partition(self, mask):
+        """Split into (kept, rest) by a boolean mask over the stored terms
+        (storage order, as `knorms` and `degrees` give it); exact, no
+        pruning."""
+        mask = np.asarray(mask, dtype=bool)
+        return (_make(self.geometry, self.kmax, self.degmax,
+                      self._exps[mask], self._coefs[mask]),
+                _make(self.geometry, self.kmax, self.degmax,
+                      self._exps[~mask], self._coefs[~mask]))
 
 
 class GeneratingSeries(FourierTaylorSeries):
@@ -382,18 +436,14 @@ class GeneratingSeries(FourierTaylorSeries):
 
     def __init__(self, geometry, kmax, degmax, coeffs=None, **kw):
         super().__init__(geometry, kmax, degmax, coeffs, **kw)
-        for (k, j, q), _ in self.terms():
-            if knorm(k) == 0:
-                if sum(j) != 0 or sum(q) != 1:
-                    raise InvariantError(
-                        f"generator ansatz violated at k=0: j={j}, q={q}")
-            elif (sum(j), sum(q)) not in ((0, 0), (1, 0), (0, 1), (0, 2)):
-                raise InvariantError(
-                    f"generator ansatz violated at k={k}: j={j}, q={q}")
-
-    @classmethod
-    def wrap(cls, s: FourierTaylorSeries) -> "GeneratingSeries":
-        return cls(s.geometry, s.kmax, s.degmax, dict(s.terms()), prune=False)
+        sj, sq = _shape_sums(self)
+        bad = np.where(self.knorms() == 0, (sj != 0) | (sq != 1),
+                       ~ansatz_rows(self))
+        if bad.any():
+            (k, j, q), _ = self.terms()[int(np.argmax(bad))]
+            where = "k=0" if knorm(k) == 0 else f"k={k}"
+            raise InvariantError(
+                f"generator ansatz violated at {where}: j={j}, q={q}")
 
 
 # -- ansatz predicates -------------------------------------------------------
@@ -401,15 +451,28 @@ class GeneratingSeries(FourierTaylorSeries):
 def ansatz_shape(j, q) -> bool:
     """Monomial shapes the low-mode cutoff keeps: constant, linear-y,
     linear-z, quadratic-z."""
-    return (sum(j), sum(q)) in ((0, 0), (1, 0), (0, 1), (0, 2))
+    return (sum(j), sum(q)) in ANSATZ_SHAPES
 
 
-_ansatz_shape = ansatz_shape
+def _shape_sums(s: FourierTaylorSeries):
+    """(|j|, |q|) of every stored term."""
+    d = s.geometry.d
+    return s._exps[:, d:2 * d].sum(axis=1), s._exps[:, 2 * d:].sum(axis=1)
 
 
-def flat_remainder_part(k, j, q) -> bool:
-    """Angle-free monomials outside the ansatz: the flat remainder channel."""
-    return knorm(k) == 0 and not ansatz_shape(j, q)
+def ansatz_rows(s: FourierTaylorSeries) -> np.ndarray:
+    """Mask of the terms of s whose monomial has an ansatz shape."""
+    sj, sq = _shape_sums(s)
+    mask = np.zeros(len(s), dtype=bool)
+    for a, b in ANSATZ_SHAPES:
+        mask |= (sj == a) & (sq == b)
+    return mask
+
+
+def flat_remainder_part(s: FourierTaylorSeries) -> np.ndarray:
+    """Mask of the angle-free terms of s outside the ansatz: the flat
+    remainder channel."""
+    return (s.knorms() == 0) & ~ansatz_rows(s)
 
 
 def cutoff(P: FourierTaylorSeries, Kplus: int):
@@ -422,28 +485,47 @@ def cutoff(P: FourierTaylorSeries, Kplus: int):
     """
     if Kplus < 1:
         raise ValueError("Kplus must be >= 1")
-    return P.partition(lambda k, j, q: knorm(k) <= Kplus and _ansatz_shape(j, q))
+    return P.partition((P.knorms() <= Kplus) & ansatz_rows(P))
 
 
 def average_over_angles(P: FourierTaylorSeries) -> FourierTaylorSeries:
     """Projection onto the k = 0 Fourier modes."""
-    kept, _ = P.partition(lambda k, j, q: knorm(k) == 0)
+    kept, _ = P.partition(P.knorms() == 0)
     return kept
 
 
 def truncate(P: FourierTaylorSeries, kmax: int, degmax: int,
              label: str = "truncate") -> FourierTaylorSeries:
     """Drop modes beyond (kmax, degmax); dropped mass goes to TRUNCATION_LOG."""
-    kept, rest = P.partition(
-        lambda k, j, q: knorm(k) <= kmax and _degree(j, q) <= degmax)
-    if not rest.is_zero():
-        TRUNCATION_LOG.add(label, rest.norm_l1(), len(rest))
-    return FourierTaylorSeries(kept.geometry, min(P.kmax, kmax),
-                               min(P.degmax, degmax), dict(kept.terms()),
-                               prune=False)
+    keep = (P.knorms() <= kmax) & (P.degrees() <= degmax)
+    if not keep.all():
+        lost = P._coefs[~keep]
+        TRUNCATION_LOG.add(label, float(np.abs(lost).sum()), len(lost))
+    return _make(P.geometry, min(P.kmax, kmax), min(P.degmax, degmax),
+                 P._exps[keep], P._coefs[keep])
 
 
 # -- Poisson bracket ---------------------------------------------------------
+
+def _bracket_channels(geo: PhaseGeometry):
+    """(a-column, b-column, coefficient factor, columns lowered) per channel:
+    the weight of a pair is a1*b2 - b1*a2."""
+    d, d0 = geo.d, geo.d0
+    xy = [(d + i, i, 1j, (d + i,)) for i in range(d)]
+    uv = [(2 * d + a, 2 * d + d0 + a, 1.0, (2 * d + a, 2 * d + d0 + a))
+          for a in range(d0)]
+    return xy + uv
+
+
+def _merge_codes(codes, coefs):
+    """Codes sorted (stably), coefficients of equal codes summed."""
+    order = np.argsort(codes, kind="stable")
+    codes, coefs = codes[order], coefs[order]
+    if len(codes) < 2:
+        return codes, coefs
+    starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+    return codes[starts], np.add.reduceat(coefs, starts)
+
 
 def poisson_bracket(f: FourierTaylorSeries,
                     g: FourierTaylorSeries) -> FourierTaylorSeries:
@@ -456,55 +538,58 @@ def poisson_bracket(f: FourierTaylorSeries,
     """
     f._require_same_geometry(g)
     geo = f.geometry
-    d, zdim, d0 = geo.d, geo.zdim, geo.d0
-    out = {}
+    kmax, degmax = f.kmax + g.kmax, max(0, f.degmax + g.degmax - 1)
+    n1, n2 = len(f), len(g)
+    if not n1 or not n2:
+        return _make(geo, kmax, degmax, np.empty((0, geo.width), np.int64),
+                     np.empty(0, complex))
+    e1, e2 = f._exps, g._exps
 
-    def acc(k, j, q, c):
-        if c != 0:
-            key = (k, j, q)
-            out[key] = out.get(key, 0j) + c
+    # mixed radix covering every digit of e1 + e2; offsets are <= 0, so a
+    # lowered j or q digit (never below 0) stays inside its range
+    lo1 = np.minimum(e1.min(axis=0), 0)
+    lo2 = np.minimum(e2.min(axis=0), 0)
+    radix = [int(v) for v in e1.max(axis=0) + e2.max(axis=0) - lo1 - lo2 + 1]
+    width = math.prod(radix)
+    if width.bit_length() > CODE_BITS:
+        raise InvariantError(
+            f"bracket code needs {width.bit_length()} bits, more than "
+            f"{CODE_BITS}: digit ranges {radix} for operands of {n1} and "
+            f"{n2} terms")
+    strides = np.array([math.prod(radix[c + 1:]) for c in range(len(radix))],
+                       dtype=np.int64)
+    code1 = (e1 - lo1) @ strides
+    code2 = (e2 - lo2) @ strides
+    c1, c2 = f._coefs, g._coefs
+    channels = [(e1[:, a], e1[:, b], e2[:, a], e2[:, b], factor,
+                 int(strides[list(lowered)].sum()))
+                for a, b, factor, lowered in _bracket_channels(geo)]
 
-    for (k1, j1, q1), c1 in f.terms():
-        for (k2, j2, q2), c2 in g.terms():
-            c12 = c1 * c2
-            ks = tuple(a + b for a, b in zip(k1, k2))
-            # sum_i f_{y_i} g_{x_i} - f_{x_i} g_{y_i}
-            for i in range(d):
-                if j1[i] and k2[i]:
-                    j = list(j1)
-                    j[i] -= 1
-                    acc(ks, tuple(a + b for a, b in zip(j, j2)),
-                        tuple(a + b for a, b in zip(q1, q2)),
-                        c12 * j1[i] * 1j * k2[i])
-                if k1[i] and j2[i]:
-                    j = list(j2)
-                    j[i] -= 1
-                    acc(ks, tuple(a + b for a, b in zip(j1, j)),
-                        tuple(a + b for a, b in zip(q1, q2)),
-                        -c12 * 1j * k1[i] * j2[i])
-            # sum_a f_{u_a} g_{v_a} - f_{v_a} g_{u_a}
-            for a in range(d0):
-                ua, va = a, d0 + a
-                if q1[ua] and q2[va]:
-                    qa = list(q1)
-                    qb = list(q2)
-                    qa[ua] -= 1
-                    qb[va] -= 1
-                    acc(ks, tuple(x + y for x, y in zip(j1, j2)),
-                        tuple(x + y for x, y in zip(qa, qb)),
-                        c12 * q1[ua] * q2[va])
-                if q1[va] and q2[ua]:
-                    qa = list(q1)
-                    qb = list(q2)
-                    qa[va] -= 1
-                    qb[ua] -= 1
-                    acc(ks, tuple(x + y for x, y in zip(j1, j2)),
-                        tuple(x + y for x, y in zip(qa, qb)),
-                        -c12 * q1[va] * q2[ua])
-
-    return FourierTaylorSeries(geo, f.kmax + g.kmax,
-                               max(0, f.degmax + g.degmax - 1), out,
-                               _label="bracket")
+    # emitted terms wait in `pending` until they outnumber the merged result
+    # (and a block), so scratch memory stays proportional to the output
+    codes, coefs = np.empty(0, np.int64), np.empty(0, complex)
+    pending_codes, pending_coefs = [], []
+    npending = 0
+    npairs = n1 * n2
+    for start in range(0, npairs, PAIR_BLOCK):
+        stop = min(start + PAIR_BLOCK, npairs)
+        ia, ib = np.divmod(np.arange(start, stop), n2)
+        base = code1[ia] + code2[ib]
+        c12 = c1[ia] * c2[ib]
+        for a1, b1, a2, b2, factor, shift in channels:
+            w = a1[ia] * b2[ib] - b1[ia] * a2[ib]
+            nz = np.flatnonzero(w)
+            pending_codes.append(base[nz] - shift)
+            pending_coefs.append(c12[nz] * (factor * w[nz]))
+            npending += len(nz)
+        if npending > max(len(codes), PAIR_BLOCK) or stop == npairs:
+            codes, coefs = _merge_codes(
+                np.concatenate([codes, *pending_codes]),
+                np.concatenate([coefs, *pending_coefs]))
+            pending_codes, pending_coefs = [], []
+            npending = 0
+    exps = codes[:, None] // strides % np.array(radix) + (lo1 + lo2)
+    return _make(geo, kmax, degmax, exps, coefs, label="bracket")
 
 
 def lie_transform(H: FourierTaylorSeries, F: FourierTaylorSeries,
@@ -560,14 +645,17 @@ def lie_transform_auto(H, F, epsilon=1.0, *, tol=1e-16,
 # -- serialization -----------------------------------------------------------
 
 def to_text(s: FourierTaylorSeries) -> str:
-    """Line-oriented text form; floats printed with repr for exact round-trip."""
+    """Line-oriented text form; floats printed with repr for exact round-trip.
+    Rows come out in storage order, which is sorted (k, j, q) order."""
     g = s.geometry
+    d = g.d
     lines = [f"# d d0 kmax degmax", f"{g.d} {g.d0} {s.kmax} {s.degmax}"]
-    for (k, j, q), c in sorted(s.terms()):
-        k_part = " ".join(str(v) for v in k)
-        j_part = " ".join(str(v) for v in j)
-        q_part = " ".join(str(v) for v in q) if q else "-"
-        lines.append(f"{k_part} | {j_part} | {q_part} | {c.real!r} {c.imag!r}")
+    for r, re, im in zip(s._exps.tolist(), s._coefs.real.tolist(),
+                         s._coefs.imag.tolist()):
+        k_part = " ".join(map(str, r[:d]))
+        j_part = " ".join(map(str, r[d:2 * d]))
+        q_part = " ".join(map(str, r[2 * d:])) if g.d0 else "-"
+        lines.append(f"{k_part} | {j_part} | {q_part} | {re!r} {im!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from resonorm.cli import main
+from resonorm.quantize import remainder_bound
 from resonorm.series import FourierTaylorSeries, PhaseGeometry, to_text
 
 
@@ -227,6 +228,36 @@ def test_compare_resonant_clusters(tmp_path):
     assert summary["matched_clusters"] >= 3
     want = eps * h  # sqrt(lam*lamt) = 1
     assert abs(summary["intra_spacing_oracle"] - want) < 0.1 * want
+
+
+def test_comparison_csv_cells_are_plain_numbers(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(RESONANT_CFG)
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+    lines = (out / "comparison.csv").read_text().strip().splitlines()
+    assert len(lines) > 1
+    for ln in lines[1:]:
+        for cell in ln.split(","):
+            float(cell)
+
+
+def test_configured_alpha_sets_remainder_bound(tmp_path):
+    h, eps = 0.05, 0.01
+    bounds = {}
+    for alpha in (2.0, 3.0):
+        cfg = tmp_path / f"run{alpha}.ini"
+        cfg.write_text(RESONANT_CFG.replace("alpha = 2.0", f"alpha = {alpha}"))
+        out = tmp_path / f"out{alpha}"
+        assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["remainder_bound"] == remainder_bound(h, eps, alpha)
+        assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = (out / "spectrum.csv").read_text().strip().splitlines()[1:]
+        assert {float(r.split(",")[-1]) for r in rows} == \
+            {remainder_bound(h, eps, alpha)}
+        bounds[alpha] = summary["remainder_bound"]
+    assert bounds[3.0] != bounds[2.0]
 
 
 def test_scar_command(tmp_path):

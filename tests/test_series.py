@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from resonorm.series import (
+    PAIR_BLOCK,
+    TRUNCATION_LOG,
     PhaseGeometry,
     FourierTaylorSeries,
     GeneratingSeries,
@@ -180,17 +182,80 @@ def test_bracket_leibniz_rule():
         assert series_close(lhs, rhs, tol=1e-11)
 
 
-def test_bracket_matches_independent_oracle():
+def _distinct_series(geo, rng, nterms, integer=False):
+    """Exactly nterms terms, the Fourier radius widened until the key space
+    holds them.  Small-integer coefficients make every sum of products
+    exact."""
+    kmax = 1
+    while (2 * kmax + 1) ** geo.d * 2 ** (geo.d + geo.zdim) < 4 * nterms:
+        kmax += 1
+    terms = {}
+    while len(terms) < nterms:
+        k = tuple(int(rng.integers(-kmax, kmax + 1)) for _ in range(geo.d))
+        j = tuple(int(rng.integers(0, 2)) for _ in range(geo.d))
+        q = tuple(int(rng.integers(0, 2)) for _ in range(geo.zdim))
+        if integer:
+            terms[(k, j, q)] = complex(int(rng.integers(1, 4)),
+                                       int(rng.integers(-3, 4)))
+        else:
+            terms[(k, j, q)] = complex(rng.normal(), rng.normal())
+    return FourierTaylorSeries(geo, kmax, geo.d + geo.zdim, terms)
+
+
+def _oracle_cases():
+    """(geometry, f, g) operand pairs for the oracle comparison."""
     rng = np.random.default_rng(19)
     for _ in range(15):
         geo = random.Random(int(rng.integers(1e9))).choice([G11, G21])
-        f = random_series(geo, rng)
-        g = random_series(geo, rng)
+        yield geo, random_series(geo, rng), random_series(geo, rng)
+    rng = np.random.default_rng(61)
+    for d, d0 in ((1, 0), (1, 1), (2, 1), (3, 1), (2, 2)):
+        geo = PhaseGeometry(d=d, d0=d0)
+        for real in (False, True):
+            yield (geo, random_series(geo, rng, real=real),
+                   random_series(geo, rng, real=real))
+        # operands spanning several pair blocks, the last one partial
+        f = _distinct_series(geo, rng, 101)
+        g = _distinct_series(geo, rng, 90)
+        assert len(f) * len(g) > 2 * PAIR_BLOCK
+        assert len(f) * len(g) % PAIR_BLOCK
+        yield geo, f, g
+        zero = FourierTaylorSeries.zero(geo)
+        yield geo, zero, g
+        yield geo, f, zero
+        # {f, f} with integer coefficients cancels exactly, across blocks too
+        for nterms in (5, 70):
+            f = _distinct_series(geo, rng, nterms, integer=True)
+            yield geo, f, f
+    # every pair weight vanishes: {y1, y2}, {u1, u1^2}
+    G30 = PhaseGeometry(d=3, d0=0)
+    yield (G30, FourierTaylorSeries.linear_y(G30, [1, 2, 0]),
+           FourierTaylorSeries.linear_y(G30, [0, 1, 5]))
+    u = FourierTaylorSeries.linear_z(G11, [1.0, 0.0])
+    yield G11, u, u * u
+
+
+def test_bracket_matches_independent_oracle():
+    for geo, f, g in _oracle_cases():
+        TRUNCATION_LOG.drain()
         got = dict(poisson_bracket(f, g).terms())
         want = oracle_bracket(dict(f.terms()), dict(g.terms()), geo)
+        if not want:
+            # a result that cancels cancels exactly: nothing kept or pruned
+            assert not got and not TRUNCATION_LOG.drain()
         keys = set(got) | set(want)
         for key in keys:
             assert abs(got.get(key, 0j) - want.get(key, 0j)) < 1e-12
+
+
+def test_bracket_code_width_guard():
+    geo = PhaseGeometry(d=3, d0=2)
+    big = FourierTaylorSeries(geo, 200, 700, {
+        ((200, -200, 200), (100, 100, 100), (100, 100, 100, 100)): 1.0,
+        ((-200, 200, -200), (0, 0, 0), (0, 0, 0, 0)): 1.0,
+    })
+    with pytest.raises(InvariantError, match="bits"):
+        poisson_bracket(big, big)
 
 
 def test_bracket_geometry_mismatch_rejected():
@@ -342,6 +407,39 @@ def test_generating_series_validation():
         GeneratingSeries(G11, 2, 2, {((0,), (1,), (0, 0)): 1.0})
     with pytest.raises(InvariantError):
         GeneratingSeries(G11, 2, 3, {((1,), (1,), (0, 1)): 1.0})
+
+
+def test_text_round_trip_byte_exact_in_sorted_order():
+    rng = np.random.default_rng(71)
+    for geo in (G1, G11, G21, PhaseGeometry(d=2, d0=2)):
+        s = random_series(geo, rng, nterms=40, kmax=3, degmax=4, real=True)
+        text = to_text(s)
+        assert to_text(from_text(text)) == text
+        rows = text.splitlines()[2:]
+        assert len(rows) == len(s)
+        for line, ((k, j, q), c) in zip(rows, sorted(s.terms())):
+            k_part, j_part, q_part, c_part = (p.split() for p in line.split("|"))
+            assert tuple(map(int, k_part)) == k
+            assert tuple(map(int, j_part)) == j
+            assert (() if q_part == ["-"] else tuple(map(int, q_part))) == q
+            assert complex(*map(float, c_part)) == c
+
+
+def test_construction_validation_and_prune():
+    with pytest.raises(ValueError, match="index dims 2,1,2"):
+        FourierTaylorSeries(G11, 2, 2, {((0, 0), (0,), (0, 0)): 1.0})
+    with pytest.raises(ValueError, match=r"mode \(3,\) exceeds kmax=2"):
+        FourierTaylorSeries(G11, 2, 2, {((3,), (0,), (0, 0)): 1.0})
+    with pytest.raises(ValueError, match="non-negative"):
+        FourierTaylorSeries(G11, 2, 2, {((0,), (-1,), (0, 0)): 1.0})
+    with pytest.raises(ValueError, match="degree 3 exceeds degmax=2"):
+        FourierTaylorSeries(G11, 2, 2, {((0,), (1,), (1, 1)): 1.0})
+    TRUNCATION_LOG.drain()
+    s = FourierTaylorSeries(G1, 1, 1, {((1,), (0,), ()): 1e-16,
+                                       ((0,), (1,), ()): 2.0,
+                                       ((-1,), (0,), ()): 0.0})
+    assert s.terms() == [(((0,), (1,), ()), 2.0 + 0j)]
+    assert TRUNCATION_LOG.drain() == [("prune:init", 1e-16, 1)]
 
 
 def test_text_round_trip_bit_exact():
