@@ -49,6 +49,7 @@ from .oracle import (
     ModelOperator,
     build_operator,
     diagonalize,
+    interior,
     match_spectrum,
 )
 from .freqsets import ZoneSpec, zone_measure_mc, excluded_set_measure, summability_check
@@ -76,7 +77,7 @@ __all__ = [
     "QuantumNumbers", "SpectrumPrediction", "predict_spectrum",
     "remainder_bound", "action_index_set",
     "OperatorSpec", "CouplingTerm", "ModelOperator", "build_operator",
-    "diagonalize", "match_spectrum",
+    "diagonalize", "interior", "match_spectrum",
     "ZoneSpec", "zone_measure_mc", "excluded_set_measure",
     "summability_check",
     "build_quasi_table", "separation_check", "window_census",

@@ -42,6 +42,7 @@ from .oracle import (
     OperatorSpec,
     build_operator,
     diagonalize,
+    interior,
     match_spectrum,
     required_Nt,
 )
@@ -350,10 +351,8 @@ def _oracle_spec(cfg: RunConfig, state: NormalFormState):
                               couplings=couplings)
 
 
-def _oracle_eigs(cfg: RunConfig, state: NormalFormState, *,
-                 want_vectors=False):
+def _oracle_eigs(cfg: RunConfig, state: NormalFormState, window):
     h = cfg.get("quantize", "h", 0.05, float)
-    window = _floats(cfg.get("quantize", "window", "0.0 0.5"))
     spec = _oracle_spec(cfg, state)
     Nt = cfg.get("oracle", "Nt", 0, int)
     omega = state.omega_p()
@@ -368,29 +367,16 @@ def _oracle_eigs(cfg: RunConfig, state: NormalFormState, *,
     dim_cap = cfg.get("oracle", "dim_cap", 4096, int)
     op = build_operator(spec, h=h, epsilon=state.epsilon, Nt=Nt, Nh=Nh,
                         dim_cap=dim_cap)
-    out = diagonalize(op, want_vectors=want_vectors, dim_cap=dim_cap)
-    return (op, *out) if want_vectors else (op, out)
+    return (op, *_interior_filter(op, window))
 
 
-def _interior_filter(op, eigs, window, vecs=None):
-    """Drop the Hermite truncation edge (top 20% of levels) and keep the
-    window, by projecting onto interior basis states before the solve."""
-    labels = op.basis_labels()
-    nh = op.Nh
-    keep = [i for i, (n, m) in enumerate(labels)
-            if all(v < max(int(0.8 * nh), 1) for v in m)]
-    if len(keep) < op.dim:
-        sub = op.matrix[np.ix_(keep, keep)]
-        if vecs is None:
-            vals = np.linalg.eigvalsh(sub)
-        else:
-            vals, vv = np.linalg.eigh(sub)
-        sel = (vals >= window[0]) & (vals <= window[1])
-        if vecs is None:
-            return vals[sel], None, [labels[i] for i in keep]
-        return vals[sel], vv[:, sel], [labels[i] for i in keep]
-    sel = (eigs >= window[0]) & (eigs <= window[1])
-    return eigs[sel], (vecs[:, sel] if vecs is not None else None), labels
+def _interior_filter(op, window):
+    """Drop the Hermite truncation edge (top 20% of levels) before the one
+    eigensolve, then keep the eigenpairs in the window."""
+    sub = interior(op)
+    vals, vecs = diagonalize(sub)
+    sel = (vals >= window[0]) & (vals <= window[1])
+    return vals[sel], vecs[:, sel], sub.basis_labels()
 
 
 def cmd_compare(cfg: RunConfig, outdir: Path, seed: int) -> int:
@@ -398,8 +384,7 @@ def cmd_compare(cfg: RunConfig, outdir: Path, seed: int) -> int:
     state = res.state
     pred = _predict(cfg, state)
     window = _floats(cfg.get("quantize", "window", "0.0 0.5"))
-    op, eigs = _oracle_eigs(cfg, state)
-    sel, _, _ = _interior_filter(op, eigs, window)
+    op, sel, _, _ = _oracle_eigs(cfg, state, window)
     rep = match_spectrum(sel, pred,
                          gap_factor=cfg.get("oracle", "gap_factor", 4.0, float))
 
@@ -493,8 +478,7 @@ def cmd_scar(cfg: RunConfig, outdir: Path, seed: int) -> int:
     mass_window = cfg.get("scarring", "mass_window", 2.5 * h, float)
     scaling = cfg.get("quantize", "scaling", "oscillator")
 
-    op, eigs, vecs = _oracle_eigs(cfg, state, want_vectors=True)
-    sel, vsel, labels = _interior_filter(op, eigs, window, vecs)
+    op, sel, vsel, labels = _oracle_eigs(cfg, state, window)
 
     # lattice actions reaching the window
     L = cfg.get("scarring", "L", 0.5, float)

@@ -1,5 +1,5 @@
 """Independent spectral ground truth: small model operators assembled in a
-torus-plane-wave (x) Hermite tensor basis, dense Hermitian diagonalization,
+torus-plane-wave (x) Hermite tensor basis, one checked Hermitian eigensolve,
 cluster extraction, and comparison against a predicted spectrum.
 
 Basis and matrix elements.  Per torus degree of freedom the basis is
@@ -15,13 +15,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, CoverageError, InvariantError
 
 DIM_CAP_DEFAULT = 4096
+SPOT_CHECKS = 10           # eigenpairs whose residual diagonalize checks
+RESIDUAL_TOL = 1e-10       # relative to ||A||_2
 
 
 # ---------------------------------------------------------------------------
@@ -250,28 +252,38 @@ def build_operator(spec: OperatorSpec, h: float, epsilon: float, Nt: int,
                          hermite_levels=hermite_levels)
 
 
-def diagonalize(op: ModelOperator, *, want_vectors: bool = False,
-                dim_cap: int = DIM_CAP_DEFAULT, spot_checks: int = 10,
-                rng_seed: int = 0):
-    """Full Hermitian eigensolve, ascending; residuals ||A v - lambda v||
-    are spot-checked on random pairs against 1e-10 ||A||."""
-    if op.dim > dim_cap:
-        raise ConfigError(f"dimension {op.dim} exceeds cap {dim_cap}")
-    if want_vectors or spot_checks:
-        vals, vecs = np.linalg.eigh(op.matrix)
-    else:
-        vals, vecs = np.linalg.eigvalsh(op.matrix), None
-    if spot_checks and vecs is not None:
-        rng = np.random.default_rng(rng_seed)
-        norm_a = np.linalg.norm(op.matrix, ord=2)
-        idx = rng.integers(0, op.dim, size=min(spot_checks, op.dim))
-        for i in idx:
-            res = np.linalg.norm(op.matrix @ vecs[:, i] - vals[i] * vecs[:, i])
-            if res > 1e-10 * max(norm_a, 1e-300):
-                raise InvariantError(f"eigenpair residual {res:.3e} too large")
-    if want_vectors:
-        return vals, vecs
-    return vals
+def interior(op: ModelOperator) -> ModelOperator:
+    """The operator restricted to Hermite levels below max(int(0.8 Nh), 1)
+    in every resonant direction, which drops the truncation edge of the
+    ladder.  The principal submatrix keeps the torus modes and the
+    torus-major order, so basis_labels() stays aligned; Nh stays the
+    truncation the matrix was assembled at.  Returns op itself when
+    nothing is cut."""
+    cut = max(int(0.8 * op.Nh), 1)
+    levels = [m for m in op.hermite_levels if all(v < cut for v in m)]
+    if len(levels) == len(op.hermite_levels):
+        return op
+    kept = set(levels)
+    keep = [i for i, (_, m) in enumerate(op.basis_labels()) if m in kept]
+    return replace(op, matrix=op.matrix[np.ix_(keep, keep)],
+                   hermite_levels=levels)
+
+
+def diagonalize(op: ModelOperator):
+    """The Hermitian eigensolve: ascending eigenvalues and eigenvectors.
+
+    Residuals ||A v - lambda v|| of SPOT_CHECKS distinct pairs (all of
+    them in a smaller matrix), drawn with a fixed seed, are checked against
+    RESIDUAL_TOL * max|lambda|, which equals ||A||_2 for a Hermitian A."""
+    vals, vecs = np.linalg.eigh(op.matrix)
+    norm_a = max(float(np.abs(vals).max()), 1e-300)
+    idx = np.random.default_rng(0).choice(op.dim, min(SPOT_CHECKS, op.dim),
+                                          replace=False)
+    for i in idx:
+        res = np.linalg.norm(op.matrix @ vecs[:, i] - vals[i] * vecs[:, i])
+        if res > RESIDUAL_TOL * norm_a:
+            raise InvariantError(f"eigenpair residual {res:.3e} too large")
+    return vals, vecs
 
 
 # ---------------------------------------------------------------------------

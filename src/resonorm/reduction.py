@@ -269,19 +269,11 @@ class CriticalPointSet:
     failed_seeds: int = 0
 
 
-def _angle_grad_hess(h0: FourierTaylorSeries, phi: np.ndarray):
-    n = phi.size
-    g = np.zeros(n)
-    H = np.zeros((n, n))
-    val = 0.0
-    for (k, j, q), c in h0.terms():
-        ph = c * np.exp(1j * float(np.dot(k, phi)))
-        val += ph.real
-        for a in range(n):
-            g[a] += (1j * k[a] * ph).real
-            for b in range(n):
-                H[a, b] += (-k[a] * k[b] * ph).real
-    return val, g, H
+def _angle_grad_hess(ks: np.ndarray, cs: np.ndarray, phi: np.ndarray):
+    """Value, gradient and Hessian of sum_t Re(c_t e^{i<k_t, phi>}) over
+    decoded modes ks (n x d0) and coefficients cs."""
+    ph = cs * np.exp(1j * (ks @ phi))
+    return float(ph.real.sum()), -(ks.T @ ph.imag), -(ks.T * ph.real) @ ks
 
 
 def critical_points(h0: FourierTaylorSeries, d0: int, *,
@@ -295,8 +287,12 @@ def critical_points(h0: FourierTaylorSeries, d0: int, *,
     """
     if h0.geometry.d != d0 or h0.geometry.d0 != 0:
         raise ConfigError("h0 must be an angle-only series on T^d0")
-    coeff_scale = sum(abs(c) * max(1, knorm(k)) ** 2
-                      for (k, j, q), c in h0.terms() if knorm(k) > 0)
+    terms = h0.terms()
+    ks = np.array([k for (k, _, _), _ in terms], dtype=float).reshape(-1, d0)
+    cs = np.array([c for _, c in terms], dtype=complex)
+    kn = h0.knorms()
+    coeff_scale = float(np.sum(np.abs(cs) * np.maximum(1, kn) ** 2,
+                               where=kn > 0))
     if coeff_scale < 1e-14:
         return CriticalPointSet(points=[CriticalPoint(
             phi=np.zeros(d0), hessian=np.zeros((d0, d0)), value=float(
@@ -317,7 +313,7 @@ def critical_points(h0: FourierTaylorSeries, d0: int, *,
         phi = seed.astype(float).copy()
         ok = False
         for _ in range(newton_steps):
-            _, g, H = _angle_grad_hess(h0, phi)
+            _, g, H = _angle_grad_hess(ks, cs, phi)
             gn = np.linalg.norm(g)
             if gn < tol * max(1.0, coeff_scale):
                 ok = True
@@ -337,7 +333,7 @@ def critical_points(h0: FourierTaylorSeries, d0: int, *,
                                          2 * math.pi - np.abs(phi - p.phi)))
                < 1e-6 for p in found):
             continue
-        val, _, H = _angle_grad_hess(h0, phi)
+        val, _, H = _angle_grad_hess(ks, cs, phi)
         nondeg = abs(np.linalg.det(H)) > 1e-10 * max(1.0, coeff_scale ** d0)
         found.append(CriticalPoint(phi=phi, hessian=H, value=val,
                                    nondegenerate=nondeg))

@@ -63,7 +63,7 @@ def test_criterion_1_exact_integrable_limit():
                              omega[i] for i in range(d)})
         Nt = 6
         op = build_operator(spec, h=h, epsilon=0.0, Nt=Nt, Nh=1)
-        vals, vecs = diagonalize(op, want_vectors=True)
+        vals, vecs = diagonalize(op)
         for i, e in enumerate(vals):
             mode = op.torus_modes[int(np.argmax(np.abs(vecs[:, i])))]
             pred = state.epsilon_series() + h * float(

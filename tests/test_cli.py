@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from resonorm.cli import main
+from resonorm.oracle import required_Nt
 from resonorm.quantize import remainder_bound
 from resonorm.series import FourierTaylorSeries, PhaseGeometry, to_text
 
@@ -269,6 +270,27 @@ def test_scar_command(tmp_path):
     assert rep["separation"]["violations"] == 0
     assert rep["census"]["fraction"] >= rep["census"]["floor"]
     assert rep["mass"]["passing_fraction"] >= 0.8
+
+
+@pytest.mark.parametrize("command", ["compare", "scar"])
+def test_oracle_commands_solve_once(tmp_path, monkeypatch, command):
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, _name=name, _fn=getattr(np.linalg, name),
+                    **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(RESONANT_CFG)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    # the prediction diagonalizes the 1 x 1 blocks of M; every larger
+    # matrix is an oracle solve, and the only one is on the 19 interior
+    # levels of Nh = 24
+    solves = [c for c in calls if c[1][0] > 1]
+    nt = 2 * required_Nt(0.38, 0.05, 1.0, 1) + 1
+    assert solves == [("eigh", (nt * 19, nt * 19))]
 
 
 def test_measure_command_and_determinism(tmp_path):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from resonorm.errors import ConfigError, CoverageError
+from resonorm.errors import ConfigError, CoverageError, InvariantError
 from resonorm.kam import NormalFormState
 from resonorm.oracle import (
     CouplingTerm,
@@ -15,6 +15,7 @@ from resonorm.oracle import (
     diagonalize,
     hermite_momentum,
     hermite_position,
+    interior,
     match_spectrum,
     required_Nt,
     split_clusters,
@@ -28,7 +29,7 @@ from resonorm.series import FourierTaylorSeries, PhaseGeometry
 def test_pure_torus_diagonal():
     spec = OperatorSpec.build(d=1, torus_poly={(1,): 2.0})   # 2 h D_x
     op = build_operator(spec, h=0.1, epsilon=0.0, Nt=5, Nh=1)
-    eigs = diagonalize(op)
+    eigs, _ = diagonalize(op)
     want = sorted(2.0 * 0.1 * n for n in range(-5, 6))
     assert np.allclose(eigs, want, atol=1e-14)
 
@@ -41,7 +42,7 @@ def test_oscillator_ladder_exact():
     h = 0.05
     Nh = 12
     op = build_operator(spec, h=h, epsilon=0.0, Nt=0, Nh=Nh)
-    eigs = diagonalize(op)
+    eigs, _ = diagonalize(op)
     for m in range(Nh - 1):
         want = h * (m + 0.5)
         assert np.min(np.abs(eigs - want)) < 1e-12
@@ -57,7 +58,7 @@ def test_weak_coupling_second_order_perturbation_oracle():
         d=1, torus_poly={(1,): w},
         couplings=[CouplingTerm(coeff=eps / 2.0, k=(1,))])
     op = build_operator(spec, h=h, epsilon=eps, Nt=12, Nh=1)
-    eigs = diagonalize(op)
+    eigs, _ = diagonalize(op)
     interior = [n for n in range(-8, 9)]
     want = sorted(h * w * n for n in interior)
     got = np.sort(eigs)[4:-4]
@@ -83,7 +84,7 @@ def test_diagonalize_small_cases():
     spec = OperatorSpec.build(d=1, torus_poly={(1,): 1.0})
     op = build_operator(spec, h=1.0, epsilon=0.0, Nt=1, Nh=1)
     op.matrix[:] = [[0, 1, 0], [1, 0, 0], [0, 0, 2.0]]
-    eigs = diagonalize(op, spot_checks=3)
+    eigs, _ = diagonalize(op)
     assert np.allclose(eigs, [-1.0, 1.0, 2.0])
 
 
@@ -97,9 +98,60 @@ def test_trace_invariance_random_hermitian():
     op29 = A[:29, :29]
     op29 = 0.5 * (op29 + op29.conj().T)
     op.matrix[:] = op29
-    eigs = diagonalize(op)
+    eigs, _ = diagonalize(op)
     assert abs(np.sum(eigs) - np.trace(op29).real) < 1e-10 * max(
         1.0, abs(np.trace(op29)))
+
+
+def test_residual_guard_rejects_a_corrupted_eigenvector(monkeypatch):
+    spec = OperatorSpec.build(d=1, torus_poly={(1,): 1.0},
+                              couplings=[CouplingTerm(coeff=0.2, k=(1,))])
+    op = build_operator(spec, h=0.5, epsilon=0.2, Nt=2, Nh=1)
+    eigh = np.linalg.eigh
+    diagonalize(op)
+    for bad in range(op.dim):
+        def corrupted(a, bad=bad):
+            vals, vecs = eigh(a)
+            vecs = vecs.copy()
+            vecs[:, bad] = vecs[:, (bad + 1) % a.shape[0]]
+            return vals, vecs
+        monkeypatch.setattr(np.linalg, "eigh", corrupted)
+        with pytest.raises(InvariantError, match="residual"):
+            diagonalize(op)
+
+
+def test_spectral_radius_is_the_two_norm():
+    rng = np.random.default_rng(11)
+    A = rng.normal(size=(25, 25)) + 1j * rng.normal(size=(25, 25))
+    A = 0.5 * (A + A.conj().T)
+    spec = OperatorSpec.build(d=1, torus_poly={})
+    op = build_operator(spec, h=1.0, epsilon=0.0, Nt=12, Nh=1)
+    op.matrix[:] = A
+    vals, _ = diagonalize(op)
+    two_norm = np.linalg.norm(A, 2)
+    assert abs(np.abs(vals).max() - two_norm) <= 1e-12 * two_norm
+
+
+def test_interior_is_the_principal_submatrix():
+    spec = OperatorSpec.build(
+        d=1, d0=2, torus_poly={(1,): 1.0}, quad_u=[0.3, 0.5],
+        quad_v=[0.4, 0.2],
+        couplings=[CouplingTerm(coeff=0.05, k=(1,), upow=(1, 0))])
+    op = build_operator(spec, h=0.1, epsilon=0.1, Nt=2, Nh=5)
+    sub = interior(op)
+    keep = [i for i, (n, m) in enumerate(op.basis_labels())
+            if all(v < 4 for v in m)]
+    assert len(keep) == 5 * 4 * 4
+    assert np.array_equal(sub.matrix, op.matrix[np.ix_(keep, keep)])
+    assert sub.basis_labels() == [op.basis_labels()[i] for i in keep]
+    assert sub.torus_modes == op.torus_modes
+    assert interior(sub) is sub
+
+
+def test_interior_without_resonant_directions_is_the_operator():
+    spec = OperatorSpec.build(d=2, torus_poly={(1, 0): 1.0, (0, 1): 0.7})
+    op = build_operator(spec, h=0.1, epsilon=0.0, Nt=3, Nh=1)
+    assert interior(op) is op
 
 
 def test_weyl_symmetrization_uv():
@@ -180,7 +232,7 @@ def test_full_pipeline_cluster_structure():
         quad_u=[0.5 * eps * lam], quad_v=[0.5 * eps * lamt],
         couplings=[CouplingTerm(coeff=0.1 * eps / 2.0, k=(1,))])
     op = build_operator(spec, h=h, epsilon=eps, Nt=14, Nh=24)
-    eigs = diagonalize(op)
+    eigs, _ = diagonalize(op)
     # drop the Hermite truncation edge: top 20% of levels
     keep = [i for i, (n, m) in enumerate(op.basis_labels())
             if m[0] < int(0.8 * 24)]

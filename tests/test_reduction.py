@@ -12,6 +12,7 @@ from resonorm.reduction import (
     CriticalPointSet,
     ResonanceModule,
     TaylorData,
+    _angle_grad_hess,
     apply_unimodular_change,
     critical_points,
     reduce_hamiltonian,
@@ -173,6 +174,30 @@ def test_critical_points_two_angles():
     cps = critical_points(h0, 2, grid_nodes=16)
     assert len(cps.points) == 4          # 2^d0 nondegenerate points
     assert all(p.nondegenerate for p in cps.points)
+
+
+def test_angle_grad_hess_matches_termwise_sums():
+    # reference: the term-by-term loop over the series; the array sums
+    # only reorder the additions
+    rng = np.random.default_rng(5)
+    terms = [((tuple(int(v) for v in rng.integers(-3, 4, size=2)), (0, 0), ()),
+              complex(rng.normal(), rng.normal())) for _ in range(12)]
+    ks = np.array([k for (k, _, _), _ in terms], dtype=float)
+    cs = np.array([c for _, c in terms])
+    for phi in rng.uniform(0.0, 2 * math.pi, size=(5, 2)):
+        val, g, H = 0.0, np.zeros(2), np.zeros((2, 2))
+        for (k, _, _), c in terms:
+            ph = c * np.exp(1j * float(np.dot(k, phi)))
+            val += ph.real
+            for a in range(2):
+                g[a] += (1j * k[a] * ph).real
+                for b in range(2):
+                    H[a, b] += (-k[a] * k[b] * ph).real
+        got = _angle_grad_hess(ks, cs, phi)
+        scale = float(np.sum(np.abs(cs) * np.abs(ks).max(axis=1) ** 2))
+        assert abs(got[0] - val) <= 1e-13 * scale
+        assert np.abs(got[1] - g).max() <= 1e-13 * scale
+        assert np.abs(got[2] - H).max() <= 1e-13 * scale
 
 
 def test_critical_points_constant_family():

@@ -220,7 +220,7 @@ def test_mass_partition_of_unity():
 def test_mass_integrable_eigenstates_exact():
     spec = OperatorSpec.build(d=1, torus_poly={(1,): 1.0})
     op = build_operator(spec, h=0.1, epsilon=0.0, Nt=4, Nh=1)
-    vals, vecs = diagonalize(op, want_vectors=True)
+    vals, vecs = diagonalize(op)
     labels = op.basis_labels()
     for i, e in enumerate(vals):
         n = int(round(e / 0.1))
@@ -247,7 +247,7 @@ def test_weyl_count_pure_torus():
     h, w = 0.005, 1.0
     spec = OperatorSpec.build(d=1, torus_poly={(1,): w})
     op = build_operator(spec, h=h, epsilon=0.0, Nt=60, Nh=1)
-    eigs = diagonalize(op)
+    eigs, _ = diagonalize(op)
     band = (0.05, 0.25)
     volume = 2.0 * math.pi * (band[1] - band[0]) / w
     count, pred, rel = weyl_count_check(eigs, band, h, 1, volume)
