@@ -6,7 +6,7 @@ from .series import (
     FourierTaylorSeries,
     GeneratingSeries,
     poisson_bracket,
-    lie_transform,
+    lie_transform_auto,
     cutoff,
     average_over_angles,
 )
@@ -65,7 +65,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PhaseGeometry", "FourierTaylorSeries", "GeneratingSeries",
-    "poisson_bracket", "lie_transform", "cutoff", "average_over_angles",
+    "poisson_bracket", "lie_transform_auto", "cutoff", "average_over_angles",
     "ApproximationFunction", "GevreyWeights", "gamma_extremal",
     "lemma_ba_bound", "majorant_norm", "power_log_delta",
     "subgevrey_exp_delta",

@@ -17,7 +17,7 @@ from scipy.integrate import quad
 
 from .errors import ConfigError
 from .gevrey import ApproximationFunction
-from .kam import divisor_matrices
+from .kam import divisor_determinants
 from .series import knorm
 
 
@@ -53,14 +53,10 @@ def _zone_indicator(spec: ZoneSpec, W: np.ndarray) -> np.ndarray:
     k = np.asarray(spec.k, dtype=float)
     kw = W[:, :k.size] @ k
     inside = np.abs(kw) <= spec.beta
-    if spec.M is not None and inside.any():
+    if spec.M is not None:
         th1, th2 = spec.thresholds()
-        idx = np.nonzero(inside)[0]
-        for i in idx:
-            A1, A2 = divisor_matrices(float(kw[i]), spec.M)
-            ok = (abs(np.linalg.det(A1)) <= th1
-                  and abs(np.linalg.det(A2)) <= th2)
-            inside[i] = ok
+        det1, det2 = divisor_determinants(kw[inside], spec.M)
+        inside[inside] = (np.abs(det1) <= th1) & (np.abs(det2) <= th2)
     return inside
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from .errors import DivergenceError, InvariantError
-from .series import FourierTaylorSeries, knorm
+from .series import FourierTaylorSeries
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -348,11 +348,7 @@ def majorant_norm(f: FourierTaylorSeries, w: GevreyWeights,
     if radius <= 0:
         raise ValueError("radius must be positive")
     inv_alpha = 1.0 / w.alpha
-    total = 0.0
-    for (k, j, q), c in f.terms():
-        deg = sum(j) + sum(q)
-        weight = math.exp(w.rho * knorm(k) ** inv_alpha)
-        if deg:
-            weight *= radius ** deg * math.exp(w.sigma * deg ** inv_alpha)
-        total += abs(c) * weight
-    return total
+    deg = f.degrees()
+    weight = (np.exp(w.rho * f.knorms() ** inv_alpha)
+              * radius ** deg * np.exp(w.sigma * deg ** inv_alpha))
+    return float(np.abs(f.coefs()) @ weight)

@@ -70,17 +70,20 @@ class DivisorReport:
     passed: bool
 
 
-def divisor_matrices(kw: float, M: np.ndarray):
-    """A1 = -i kw I + M J and its Kronecker-sum companion A2."""
-    d0 = M.shape[0] // 2 if M.size else 0
-    if d0 == 0:
-        return None, None
-    MJ = M @ symplectic_J(d0)
-    n = 2 * d0
-    A1 = -1j * kw * np.eye(n) + MJ
-    A2 = (-1j * kw * np.eye(n * n)
-          + np.kron(MJ, np.eye(n)) + np.kron(np.eye(n), MJ))
-    return A1, A2
+def divisor_determinants(kw, M: np.ndarray):
+    """det A1 and det A2 for an array of kw, where A1 = -i kw + MJ and
+    A2 = -i kw + MJ (+) MJ is its Kronecker sum.
+
+    Both are products over the eigenvalues mu of MJ, since the spectrum of
+    a Kronecker sum is the pairwise sums (Horn and Johnson, Topics in
+    Matrix Analysis, 4.4): det A1 = prod_a (mu_a - i kw) and
+    det A2 = prod_{a,b} (mu_a + mu_b - i kw).  Results have kw's shape.
+    """
+    M = np.asarray(M, dtype=float)
+    mu = np.linalg.eigvals(M @ symplectic_J(M.shape[0] // 2))
+    ikw = 1j * np.asarray(kw, dtype=float)[..., None]
+    return (np.prod(mu - ikw, axis=-1),
+            np.prod((mu[:, None] + mu).ravel() - ikw, axis=-1))
 
 
 def check_divisors(omega, M, Kplus: int, gamma: float,
@@ -88,8 +91,9 @@ def check_divisors(omega, M, Kplus: int, gamma: float,
     """Evaluate all three divisor conditions for every 0 < |k| <= Kplus.
 
     Returns (member, reports): membership is the conjunction over all
-    modes; the per-mode reports are always returned for diagnostics.
-    Failure is data here, not an error.
+    modes; the per-mode reports, in itertools.product order over the k
+    box, are always returned for diagnostics.  Failure is data here, not
+    an error.
     """
     if Kplus < 1:
         raise ValueError("Kplus must be >= 1")
@@ -97,28 +101,28 @@ def check_divisors(omega, M, Kplus: int, gamma: float,
     M = np.asarray(M, dtype=float) if M is not None else np.zeros((0, 0))
     d = omega.size
     d0 = M.shape[0] // 2 if M.size else 0
-    reports = []
-    member = True
-    for k in itertools.product(range(-Kplus, Kplus + 1), repeat=d):
-        if knorm(k) == 0:
-            continue
-        kw = float(np.dot(k, omega))
-        dk = delta(knorm(k))
-        th_kw = gamma / dk
-        th_A1 = (gamma ** (2 * d0)) / dk ** (2 * d0) if d0 else 0.0
-        th_A2 = (gamma ** (4 * d0 * d0)) / dk ** (4 * d0 * d0) if d0 else 0.0
-        ok = abs(kw) >= th_kw
-        det1 = det2 = None
-        if d0:
-            A1, A2 = divisor_matrices(kw, M)
-            det1 = complex(np.linalg.det(A1))
-            det2 = complex(np.linalg.det(A2))
-            ok = ok and abs(det1) > th_A1 and abs(det2) > th_A2
-        reports.append(DivisorReport(k=tuple(k), kw=kw, detA1=det1, detA2=det2,
-                                     threshold_kw=th_kw, threshold_A1=th_A1,
-                                     threshold_A2=th_A2, passed=ok))
-        member = member and ok
-    return member, reports
+    box = list(itertools.product(range(-Kplus, Kplus + 1), repeat=d))
+    box.remove((0,) * d)
+    ks = np.array(box)
+    kn = np.abs(ks).max(axis=1)
+    kw = ks @ omega
+    # the thresholds depend on |k| only: one value per shell, row m - 1
+    shells = [delta(m) for m in range(1, Kplus + 1)]
+    th_kw, th_A1, th_A2 = np.array([
+        (gamma / dk,
+         (gamma ** (2 * d0)) / dk ** (2 * d0) if d0 else 0.0,
+         (gamma ** (4 * d0 * d0)) / dk ** (4 * d0 * d0) if d0 else 0.0)
+        for dk in shells])[kn - 1].T
+    passed = np.abs(kw) >= th_kw
+    det1 = det2 = [None] * len(kw)
+    if d0:
+        det1, det2 = divisor_determinants(kw, M)
+        passed &= (np.abs(det1) > th_A1) & (np.abs(det2) > th_A2)
+        det1, det2 = det1.tolist(), det2.tolist()
+    reports = [DivisorReport(*row) for row in zip(
+        box, kw.tolist(), det1, det2, th_kw.tolist(), th_A1.tolist(),
+        th_A2.tolist(), passed.tolist())]
+    return bool(passed.all()), reports
 
 
 # ---------------------------------------------------------------------------

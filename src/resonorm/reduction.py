@@ -160,17 +160,6 @@ class ResonanceModule:
     def K_prime(self) -> np.ndarray:
         return self.K0[:, self.d:]
 
-    def member(self, k) -> bool:
-        """True iff the mode k lies in the sublattice g."""
-        if self.d0 == 0:
-            return all(int(v) == 0 for v in k)
-        m = self.left_inverse @ np.asarray(k, dtype=int)
-        return bool(np.all(self.K_prime @ m == np.asarray(k, dtype=int)))
-
-    def resonant_index(self, k) -> np.ndarray:
-        """The m in Z^d0 with K' m = k; caller must ensure membership."""
-        return (self.left_inverse @ np.asarray(k, dtype=int)).astype(int)
-
 
 def unimodular_completion(generators) -> ResonanceModule:
     """Extend lattice generators to a basis of Z^l with determinant +1.
@@ -232,26 +221,22 @@ def unimodular_completion(generators) -> ResonanceModule:
 # resonant average and critical points
 # ---------------------------------------------------------------------------
 
-def resonant_average(P0: FourierTaylorSeries,
-                     module: ResonanceModule) -> FourierTaylorSeries:
-    """Project P0 onto the modes k in g and re-index them by phi = K'^T x.
-
-    P0 must be angle-only (no y or z dependence); the output lives on the
-    d0-dimensional torus of resonant angles.
-    """
-    out_geo = PhaseGeometry(d=max(module.d0, 1), d0=0)
+def resonant_average(P0bar: FourierTaylorSeries, d0: int) -> FourierTaylorSeries:
+    """Resonant average of a perturbation in adapted coordinates (see
+    apply_unimodular_change): its Y = 0, k' = 0 slice, k' the first
+    d = l - d0 mode components, as a series in the d0 resonant angles
+    (on T^1 when d0 = 0)."""
+    d = P0bar.geometry.d - d0
+    geo = PhaseGeometry(d=max(d0, 1), d0=0)
     terms = []
-    for (k, j, q), c in P0.terms():
+    for (k, j, q), c in P0bar.terms():
         if any(j) or any(q):
-            raise ConfigError("resonant_average expects an angle-only series")
-        if not module.member(k):
             continue
-        if module.d0 == 0:
-            m = (0,)
-        else:
-            m = tuple(int(v) for v in module.resonant_index(k))
-        terms.append(((m, (0,) * out_geo.d, ()), c))
-    return FourierTaylorSeries.from_terms(out_geo, terms)
+        if knorm(k[:d]) != 0:
+            continue
+        m = k[d:] if d0 else (0,)
+        terms.append(((tuple(m), (0,) * geo.d, ()), c))
+    return FourierTaylorSeries.from_terms(geo, terms)
 
 
 @dataclass
@@ -501,7 +486,7 @@ def reduce_hamiltonian(h0_taylor: TaylorData, P0: FourierTaylorSeries | None,
             raise ConfigError("P0 must be a real series")
         P0bar = apply_unimodular_change(P0, module.K0, y0)
         H = H + P0bar.scale(epsilon)
-        h0_res = _resonant_slice(P0bar, d, d0)
+        h0_res = resonant_average(P0bar, d0)
 
         # averaging generator for the non-resonant angle modes at Y = 0
         gen_terms = {}
@@ -635,22 +620,6 @@ def reduce_hamiltonian(h0_taylor: TaylorData, P0: FourierTaylorSeries | None,
     if abs(np.linalg.norm(result.omega1 - module.K_star.T @ omega_full)) > 1e-12:
         raise InvariantError("frequency consistency check failed")
     return result
-
-
-def _resonant_slice(P0bar: FourierTaylorSeries, d: int,
-                    d0: int) -> FourierTaylorSeries:
-    """Y = 0, k' = 0 slice of the adapted perturbation: the resonant average
-    as a series in the resonant angles."""
-    geo = PhaseGeometry(d=max(d0, 1), d0=0)
-    terms = []
-    for (k, j, q), c in P0bar.terms():
-        if any(j) or any(q):
-            continue
-        if knorm(k[:d]) != 0:
-            continue
-        m = k[d:] if d0 else (0,)
-        terms.append(((tuple(m), (0,) * geo.d, ()), c))
-    return FourierTaylorSeries.from_terms(geo, terms)
 
 
 def _expand_phase(ks, budget: int):

@@ -299,6 +299,10 @@ class FourierTaylorSeries:
         """|j| + |q| of every stored term, in storage order."""
         return self._exps[:, self.geometry.d:].sum(axis=1)
 
+    def coefs(self) -> np.ndarray:
+        """Coefficient of every stored term, in storage order (read-only)."""
+        return self._coefs
+
     def coeff(self, k, j=None, q=None) -> complex:
         g = self.geometry
         j = (0,) * g.d if j is None else tuple(j)
@@ -590,35 +594,6 @@ def poisson_bracket(f: FourierTaylorSeries,
             npending = 0
     exps = codes[:, None] // strides % np.array(radix) + (lo1 + lo2)
     return _make(geo, kmax, degmax, exps, coefs, label="bracket")
-
-
-def lie_transform(H: FourierTaylorSeries, F: FourierTaylorSeries,
-                  epsilon: float, order: int, *, order_cap: int = LIE_ORDER_CAP,
-                  kmax: int | None = None,
-                  degmax: int | None = None) -> FourierTaylorSeries:
-    """Lie-series image sum_{m<=order} (eps^m / m!) ad_F^m(H), ad_F(H) = {H, F}.
-
-    Optional (kmax, degmax) truncate each nested bracket to a working
-    context; dropped mass is logged.  order = 0 returns H unchanged.
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    if order > order_cap:
-        raise ValueError(f"lie order {order} exceeds hard cap {order_cap}")
-    result = H
-    term = H
-    if epsilon == 0.0 or order == 0:
-        return H
-    for m in range(1, order + 1):
-        term = poisson_bracket(term, F).scale(epsilon / m)
-        if kmax is not None or degmax is not None:
-            term = truncate(term, kmax if kmax is not None else term.kmax,
-                            degmax if degmax is not None else term.degmax,
-                            label="lie_transform")
-        result = result + term
-        if term.is_zero():
-            break
-    return result
 
 
 def lie_transform_auto(H, F, epsilon=1.0, *, tol=1e-16,

@@ -318,3 +318,9 @@ def test_gamma_command(tmp_path):
     for ln in lines[1:]:
         r, n, eta, val, bound = ln.split(",")
         assert float(val) <= float(bound) * (1 + 1e-8)
+
+
+def test_every_exported_name_resolves():
+    import resonorm
+    missing = [n for n in resonorm.__all__ if not hasattr(resonorm, n)]
+    assert not missing

@@ -9,12 +9,15 @@ from resonorm.errors import ConfigError
 from resonorm.freqsets import (
     SummabilityResult,
     ZoneSpec,
+    _zone_indicator,
     excluded_set_measure,
     summability_check,
     union_majorant,
     zone_measure_mc,
 )
 from resonorm.gevrey import ApproximationFunction, power_log_delta
+
+from test_kam import kron_divisor_dets
 
 
 def test_strip_measure_exact():
@@ -52,6 +55,26 @@ def test_matrix_conditions_shrink_zone():
     e1, _ = zone_measure_mc(plain, l=2, samples=100_000, seed=29)
     e2, _ = zone_measure_mc(fancy, l=2, samples=100_000, seed=29)
     assert e2 <= e1
+
+
+def test_zone_indicator_matches_per_sample_loop():
+    # without delta the thresholds are gamma^2 and gamma^4; each gamma
+    # below makes its M keep part of the strip and drop part of it
+    rng = np.random.default_rng(31)
+    W = rng.random((10_000, 2))
+    for M, gamma in ((np.diag([1.0, 1.0]), 1.0), (np.diag([1.0, -1.0]), 1.2),
+                     (np.diag([1.0, 0.0]), 0.5)):
+        spec = ZoneSpec(k=(1, 1), beta=1.0, M=M, gamma=gamma)
+        th1, th2 = spec.thresholds()
+        want = np.zeros(len(W), dtype=bool)
+        for i, w in enumerate(W):
+            kw = float(w @ np.array([1.0, 1.0]))
+            if abs(kw) <= spec.beta:
+                det1, det2 = kron_divisor_dets(kw, M)
+                want[i] = abs(det1) <= th1 and abs(det2) <= th2
+        strip = np.abs(W.sum(axis=1)) <= spec.beta
+        assert 0 < want.sum() < strip.sum()
+        assert np.array_equal(_zone_indicator(spec, W), want)
 
 
 def test_excluded_set_zero_gamma():

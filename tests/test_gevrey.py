@@ -174,6 +174,29 @@ def test_norm_single_mode():
     assert majorant_norm(FourierTaylorSeries.zero(geo), w) == 0.0
 
 
+def test_norm_matches_termwise_loop():
+    # reference: the term-by-term sum the array expression replaced; the
+    # summation order differs, hence the relative tolerance
+    def loop_norm(f, w, radius):
+        total = 0.0
+        for (k, j, q), c in f.terms():
+            deg = sum(j) + sum(q)
+            weight = math.exp(w.rho * max(map(abs, k), default=0) ** (1.0 / w.alpha))
+            if deg:
+                weight *= radius ** deg * math.exp(w.sigma * deg ** (1.0 / w.alpha))
+            total += abs(c) * weight
+        return total
+
+    rng = np.random.default_rng(13)
+    for geo in (PhaseGeometry(d=1, d0=0), G21, PhaseGeometry(d=2, d0=2)):
+        for w, radius in ((GevreyWeights(0.5, 0.5, 2.0), 1.0),
+                          (GevreyWeights(0.9, 0.3, 1.5), 0.5),
+                          (GevreyWeights(0.2, 1.1, 3.0), 2.0)):
+            f = random_series(geo, rng, nterms=40, kmax=4, degmax=4)
+            want = loop_norm(f, w, radius)
+            assert abs(majorant_norm(f, w, radius) - want) <= 1e-13 * want
+
+
 def test_norm_axioms():
     rng = np.random.default_rng(3)
     w = GevreyWeights(rho=0.5, sigma=0.5, alpha=2.0)

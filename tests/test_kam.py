@@ -15,7 +15,7 @@ from resonorm.kam import (
     Schedule,
     StepRejectedError,
     check_divisors,
-    divisor_matrices,
+    divisor_determinants,
     homological_residual,
     iterate,
     kam_step,
@@ -61,8 +61,8 @@ def test_divisors_no_resonant_block():
 def test_divisor_matrix_determinant_by_hand():
     # d0 = 1, M = diag(lam, lamt): det A1 = lam*lamt - kw^2
     lam, lamt, kw = 2.0, 3.0, 0.7
-    A1, A2 = divisor_matrices(kw, np.diag([lam, lamt]))
-    assert abs(np.linalg.det(A1) - (lam * lamt - kw ** 2)) < 1e-12
+    det1, det2 = divisor_determinants(kw, np.diag([lam, lamt]))
+    assert abs(det1 - (lam * lamt - kw ** 2)) < 1e-12
     # A2 eigenvalues are -i*kw + mu_i + mu_j for the MJ eigenvalues mu
     MJ = np.diag([lam, lamt]) @ symplectic_J(1)
     mus = np.linalg.eigvals(MJ)
@@ -70,7 +70,41 @@ def test_divisor_matrix_determinant_by_hand():
     for mi in mus:
         for mj in mus:
             want *= (-1j * kw + mi + mj)
-    assert abs(np.linalg.det(A2) - want) < 1e-9 * abs(want)
+    assert abs(det2 - want) < 1e-9 * abs(want)
+
+
+def kron_divisor_dets(kw: float, M: np.ndarray):
+    """Reference: LU determinants of A1 = -i kw + MJ and of its Kronecker
+    sum A2 = -i kw + MJ (x) I + I (x) MJ, built as matrices."""
+    n = M.shape[0]
+    MJ = M @ symplectic_J(n // 2)
+    A1 = -1j * kw * np.eye(n) + MJ
+    A2 = (-1j * kw * np.eye(n * n)
+          + np.kron(MJ, np.eye(n)) + np.kron(np.eye(n), MJ))
+    return complex(np.linalg.det(A1)), complex(np.linalg.det(A2))
+
+
+def test_divisor_determinants_match_kronecker_lu():
+    rng = np.random.default_rng(41)
+    Ms = [np.diag([1.0, 0.0])]          # MJ nilpotent: defective
+    for d0 in (1, 2):
+        for _ in range(3):
+            X = rng.normal(size=(2 * d0, 2 * d0))
+            Ms.append(X + X.T)
+    kws = np.concatenate([np.linspace(-3.0, 3.0, 25), [1e-9, -0.37]])
+    assert 0.0 in kws
+    for M in Ms:
+        n = M.shape[0]
+        det1, det2 = divisor_determinants(kws, M)
+        assert det1.shape == det2.shape == kws.shape
+        # absolute scale: the product of the factor magnitudes (det A2
+        # vanishes at kw = 0, the eigenvalues of MJ come in pairs +-mu)
+        mu = np.abs(np.linalg.eigvals(M @ symplectic_J(n // 2)))
+        for kw, got1, got2 in zip(kws, det1, det2):
+            want1, want2 = kron_divisor_dets(kw, M)
+            assert abs(got1 - want1) <= 1e-13 * np.prod(mu + abs(kw))
+            assert abs(got2 - want2) <= 1e-13 * np.prod(
+                (mu[:, None] + mu) + abs(kw))
 
 
 def test_divisors_golden_ratio_window():
@@ -89,6 +123,61 @@ def test_divisors_detect_failure():
     assert not member
     bad = [r for r in reports if not r.passed]
     assert any(r.k in ((1, -2), (-1, 2)) for r in bad)
+
+
+def divisor_loop(omega, M, Kplus, gamma):
+    """Per-mode reference for check_divisors: the k box from
+    itertools.product, kw by np.dot, LU determinants of built matrices.
+    Rows are (k, kw, det A1, det A2, thresholds, which conditions fail)."""
+    d0 = M.shape[0] // 2
+    rows = []
+    for k in itertools.product(range(-Kplus, Kplus + 1), repeat=len(omega)):
+        kn = max(abs(c) for c in k)
+        if kn == 0:
+            continue
+        kw = float(np.dot(k, omega))
+        dk = DELTA(kn)
+        th = (gamma / dk, (gamma ** (2 * d0)) / dk ** (2 * d0),
+              (gamma ** (4 * d0 * d0)) / dk ** (4 * d0 * d0))
+        det1, det2 = kron_divisor_dets(kw, M)
+        fails = (not abs(kw) >= th[0], not abs(det1) > th[1],
+                 not abs(det2) > th[2])
+        rows.append((k, kw, det1, det2, th, fails))
+    return rows
+
+
+def test_check_divisors_matches_per_mode_loop():
+    # the kam-divisor input (omega = (1, rho, rho^2), rho the plastic
+    # number, M = diag(1, -1)), where |det A1| = 1 + kw^2 and
+    # |det A2| = kw^2 (4 + kw^2) fail only together with the kw condition;
+    # then an elliptic M with eigenvalues +-i lam of MJ, lam just above
+    # |1 - golden|, so det A1 nearly vanishes at k = (-1, 1) and det A2 at
+    # k = (-2, 2): across the cases each condition decides some mode alone;
+    # last, a positive definite M with d0 = 2
+    rho = 1.324717957244746
+    lam = GOLDEN - 1.0 + 1e-3
+    M2 = np.array([[2.0, 0.3, 0.1, 0.0], [0.3, 1.0, 0.0, 0.2],
+                   [0.1, 0.0, 1.5, 0.4], [0.0, 0.2, 0.4, 0.8]])
+    cases = [((1.0, rho, rho * rho), np.diag([1.0, -1.0]), 4.5),
+             ((1.0, GOLDEN), np.diag([1.0, lam * lam]), 2.0),
+             ((1.0, GOLDEN), np.diag([1.0, lam * lam]), 4.0),
+             ((1.0, GOLDEN), M2, 4.0)]
+    alone = set()
+    for omega, M, gamma in cases:
+        omega = np.array(omega)
+        member, reports = check_divisors(omega, M, 6, gamma, DELTA)
+        want = divisor_loop(omega, M, 6, gamma)
+        assert [r.k for r in reports] == [w[0] for w in want]
+        assert [r.passed for r in reports] == [not any(w[5]) for w in want]
+        assert member == all(r.passed for r in reports) and not member
+        assert any(r.passed for r in reports)
+        alone |= {w[5].index(True) for w in want if sum(w[5]) == 1}
+        for r, (k, kw, det1, det2, th, _) in zip(reports, want):
+            assert (r.threshold_kw, r.threshold_A1, r.threshold_A2) == th
+            assert abs(r.kw - kw) <= 1e-14 * (1 + np.abs(np.multiply(k, omega)).sum())
+            assert abs(r.detA1 - det1) <= 1e-12 * abs(det1)
+            assert abs(r.detA2 - det2) <= 1e-12 * abs(det2)
+    assert alone == {0, 1, 2}
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from resonorm.series import (
     FourierTaylorSeries,
     GeneratingSeries,
     poisson_bracket,
-    lie_transform,
     lie_transform_auto,
     cutoff,
     average_over_angles,
@@ -273,16 +272,25 @@ def test_lie_transform_epsilon_zero_and_order_zero():
     rng = np.random.default_rng(23)
     H = random_series(G11, rng)
     F = random_series(G11, rng)
-    assert lie_transform(H, F, 0.0, 5) == H
-    assert lie_transform(H, F, 0.3, 0) == H
+    out, order = lie_transform_auto(H, F, 0.0)
+    assert out == H and order == 0
+
+
+def angle_only(s):
+    """The y- and z-free part of s."""
+    return s.partition(s.degrees() == 0)[0]
 
 
 def test_lie_transform_first_order_definition():
+    # an angle-only F brackets an angle-only term to zero: the series
+    # stops after its first-order term
     rng = np.random.default_rng(29)
     H = FourierTaylorSeries.linear_y(G1, [1.3])
-    F = random_series(G1, rng)
+    F = angle_only(random_series(G1, rng))
+    assert not F.is_zero()
     eps = 0.05
-    out = lie_transform(H, F, eps, 1)
+    out, order = lie_transform_auto(H, F, eps)
+    assert order == 2
     expect = H + poisson_bracket(H, F).scale(eps)
     assert series_close(out, expect)
 
@@ -293,20 +301,22 @@ def test_lie_transform_hand_computed_order2():
     H = FourierTaylorSeries.linear_y(G1, [1.0])
     F = FourierTaylorSeries.fourier_mode(G1, (1,))
     eps = 0.1
-    out = lie_transform(H, F, eps, 2)
+    out, _ = lie_transform_auto(H, F, eps)
     assert abs(out.coeff((0,), (1,), ()) - 1.0) < 1e-15
     assert abs(out.coeff((1,), (0,), ()) - eps * 1j) < 1e-15
     assert len(out) == 2
 
 
 def test_lie_transform_matches_nested_bracket_oracle():
-    # brute-force sum_{m} eps^m/m! ad^m from the oracle bracket
+    # brute-force sum_{m} eps^m/m! ad^m from the oracle bracket, up to the
+    # order the series reports
     rng = np.random.default_rng(31)
     geo = G11
     H = random_series(geo, rng, nterms=4, kmax=1, degmax=2)
     F = random_series(geo, rng, nterms=3, kmax=1, degmax=2)
-    eps, order = 0.07, 3
-    got = lie_transform(H, F, eps, order)
+    eps = 0.07
+    got, order = lie_transform_auto(H, F, eps)
+    assert order >= 3
 
     acc = dict(H.terms())
     term = dict(H.terms())
@@ -323,8 +333,8 @@ def test_lie_transform_matches_nested_bracket_oracle():
 def test_lie_transform_order_cap():
     H = random_series(G1, np.random.default_rng(1))
     F = random_series(G1, np.random.default_rng(2))
-    with pytest.raises(ValueError):
-        lie_transform(H, F, 0.1, 100)
+    with pytest.raises(InvariantError):
+        lie_transform_auto(H, F, 0.1, order_cap=2)
 
 
 def test_lie_transform_reversibility():
