@@ -9,6 +9,7 @@ per-mode strip bound  |{w in [0,1]^l : |<w,k>| <= beta}| <= 2*beta/|k|.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -85,7 +86,6 @@ def zone_measure_mc(spec: ZoneSpec, l: int, samples: int, seed: int):
 
 
 def _modes_up_to(d: int, Kmax: int):
-    import itertools
     for k in itertools.product(range(-Kmax, Kmax + 1), repeat=d):
         if knorm(k) != 0:
             yield k
@@ -113,7 +113,10 @@ def excluded_set_measure(gamma1: float, delta: ApproximationFunction,
     if gamma1 < 0:
         raise ConfigError("gamma1 must be non-negative")
     rng = np.random.default_rng(seed)
+    # the zones of k and -k are one set; product order lists each pair's
+    # negative half before the origin, so keep the modes after it
     modes = list(_modes_up_to(d, Kmax))
+    modes = modes[len(modes) // 2:]
     betas = [gamma1 / delta(knorm(k)) for k in modes]
     hits = 0
     chunk = 100_000

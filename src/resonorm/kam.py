@@ -22,7 +22,6 @@ generator applied to every part -> absorb the averaged cutoff into
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -34,11 +33,11 @@ from .series import (
     FourierTaylorSeries,
     GeneratingSeries,
     PhaseGeometry,
-    ansatz_shape,
+    ansatz_index,
+    ansatz_monomials,
     average_over_angles,
     cutoff,
     flat_remainder_part,
-    knorm,
     lie_transform_auto,
     poisson_bracket,
 )
@@ -58,16 +57,28 @@ def symplectic_J(d0: int) -> np.ndarray:
 # divisor conditions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DivisorReport:
-    k: tuple
-    kw: float
-    detA1: complex | None
-    detA2: complex | None
-    threshold_kw: float
-    threshold_A1: float
-    threshold_A2: float
-    passed: bool
+@dataclass(frozen=True, eq=False)
+class DivisorTable:
+    """Divisor conditions, one row per mode: k (modes x d), kw = <k, omega>,
+    det A1 and det A2 (None without a resonant block), the three
+    thresholds, and whether the mode passes all three."""
+
+    k: np.ndarray
+    kw: np.ndarray
+    detA1: np.ndarray | None
+    detA2: np.ndarray | None
+    threshold_kw: np.ndarray
+    threshold_A1: np.ndarray
+    threshold_A2: np.ndarray
+    passed: np.ndarray
+
+    def __len__(self):
+        return len(self.kw)
+
+    def select(self, mask) -> "DivisorTable":
+        """The rows where mask holds."""
+        return DivisorTable(*(None if v is None else v[mask]
+                              for v in vars(self).values()))
 
 
 def divisor_determinants(kw, M: np.ndarray):
@@ -90,10 +101,9 @@ def check_divisors(omega, M, Kplus: int, gamma: float,
                    delta: ApproximationFunction):
     """Evaluate all three divisor conditions for every 0 < |k| <= Kplus.
 
-    Returns (member, reports): membership is the conjunction over all
-    modes; the per-mode reports, in itertools.product order over the k
-    box, are always returned for diagnostics.  Failure is data here, not
-    an error.
+    Returns (member, table): membership is the conjunction over all modes;
+    the DivisorTable, in itertools.product order over the k box, is always
+    returned for diagnostics.  Failure is data here, not an error.
     """
     if Kplus < 1:
         raise ValueError("Kplus must be >= 1")
@@ -101,9 +111,8 @@ def check_divisors(omega, M, Kplus: int, gamma: float,
     M = np.asarray(M, dtype=float) if M is not None else np.zeros((0, 0))
     d = omega.size
     d0 = M.shape[0] // 2 if M.size else 0
-    box = list(itertools.product(range(-Kplus, Kplus + 1), repeat=d))
-    box.remove((0,) * d)
-    ks = np.array(box)
+    ks = np.indices((2 * Kplus + 1,) * d).reshape(d, -1).T - Kplus
+    ks = np.delete(ks, len(ks) // 2, axis=0)      # k = 0, the box's centre
     kn = np.abs(ks).max(axis=1)
     kw = ks @ omega
     # the thresholds depend on |k| only: one value per shell, row m - 1
@@ -114,74 +123,55 @@ def check_divisors(omega, M, Kplus: int, gamma: float,
          (gamma ** (4 * d0 * d0)) / dk ** (4 * d0 * d0) if d0 else 0.0)
         for dk in shells])[kn - 1].T
     passed = np.abs(kw) >= th_kw
-    det1 = det2 = [None] * len(kw)
+    det1 = det2 = None
     if d0:
         det1, det2 = divisor_determinants(kw, M)
         passed &= (np.abs(det1) > th_A1) & (np.abs(det2) > th_A2)
-        det1, det2 = det1.tolist(), det2.tolist()
-    reports = [DivisorReport(*row) for row in zip(
-        box, kw.tolist(), det1, det2, th_kw.tolist(), th_A1.tolist(),
-        th_A2.tolist(), passed.tolist())]
-    return bool(passed.all()), reports
+    return bool(passed.all()), DivisorTable(ks, kw, det1, det2, th_kw, th_A1,
+                                            th_A2, passed)
 
 
 # ---------------------------------------------------------------------------
-# quadratic-form helpers
+# the ansatz codec: a series of ansatz shape <-> per-mode blocks
 # ---------------------------------------------------------------------------
 
-def quad_matrix_from_terms(terms, d0: int) -> np.ndarray:
-    """Symmetric matrix C with <z, C z> = sum of the degree-2 monomials."""
-    n = 2 * d0
-    C = np.zeros((n, n), dtype=complex)
-    for q, c in terms:
-        idx = [a for a, p in enumerate(q) for _ in range(p)]
-        a, b = idx
-        if a == b:
-            C[a, a] += c
-        else:
-            C[a, b] += c / 2.0
-            C[b, a] += c / 2.0
-    return C
+def _ansatz_blocks(R: FourierTaylorSeries):
+    """The distinct modes ks of an ansatz-shaped series, in sorted order,
+    with their blocks: constant (m,), linear-y (m, d), linear-z (m, 2 d0)
+    and the symmetric C (m, 2 d0, 2 d0) whose <z, C z> is the
+    quadratic-z part."""
+    geo = R.geometry
+    d, n = geo.d, geo.zdim
+    shape = ansatz_index(R)
+    if (shape < 0).any():
+        raise ConfigError("R is not ansatz shaped at "
+                          f"{R.terms()[int(np.argmin(shape))][0]}")
+    # rows are sorted by k first: a mode starts wherever k changes
+    exps = R.exps()
+    new = np.ones(len(exps), dtype=bool)
+    new[1:] = (exps[1:, :d] != exps[:-1, :d]).any(axis=1)
+    ks = exps[new, :d]
+    V = np.zeros((len(ks), len(ansatz_monomials(geo))), dtype=complex)
+    V[np.cumsum(new) - 1, shape] = R.coefs()
+    a, b = np.triu_indices(n)
+    C = np.zeros((len(ks), n, n), dtype=complex)
+    C[:, a, b] = C[:, b, a] = V[:, 1 + d + n:] * np.where(a == b, 1.0, 0.5)
+    return ks, V[:, 0], V[:, 1:1 + d], V[:, 1 + d:1 + d + n], C
 
 
-def quad_terms_from_matrix(C: np.ndarray):
-    """Inverse of quad_matrix_from_terms for a symmetric C."""
-    n = C.shape[0]
-    out = []
-    for a in range(n):
-        for b in range(a, n):
-            coeff = C[a, a] if a == b else C[a, b] + C[b, a]
-            if coeff != 0:
-                q = [0] * n
-                q[a] += 1
-                q[b] += 1
-                out.append((tuple(q), coeff))
-    return out
-
-
-def _split_k0_ansatz(avg: FourierTaylorSeries):
-    """Decompose an angle-free ansatz-shaped series into
-    (constant, linear-y vector, linear-z vector, quadratic-z matrix)."""
-    geo = avg.geometry
-    c000 = complex(0.0)
-    c010 = np.zeros(geo.d, dtype=complex)
-    b001 = np.zeros(geo.zdim, dtype=complex)
-    quad_terms = []
-    for (k, j, q), c in avg.terms():
-        sj, sq = sum(j), sum(q)
-        if (sj, sq) == (0, 0):
-            c000 += c
-        elif (sj, sq) == (1, 0):
-            c010[j.index(1)] += c
-        elif (sj, sq) == (0, 1):
-            b001[q.index(1)] += c
-        elif (sj, sq) == (0, 2):
-            quad_terms.append((q, c))
-        else:
-            raise InvariantError(f"non-ansatz shape in averaged cutoff: {j}, {q}")
-    C002 = quad_matrix_from_terms(quad_terms, geo.d0) if geo.d0 else \
-        np.zeros((0, 0), dtype=complex)
-    return c000, c010, b001, C002
+def _ansatz_series(geo: PhaseGeometry, ks, c000, c010, b001,
+                   C002) -> GeneratingSeries:
+    """Inverse of _ansatz_blocks: the generator with these blocks on the
+    modes ks, its quadratic-z part <z, C002 z> (zero coefficients
+    dropped)."""
+    a, b = np.triu_indices(geo.zdim)
+    quad = np.where(a == b, C002[:, a, b], C002[:, a, b] + C002[:, b, a])
+    V = np.concatenate([c000[:, None], c010, b001, quad], axis=1)
+    table = ansatz_monomials(geo)
+    exps = np.concatenate([np.repeat(ks, len(table), axis=0),
+                           np.tile(table, (len(ks), 1))], axis=1)
+    return GeneratingSeries.from_arrays(geo, int(np.abs(ks).max(initial=0)),
+                                        2, exps, V.ravel())
 
 
 def _real_vector(v, what: str, tol=1e-9):
@@ -198,104 +188,73 @@ def _real_vector(v, what: str, tol=1e-9):
 def _solve_modes(omega, M, eps_quad: float, R: FourierTaylorSeries,
                  rhs_scale: float, gamma: float,
                  delta: ApproximationFunction) -> GeneratingSeries:
-    """Mode-by-mode inversion of {N, F} = -rhs_scale * (R~ + <b, z>)."""
+    """Inversion of {N, F} = -rhs_scale * (R~ + <b, z>) on every mode of R
+    at once.  The constant and linear-y blocks divide by i<k,omega>; the
+    linear-z and quadratic-z blocks take one stacked solve each against
+    i<k,omega> + eps_quad MJ and its Kronecker sum.  At k = 0 only the
+    linear-z block is solved."""
     geo = R.geometry
-    d0 = geo.d0
-    omega = np.asarray(omega, dtype=float)
-    M = np.asarray(M, dtype=float) if d0 else np.zeros((0, 0))
-    MJ = M @ symplectic_J(d0) if d0 else None
+    d0, n = geo.d0, geo.zdim
+    ks, c000, c010, b001, C002 = _ansatz_blocks(R)
+    kn = np.abs(ks).max(axis=1, initial=0)
+    kw = ks @ np.asarray(omega, dtype=float)
+    # shell 0 (k = 0) has no divisor
+    th_kw = np.array([0.0] + [gamma / delta(m)
+                              for m in range(1, kn.max(initial=0) + 1)])[kn]
+    low = np.abs(kw) < th_kw
+    if low.any():
+        i = int(np.argmax(low))
+        zeros = np.zeros(int(low.sum()))
+        raise DivisorError(
+            f"divisor |<k,omega>| = {abs(kw[i]):.3e} below gamma/Delta = "
+            f"{th_kw[i]:.3e} at k = {tuple(ks[i].tolist())}",
+            reports=DivisorTable(ks[low], kw[low], None, None, th_kw[low],
+                                 zeros, zeros, zeros.astype(bool)))
 
-    by_mode = {}
-    for (k, j, q), c in R.terms():
-        if not ansatz_shape(j, q):
-            raise ConfigError(f"R is not ansatz shaped at {(k, j, q)}")
-        by_mode.setdefault(k, []).append(((j, q), c))
-
-    zero_k = (0,) * geo.d
-    out = {}
-    for k, entries in by_mode.items():
-        if knorm(k) == 0:
-            # only the linear-z part is removable at k = 0
-            b = np.zeros(2 * d0, dtype=complex)
-            for (j, q), c in entries:
-                if (sum(j), sum(q)) == (0, 1):
-                    b[q.index(1)] += c
-            if not d0 or not np.any(b):
-                continue
-            if abs(np.linalg.det(M)) < 1e-12 * max(1.0, np.abs(M).max() ** (2 * d0)):
-                raise ConfigError(
-                    f"resonant matrix is singular (det = {np.linalg.det(M):.3e}); "
-                    "cannot remove the k = 0 linear-z term")
-            F001 = np.linalg.solve(eps_quad * MJ, -rhs_scale * b)
-            for a, v in enumerate(F001):
-                if v != 0:
-                    qv = tuple(1 if c2 == a else 0 for c2 in range(2 * d0))
-                    out[(zero_k, (0,) * geo.d, qv)] = v
-            continue
-
-        kw = float(np.dot(k, omega))
-        dk = delta(knorm(k))
-        if abs(kw) < gamma / dk:
-            raise DivisorError(
-                f"divisor |<k,omega>| = {abs(kw):.3e} below gamma/Delta = "
-                f"{gamma / dk:.3e} at k = {k}",
-                reports=[DivisorReport(k=k, kw=kw, detA1=None, detA2=None,
-                                       threshold_kw=gamma / dk, threshold_A1=0,
-                                       threshold_A2=0, passed=False)])
-        i_kw = 1j * kw
-        quad_entries = []
-        lin_z = np.zeros(2 * d0, dtype=complex)
-        for (j, q), c in entries:
-            sj, sq = sum(j), sum(q)
-            if (sj, sq) == (0, 0):
-                out[(k, j, q)] = -rhs_scale * c / i_kw
-            elif (sj, sq) == (1, 0):
-                out[(k, j, q)] = -rhs_scale * c / i_kw
-            elif (sj, sq) == (0, 1):
-                lin_z[q.index(1)] += c
-            else:
-                quad_entries.append((q, c))
-        if d0 and np.any(lin_z):
-            A = i_kw * np.eye(2 * d0) + eps_quad * MJ
-            sol = np.linalg.solve(A, -rhs_scale * lin_z)
-            for a, v in enumerate(sol):
-                if v != 0:
-                    qv = tuple(1 if c2 == a else 0 for c2 in range(2 * d0))
-                    out[(k, (0,) * geo.d, qv)] = v
-        if d0 and quad_entries:
-            n = 2 * d0
-            C = quad_matrix_from_terms(quad_entries, d0)
-            op = (i_kw * np.eye(n * n)
-                  + eps_quad * (np.kron(np.eye(n), MJ) + np.kron(MJ, np.eye(n))))
-            sol = np.linalg.solve(op, -rhs_scale * C.flatten(order="F"))
-            F2 = sol.reshape((n, n), order="F")
-            F2 = 0.5 * (F2 + F2.T)
-            for q, v in quad_terms_from_matrix(F2):
-                if v != 0:
-                    out[(k, (0,) * geo.d, q)] = v
-
-    kmax = max((knorm(k) for (k, _, _) in out), default=0)
-    return GeneratingSeries(geo, kmax, 2, out, prune=False)
+    nz = kn > 0
+    ikw = 1j * kw
+    F000, F010 = np.zeros_like(c000), np.zeros_like(c010)
+    F000[nz] = -rhs_scale * c000[nz] / ikw[nz]
+    F010[nz] = -rhs_scale * c010[nz] / ikw[nz, None]
+    F001, F002 = np.zeros_like(b001), np.zeros_like(C002)
+    if d0:
+        M = np.asarray(M, dtype=float)
+        MJ = M @ symplectic_J(d0)
+        lin = b001.any(axis=1)
+        if (lin & ~nz).any() and abs(np.linalg.det(M)) < 1e-12 * max(
+                1.0, np.abs(M).max() ** (2 * d0)):
+            raise ConfigError(
+                f"resonant matrix is singular (det = {np.linalg.det(M):.3e}); "
+                "cannot remove the k = 0 linear-z term")
+        A = ikw[lin, None, None] * np.eye(n) + eps_quad * MJ
+        F001[lin] = np.linalg.solve(A, -rhs_scale * b001[lin, :, None])[..., 0]
+        quad = nz & C002.any(axis=(1, 2))
+        A = (ikw[quad, None, None] * np.eye(n * n)
+             + eps_quad * (np.kron(np.eye(n), MJ) + np.kron(MJ, np.eye(n))))
+        # C is symmetric, so its row-major and column-major vec agree, and
+        # the solution's transpose has the same quadratic form
+        sol = np.linalg.solve(A, -rhs_scale * C002[quad].reshape(-1, n * n, 1))
+        F002[quad] = sol.reshape(-1, n, n)
+    return _ansatz_series(geo, ks, F000, F010, F001, F002)
 
 
 def solve_homological(omega, M, R: FourierTaylorSeries, epsilon: float,
                       gamma: float, delta: ApproximationFunction, *,
-                      residual_tol: float = RESIDUAL_TOL,
-                      check_residual: bool = True) -> GeneratingSeries:
+                      eps_quad: float | None = None) -> GeneratingSeries:
     """Solve {N, F} + eps*(R~ + <P001, z>) = 0 with N = <omega,y> +
-    (eps/2)<z, M z>, mode by mode on the cutoff ansatz.
+    (eps_quad/2)<z, M z> on the cutoff ansatz; eps_quad defaults to eps.
 
     The returned generator is verified by substitution: the coefficient-l1
-    residual of the defining equation must not exceed residual_tol * |R|.
+    residual of the defining equation must not exceed RESIDUAL_TOL * |R|.
     """
-    geo = R.geometry
-    F = _solve_modes(omega, M, epsilon, R, epsilon, gamma, delta)
-    if check_residual:
-        res = homological_residual(omega, M, R, epsilon, F)
-        bound = residual_tol * max(R.norm_l1(), 1e-300)
-        if res > bound and not R.is_zero():
-            raise InvariantError(
-                f"homological residual {res:.3e} exceeds {bound:.3e}")
+    if eps_quad is None:
+        eps_quad = epsilon
+    F = _solve_modes(omega, M, eps_quad, R, epsilon, gamma, delta)
+    res = homological_residual(omega, M, R, epsilon, F, eps_quad=eps_quad)
+    bound = RESIDUAL_TOL * max(R.norm_l1(), 1e-300)
+    if res > bound and not R.is_zero():
+        raise InvariantError(
+            f"homological residual {res:.3e} exceeds {bound:.3e}")
     return F
 
 
@@ -314,7 +273,7 @@ def homological_residual(omega, M, R, epsilon, F, *,
         N = N + FourierTaylorSeries.quadratic_z(geo, np.asarray(M, dtype=float),
                                                 prefactor=eps_quad / 2.0)
     avg = average_over_angles(R)
-    _, _, b001, _ = _split_k0_ansatz(avg)
+    b001 = _ansatz_blocks(avg)[3].sum(axis=0)     # avg has k = 0 at most
     rhs = (R - avg) + FourierTaylorSeries.linear_z(geo, _real_vector(b001, "P001"))
     res = poisson_bracket(N, F) + rhs.scale(epsilon)
     return res.norm_l1()
@@ -443,16 +402,12 @@ def kam_step(state: NormalFormState, Kplus: int, gamma: float,
 
     omega_now = state.omega_p()
     M_now = state.M_p()
-    member, reports = check_divisors(omega_now, M_now, Kplus, gamma, delta)
-    stats = {
-        "min_kw": min(abs(r.kw) for r in reports),
-        "min_detA1": min((abs(r.detA1) for r in reports if r.detA1 is not None),
-                         default=math.nan),
-        "min_detA2": min((abs(r.detA2) for r in reports if r.detA2 is not None),
-                         default=math.nan),
-    }
+    member, table = check_divisors(omega_now, M_now, Kplus, gamma, delta)
+    stats = {"min_kw": float(np.abs(table.kw).min())}
+    for key, det in (("min_detA1", table.detA1), ("min_detA2", table.detA2)):
+        stats[key] = math.nan if det is None else float(np.abs(det).min())
     if require_membership and not member:
-        bad = [r for r in reports if not r.passed]
+        bad = table.select(~table.passed)
         raise DivisorError(
             f"divisor membership failed for {len(bad)} mode(s) at Kplus={Kplus}",
             reports=bad)
@@ -463,20 +418,15 @@ def kam_step(state: NormalFormState, Kplus: int, gamma: float,
         raise ConfigError("a non-trivial step needs epsilon > 0")
 
     R, _tail = cutoff(state.P, Kplus)
-    avg = average_over_angles(R)
-    c000, c010, b001, C002 = _split_k0_ansatz(avg)
-
-    F = _solve_modes(omega_now, M_now, eps, R, 1.0, gamma, delta)
-    res = homological_residual(omega_now, M_now, R, 1.0, F, eps_quad=eps)
-    if res > RESIDUAL_TOL * max(R.norm_l1(), 1e-300):
-        raise InvariantError(f"step solve residual {res:.3e} above tolerance")
+    _, *k0 = _ansatz_blocks(average_over_angles(R))
+    c000, c010, _, C002 = (blk.sum(axis=0) for blk in k0)   # k = 0 at most
+    F = solve_homological(omega_now, M_now, R, 1.0, gamma, delta, eps_quad=eps)
 
     # absorb the averaged cutoff into the integrable part
     d_omega = _real_vector(c010, "frequency update")
     omega_next_abs = omega_now + d_omega
     if geo.d0:
-        C_sym = _real_vector(0.5 * (C002 + C002.T), "resonant matrix update")
-        M_next_abs = M_now + 2.0 * C_sym / eps
+        M_next_abs = M_now + 2.0 * _real_vector(C002, "resonant matrix update") / eps
     else:
         M_next_abs = M_now
     const_abs = float(c000.real)

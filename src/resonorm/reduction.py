@@ -16,6 +16,7 @@ perturbation P1.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -26,6 +27,7 @@ from .gevrey import ApproximationFunction
 from .series import (
     FourierTaylorSeries,
     PhaseGeometry,
+    flat_remainder_part,
     knorm,
     lie_transform_auto,
 )
@@ -290,7 +292,7 @@ def critical_points(h0: FourierTaylorSeries, d0: int, *,
     else:
         axes = [np.linspace(0, 2 * math.pi, grid_nodes, endpoint=False)
                 for _ in range(d0)]
-        seeds = [np.array(p) for p in __import__("itertools").product(*axes)]
+        seeds = [np.array(p) for p in itertools.product(*axes)]
 
     found = []
     failed = 0
@@ -409,9 +411,6 @@ def _quadratic_y(geo: PhaseGeometry, Q: np.ndarray,
             j[b] += 1
             terms[(zk, tuple(j), zq)] = complex(prefactor * c)
     return FourierTaylorSeries(geo, 0, 2, terms, prune=False)
-
-
-from .series import flat_remainder_part as _flat_part
 
 
 def reduce_hamiltonian(h0_taylor: TaylorData, P0: FourierTaylorSeries | None,
@@ -584,7 +583,7 @@ def reduce_hamiltonian(h0_taylor: TaylorData, P0: FourierTaylorSeries | None,
     rem = Hred - N_lin - N_quad - FourierTaylorSeries.constant(geo_red, const)
 
     if eps_red > 0:
-        flat, pert = rem.partition(_flat_part(rem))
+        flat, pert = rem.partition(flat_remainder_part(rem))
         P1 = pert.scale(1.0 / eps_red)
     else:
         # nothing carries an epsilon prefactor: all angle-free content is
@@ -626,8 +625,6 @@ def _expand_phase(ks, budget: int):
     """Taylor expansion of exp(i <ks, v>) in the angle deviation v up to
     total degree `budget`: the coefficient of v^q is prod_a (i ks_a)^{q_a} / q_a!.
     Returns [(q_v, weight)]."""
-    import itertools
-
     d0 = len(ks)
     active = [a for a in range(d0) if ks[a] != 0]
     out = []

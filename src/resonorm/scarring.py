@@ -22,6 +22,7 @@ from .errors import ConfigError, InvariantError
 from .gevrey import ApproximationFunction
 from .kam import NormalFormState
 from .quantize import resonant_lambdas
+from .series import average_over_angles
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +46,6 @@ def k0_eps_derivative(state: NormalFormState, y, order: int,
         s1 = s + 1
         if s1 >= order:
             total += float(np.dot(w, y)) * math.perm(s1, order) * eps ** (s1 - order)
-    from .series import average_over_angles
     for s, rs in state.rterms:
         if s >= order and s > 0:
             total += (math.perm(s, order) * eps ** (s - order)

@@ -47,9 +47,6 @@ LIE_ORDER_CAP = 32
 PAIR_BLOCK = 4096
 #: Widest mixed-radix code the bracket packs into an int64.
 CODE_BITS = 62
-#: (|j|, |q|) of the monomial shapes the generator ansatz and cutoff keep:
-#: constant, linear-y, linear-z, quadratic-z.
-ANSATZ_SHAPES = ((0, 0), (1, 0), (0, 1), (0, 2))
 
 
 @dataclass(frozen=True)
@@ -289,6 +286,16 @@ class FourierTaylorSeries:
         zq = (0,) * geometry.zdim
         return cls(geometry, knorm(k), 0, {(tuple(k), zk, zq): complex(coeff)})
 
+    @classmethod
+    def from_arrays(cls, geometry: PhaseGeometry, kmax: int, degmax: int,
+                    exps, coefs):
+        """Build from an exponent matrix (rows in any order) and its
+        coefficient vector; exact zeros go, the bounds are not checked."""
+        keep = coefs != 0
+        s = cls.__new__(cls)
+        s._store(geometry, kmax, degmax, *_canonical(exps[keep], coefs[keep]))
+        return s
+
     # -- basic access -------------------------------------------------------
 
     def knorms(self) -> np.ndarray:
@@ -298,6 +305,11 @@ class FourierTaylorSeries:
     def degrees(self) -> np.ndarray:
         """|j| + |q| of every stored term, in storage order."""
         return self._exps[:, self.geometry.d:].sum(axis=1)
+
+    def exps(self) -> np.ndarray:
+        """Exponent row (k, j and q digits) of every stored term, in storage
+        order (read-only)."""
+        return self._exps
 
     def coefs(self) -> np.ndarray:
         """Coefficient of every stored term, in storage order (read-only)."""
@@ -438,11 +450,11 @@ class GeneratingSeries(FourierTaylorSeries):
 
     __slots__ = ()
 
-    def __init__(self, geometry, kmax, degmax, coeffs=None, **kw):
-        super().__init__(geometry, kmax, degmax, coeffs, **kw)
-        sj, sq = _shape_sums(self)
-        bad = np.where(self.knorms() == 0, (sj != 0) | (sq != 1),
-                       ~ansatz_rows(self))
+    def _store(self, *args):
+        super()._store(*args)
+        g, shape = self.geometry, ansatz_index(self)
+        linear_z = (shape > g.d) & (shape <= g.d + g.zdim)
+        bad = np.where(self.knorms() == 0, ~linear_z, shape < 0)
         if bad.any():
             (k, j, q), _ = self.terms()[int(np.argmax(bad))]
             where = "k=0" if knorm(k) == 0 else f"k={k}"
@@ -452,25 +464,26 @@ class GeneratingSeries(FourierTaylorSeries):
 
 # -- ansatz predicates -------------------------------------------------------
 
-def ansatz_shape(j, q) -> bool:
-    """Monomial shapes the low-mode cutoff keeps: constant, linear-y,
-    linear-z, quadratic-z."""
-    return (sum(j), sum(q)) in ANSATZ_SHAPES
+def ansatz_monomials(geo: PhaseGeometry) -> np.ndarray:
+    """(j, q) exponent rows of the monomials the generator ansatz and the
+    cutoff keep, in block order: 1, the y_i, the z_a, then z_a z_b for
+    a <= b in np.triu_indices order."""
+    eye = np.eye(geo.d + geo.zdim, dtype=np.int64)
+    a, b = np.triu_indices(geo.zdim)
+    return np.concatenate([0 * eye[:1], eye, eye[geo.d + a] + eye[geo.d + b]])
 
 
-def _shape_sums(s: FourierTaylorSeries):
-    """(|j|, |q|) of every stored term."""
-    d = s.geometry.d
-    return s._exps[:, d:2 * d].sum(axis=1), s._exps[:, 2 * d:].sum(axis=1)
+def ansatz_index(s: FourierTaylorSeries) -> np.ndarray:
+    """Row of ansatz_monomials that each term of s carries; -1 for a term
+    outside the ansatz."""
+    g = s.geometry
+    hit = (s._exps[:, None, g.d:] == ansatz_monomials(g)).all(axis=2)
+    return np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
 
 
 def ansatz_rows(s: FourierTaylorSeries) -> np.ndarray:
     """Mask of the terms of s whose monomial has an ansatz shape."""
-    sj, sq = _shape_sums(s)
-    mask = np.zeros(len(s), dtype=bool)
-    for a, b in ANSATZ_SHAPES:
-        mask |= (sj == a) & (sq == b)
-    return mask
+    return ansatz_index(s) >= 0
 
 
 def flat_remainder_part(s: FourierTaylorSeries) -> np.ndarray:

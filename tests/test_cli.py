@@ -1,5 +1,7 @@
 """End-to-end command tests: each command against a small scenario config,
 exit codes on broken inputs, and bit-identical reruns."""
+import importlib
+import importlib.util
 import json
 import math
 from pathlib import Path
@@ -8,6 +10,8 @@ import numpy as np
 import pytest
 
 from resonorm.cli import main
+from resonorm.gevrey import power_log_delta
+from resonorm.kam import check_divisors
 from resonorm.oracle import required_Nt
 from resonorm.quantize import remainder_bound
 from resonorm.series import FourierTaylorSeries, PhaseGeometry, to_text
@@ -324,3 +328,22 @@ def test_every_exported_name_resolves():
     import resonorm
     missing = [n for n in resonorm.__all__ if not hasattr(resonorm, n)]
     assert not missing
+
+
+def test_tracer_targets_resolve():
+    # the benchmark's --trace wraps these module attributes by name; read
+    # perfbench/spans.py (never edit it) and check every one still exists
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, attr, _, _ in spans.TARGETS:
+        assert callable(getattr(importlib.import_module(module), attr, None)), \
+            (module, attr)
+    # and its divisor span still counts every mode of the box
+    modes = {attr: attrs for _, attr, _, attrs in spans.TARGETS}["check_divisors"]
+    omega = [1.0, (1.0 + math.sqrt(5.0)) / 2.0, math.sqrt(2.0)]
+    for d, Kplus, M in ((1, 3, None), (2, 4, np.diag([1.0, -1.0])), (3, 2, None)):
+        result = check_divisors(omega[:d], M, Kplus, 1e-3, power_log_delta(a=2.0))
+        assert len(result[1]) == (2 * Kplus + 1) ** d - 1
+        assert modes((), {}, result) == {"modes": (2 * Kplus + 1) ** d - 1}

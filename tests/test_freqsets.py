@@ -9,6 +9,7 @@ from resonorm.errors import ConfigError
 from resonorm.freqsets import (
     SummabilityResult,
     ZoneSpec,
+    _modes_up_to,
     _zone_indicator,
     excluded_set_measure,
     summability_check,
@@ -113,6 +114,25 @@ def test_excluded_set_monotone():
     e_more_k, _, _ = excluded_set_measure(1e-3, Kmax=8, **kw)
     assert e_small <= e_big
     assert e_small <= e_more_k
+
+
+def test_excluded_set_matches_both_signs_loop():
+    # one zone per +-k pair gives exactly the estimate of a loop over every
+    # mode, since |<w,-k>| = |<w,k>| bit for bit
+    delta = power_log_delta(a=3.0, alpha=2.0)
+    gamma1, Kmax, l, d, samples, seed = 4e-3, 4, 3, 2, 150_000, 19
+    W = np.random.default_rng(seed).random((samples, l))
+    inside = np.zeros(samples, dtype=bool)
+    for k in _modes_up_to(d, Kmax):
+        spec = ZoneSpec(k=k, beta=gamma1 / delta(max(map(abs, k))))
+        inside |= _zone_indicator(spec, W)
+    hits = int(inside.sum())
+    p = hits / samples
+    ci95 = 1.96 * math.sqrt(max(p * (1.0 - p), 1.0 / samples) / samples)
+    est, ci, maj = excluded_set_measure(gamma1, delta, Kmax, l, d, samples, seed)
+    assert hits > 0
+    assert (est, ci) == (p, ci95)
+    assert maj == union_majorant(gamma1, delta, Kmax, d)
 
 
 # ---------------------------------------------------------------------------

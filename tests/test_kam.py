@@ -14,6 +14,7 @@ from resonorm.kam import (
     NormalFormState,
     Schedule,
     StepRejectedError,
+    _solve_modes,
     check_divisors,
     divisor_determinants,
     homological_residual,
@@ -50,12 +51,12 @@ def cos_series(geo, k, amp=1.0):
 # ---------------------------------------------------------------------------
 
 def test_divisors_no_resonant_block():
-    member, reports = check_divisors([1.0], None, Kplus=3, gamma=0.05,
-                                     delta=DELTA)
+    member, table = check_divisors([1.0], None, Kplus=3, gamma=0.05,
+                                   delta=DELTA)
     assert member
-    assert all(r.detA1 is None and r.detA2 is None for r in reports)
+    assert table.detA1 is None and table.detA2 is None
     # |<k,w>| = |k| >= 0.05/(1+|k|)^2 always here
-    assert all(abs(r.kw) >= r.threshold_kw for r in reports)
+    assert np.all(np.abs(table.kw) >= table.threshold_kw)
 
 
 def test_divisor_matrix_determinant_by_hand():
@@ -111,18 +112,19 @@ def test_divisors_golden_ratio_window():
     # exhaustive oracle: direct minimum over the mode box
     omega = np.array([1.0, GOLDEN])
     gamma, Kplus = 0.01, 20
-    member, reports = check_divisors(omega, None, Kplus, gamma, DELTA)
-    worst = min(abs(r.kw) * DELTA(max(abs(c) for c in r.k)) for r in reports)
+    member, table = check_divisors(omega, None, Kplus, gamma, DELTA)
+    deltas = [DELTA(m) for m in np.abs(table.k).max(axis=1)]
+    worst = (np.abs(table.kw) * deltas).min()
     assert worst >= gamma
     assert member
 
 
 def test_divisors_detect_failure():
     # rational frequency: k = (1, -2) annihilates it
-    member, reports = check_divisors([2.0, 1.0], None, 3, 0.01, DELTA)
+    member, table = check_divisors([2.0, 1.0], None, 3, 0.01, DELTA)
     assert not member
-    bad = [r for r in reports if not r.passed]
-    assert any(r.k in ((1, -2), (-1, 2)) for r in bad)
+    bad = table.k[~table.passed].tolist()
+    assert any(k in ([1, -2], [-1, 2]) for k in bad)
 
 
 def divisor_loop(omega, M, Kplus, gamma):
@@ -165,18 +167,20 @@ def test_check_divisors_matches_per_mode_loop():
     alone = set()
     for omega, M, gamma in cases:
         omega = np.array(omega)
-        member, reports = check_divisors(omega, M, 6, gamma, DELTA)
+        member, table = check_divisors(omega, M, 6, gamma, DELTA)
         want = divisor_loop(omega, M, 6, gamma)
-        assert [r.k for r in reports] == [w[0] for w in want]
-        assert [r.passed for r in reports] == [not any(w[5]) for w in want]
-        assert member == all(r.passed for r in reports) and not member
-        assert any(r.passed for r in reports)
-        alone |= {w[5].index(True) for w in want if sum(w[5]) == 1}
-        for r, (k, kw, det1, det2, th, _) in zip(reports, want):
-            assert (r.threshold_kw, r.threshold_A1, r.threshold_A2) == th
-            assert abs(r.kw - kw) <= 1e-14 * (1 + np.abs(np.multiply(k, omega)).sum())
-            assert abs(r.detA1 - det1) <= 1e-12 * abs(det1)
-            assert abs(r.detA2 - det2) <= 1e-12 * abs(det2)
+        ks, kw, det1, det2, th, fails = (np.array(col) for col in zip(*want))
+        assert np.array_equal(table.k, ks)
+        assert np.array_equal(table.passed, ~fails.any(axis=1))
+        assert member == table.passed.all() and not member
+        assert table.passed.any()
+        alone |= set(fails[fails.sum(axis=1) == 1].argmax(axis=1).tolist())
+        assert np.array_equal(np.stack([table.threshold_kw, table.threshold_A1,
+                                        table.threshold_A2], axis=1), th)
+        assert np.all(np.abs(table.kw - kw)
+                      <= 1e-14 * (1 + np.abs(ks * omega).sum(axis=1)))
+        assert np.all(np.abs(table.detA1 - det1) <= 1e-12 * np.abs(det1))
+        assert np.all(np.abs(table.detA2 - det2) <= 1e-12 * np.abs(det2))
     assert alone == {0, 1, 2}
 
 
@@ -257,6 +261,147 @@ def test_solve_randomized_residuals():
         F = solve_homological(omega, M, R, eps, 0.01, DELTA)
         res = homological_residual(omega, M, R, eps, F)
         assert res <= 1e-10 * max(R.norm_l1(), 1e-30)
+
+
+def solve_modes_loop(omega, M, eps_quad, R, rhs_scale, gamma):
+    """Per-mode reference for _solve_modes: terms grouped by mode in a
+    dict, each mode's blocks decoded term by term, one np.linalg.solve per
+    mode and block against i<k,w> + eps_quad MJ and its np.kron-built
+    Kronecker sum.  Returns {(k, j, q): coefficient}."""
+    geo = R.geometry
+    d0, n = geo.d0, geo.zdim
+    omega = np.asarray(omega, dtype=float)
+    MJ = np.asarray(M, dtype=float) @ symplectic_J(d0) if d0 else None
+    zj = (0,) * geo.d
+
+    def unit(a):
+        return tuple(int(c == a) for c in range(n))
+
+    by_mode = {}
+    for (k, j, q), c in R.terms():
+        if (sum(j), sum(q)) not in ((0, 0), (1, 0), (0, 1), (0, 2)):
+            raise ConfigError(f"R is not ansatz shaped at {(k, j, q)}")
+        by_mode.setdefault(k, []).append(((j, q), c))
+    out = {}
+    for k, entries in by_mode.items():
+        if not any(k):
+            b = np.zeros(n, dtype=complex)
+            for (j, q), c in entries:
+                if (sum(j), sum(q)) == (0, 1):
+                    b[q.index(1)] += c
+            if not d0 or not np.any(b):
+                continue
+            if abs(np.linalg.det(M)) < 1e-12 * max(1.0, np.abs(M).max() ** (2 * d0)):
+                raise ConfigError("resonant matrix is singular")
+            sol = np.linalg.solve(eps_quad * MJ, -rhs_scale * b)
+            out.update({(k, zj, unit(a)): v for a, v in enumerate(sol) if v != 0})
+            continue
+        kw = float(np.dot(k, omega))
+        if abs(kw) < gamma / DELTA(max(abs(c) for c in k)):
+            raise DivisorError(f"divisor below threshold at k = {k}", reports=[k])
+        i_kw = 1j * kw
+        lin_z = np.zeros(n, dtype=complex)
+        C = np.zeros((n, n), dtype=complex)
+        quad = False
+        for (j, q), c in entries:
+            if sum(q) == 0:
+                out[(k, j, q)] = -rhs_scale * c / i_kw
+            elif sum(q) == 1:
+                lin_z[q.index(1)] += c
+            else:
+                a, b = [a for a, p in enumerate(q) for _ in range(p)]
+                C[a, b] += c if a == b else c / 2.0
+                if a != b:
+                    C[b, a] += c / 2.0
+                quad = True
+        if d0 and np.any(lin_z):
+            sol = np.linalg.solve(i_kw * np.eye(n) + eps_quad * MJ, -rhs_scale * lin_z)
+            out.update({(k, zj, unit(a)): v for a, v in enumerate(sol) if v != 0})
+        if d0 and quad:
+            op = (i_kw * np.eye(n * n)
+                  + eps_quad * (np.kron(np.eye(n), MJ) + np.kron(MJ, np.eye(n))))
+            F2 = np.linalg.solve(op, -rhs_scale * C.flatten(order="F"))
+            F2 = F2.reshape((n, n), order="F")
+            F2 = 0.5 * (F2 + F2.T)
+            for a in range(n):
+                for b in range(a, n):
+                    v = F2[a, a] if a == b else F2[a, b] + F2[b, a]
+                    if v != 0:
+                        out[(k, zj, tuple(np.add(unit(a), unit(b))))] = v
+    return out
+
+
+def random_ansatz_series(rng, geo, kbox=2, modes=6):
+    """Every ansatz monomial on a few random modes, k = 0 always among them,
+    with random complex coefficients."""
+    d, n = geo.d, geo.zdim
+    shapes = [((0,) * d, (0,) * n)]
+    shapes += [(tuple(np.eye(d, dtype=int)[i]), (0,) * n) for i in range(d)]
+    eye = np.eye(n, dtype=int)
+    shapes += [((0,) * d, tuple(eye[a])) for a in range(n)]
+    shapes += [((0,) * d, tuple(eye[a] + eye[b]))
+               for a in range(n) for b in range(a, n)]
+    ks = {(0,) * d} | {tuple(rng.integers(-kbox, kbox + 1, size=d).tolist())
+                       for _ in range(modes)}
+    return FourierTaylorSeries(geo, kbox, 2, {
+        (k, j, q): complex(rng.normal(), rng.normal())
+        for k in ks for j, q in shapes if rng.random() < 0.8})
+
+
+def assert_same_generator(F, want):
+    got = dict(F.terms())
+    assert got.keys() == want.keys()
+    for key, v in want.items():
+        assert abs(got[key] - v) <= 1e-13 * abs(v), key
+
+
+def test_batched_solve_matches_per_mode_loop():
+    rng = np.random.default_rng(7)
+    omegas = {1: [1.0], 2: [1.0, GOLDEN], 3: [1.0, GOLDEN, math.sqrt(2.0)]}
+    k0_linear_z = 0
+    for d in (1, 2, 3):
+        for d0 in (0, 1, 2):
+            geo = PhaseGeometry(d=d, d0=d0)
+            X = rng.normal(size=(2 * d0, 2 * d0))
+            M = X @ X.T + np.eye(2 * d0)
+            for eps_quad, rhs_scale in ((0.1, 0.1), (0.05, 1.0)):
+                R = random_ansatz_series(rng, geo)
+                F = _solve_modes(omegas[d], M, eps_quad, R, rhs_scale, 1e-4, DELTA)
+                want = solve_modes_loop(omegas[d], M, eps_quad, R, rhs_scale, 1e-4)
+                assert_same_generator(F, want)
+                k0_linear_z += sum(1 for (k, _, q) in want if not any(k))
+    assert k0_linear_z > 0
+
+
+def test_batched_solve_defective_and_zero():
+    # M = diag(1, 0): MJ is nilpotent, so defective, yet i<k,w> + eps MJ is
+    # invertible at every k != 0; R has no k = 0 linear-z term
+    rng = np.random.default_rng(8)
+    M = np.diag([1.0, 0.0])
+    R = random_ansatz_series(rng, G11)
+    R, _ = R.partition(~((R.knorms() == 0) & (R.degrees() == 1)))
+    F = _solve_modes([1.0], M, 0.1, R, 0.1, 0.01, DELTA)
+    assert len(F) > 0
+    assert_same_generator(F, solve_modes_loop([1.0], M, 0.1, R, 0.1, 0.01))
+    Z = FourierTaylorSeries.zero(PhaseGeometry(d=2, d0=2))
+    F = _solve_modes([1.0, GOLDEN], np.eye(4), 0.1, Z, 0.1, 0.01, DELTA)
+    assert F.is_zero() and solve_modes_loop([1.0, GOLDEN], np.eye(4), 0.1, Z,
+                                            0.1, 0.01) == {}
+
+
+def test_batched_solve_rejects_at_the_first_low_mode():
+    # omega = (2, 1): k = +-(1, -2) annihilates it; the loop meets
+    # (-1, 2) first in storage order
+    geo = PhaseGeometry(d=2, d0=1)
+    rng = np.random.default_rng(9)
+    R = random_ansatz_series(rng, geo) + cos_series(geo, (1, -2))
+    with pytest.raises(DivisorError) as ref:
+        solve_modes_loop([2.0, 1.0], np.eye(2), 0.1, R, 0.1, 0.01)
+    with pytest.raises(DivisorError) as exc:
+        _solve_modes([2.0, 1.0], np.eye(2), 0.1, R, 0.1, 0.01, DELTA)
+    assert exc.value.reports.k[0].tolist() == list(ref.value.reports[0])
+    assert f"at k = {ref.value.reports[0]}" in str(exc.value)
+    assert {(1, -2), (-1, 2)} <= set(map(tuple, exc.value.reports.k.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +507,13 @@ def test_step_rejects_on_divisor_failure():
     st = NormalFormState.initial(
         PhaseGeometry(d=2, d0=0), [2.0, 1.0], None, 1e-3,
         cos_series(PhaseGeometry(d=2, d0=0), (1, -2)).scale(1e-3))
-    with pytest.raises(DivisorError):
+    with pytest.raises(DivisorError) as exc:
         kam_step(st, 8, 0.05, DELTA)
+    bad = exc.value.reports
+    assert {(1, -2), (-1, 2)} <= set(map(tuple, bad.k.tolist()))
+    _, table = check_divisors([2.0, 1.0], None, 8, 0.05, DELTA)
+    assert np.array_equal(bad.k, table.k[~table.passed])
+    assert len(bad) == (~table.passed).sum() and not bad.passed.any()
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ monomial-calculus bracket built in this file, and pointwise evaluation of
 the defining derivative formula via exact polynomial/trig differentiation
 of single monomials.
 """
+import itertools
 import math
 import random
 
@@ -17,6 +18,8 @@ from resonorm.series import (
     PhaseGeometry,
     FourierTaylorSeries,
     GeneratingSeries,
+    ansatz_index,
+    ansatz_monomials,
     poisson_bracket,
     lie_transform_auto,
     cutoff,
@@ -417,6 +420,31 @@ def test_generating_series_validation():
         GeneratingSeries(G11, 2, 2, {((0,), (1,), (0, 0)): 1.0})
     with pytest.raises(InvariantError):
         GeneratingSeries(G11, 2, 3, {((1,), (1,), (0, 1)): 1.0})
+    for q in ((0, 0), (1, 1), (2, 0)):          # k = 0 keeps only z_a
+        with pytest.raises(InvariantError):
+            GeneratingSeries(G11, 2, 2, {((0,), (0,), q): 1.0})
+    with pytest.raises(InvariantError):          # however it is built
+        GeneratingSeries.from_arrays(G11, 0, 2, np.array([[0, 0, 1, 1]]),
+                                     np.array([1.0 + 0j]))
+
+
+def test_ansatz_index_is_the_shape_rule():
+    # every monomial of degree <= 3: in the ansatz exactly when (|j|, |q|)
+    # is constant, linear-y, linear-z or quadratic-z, at its table row
+    for geo in (G1, G11, G21, PhaseGeometry(d=2, d0=2)):
+        d, n = geo.d, geo.zdim
+        jqs = [jq for jq in itertools.product(range(3), repeat=d + n)
+               if sum(jq) <= 3]
+        s = FourierTaylorSeries(geo, 0, 3, {
+            ((0,) * d, jq[:d], jq[d:]): 1.0 for jq in jqs})
+        shape = ansatz_index(s)
+        table = ansatz_monomials(geo)
+        for ((_, j, q), _), row in zip(s.terms(), shape):
+            inside = (sum(j), sum(q)) in ((0, 0), (1, 0), (0, 1), (0, 2))
+            assert (row >= 0) == inside
+            if inside:
+                assert tuple(table[row]) == j + q
+        assert sorted(shape[shape >= 0].tolist()) == list(range(len(table)))
 
 
 def test_text_round_trip_byte_exact_in_sorted_order():
