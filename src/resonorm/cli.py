@@ -177,9 +177,10 @@ class RunConfig:
         raise ConfigError("config needs either [h0]+[module] or [direct]")
 
     def _run_reduce(self):
+        module = self.module()
         return reduce_hamiltonian(
-            self.taylor(), self.p0_series(), self.module(),
-            np.array(_floats(self.get("h0", "y0", "0 0"))),
+            self.taylor(), self.p0_series(), module,
+            np.array(_floats(self.get("h0", "y0", " ".join("0" * module.l)))),
             self.get("kam", "epsilon", 0.0, float),
             delta=self.delta(),
             gamma=self.get("kam", "gamma", 0.05, float),
@@ -484,7 +485,8 @@ def cmd_scar(cfg: RunConfig, outdir: Path, seed: int) -> int:
     L = cfg.get("scarring", "L", 0.5, float)
     lo_a = window[0] / float(np.max(np.abs(state.omega_p())))
     hi_a = window[1] / float(np.min(np.abs(state.omega_p())))
-    cloud = np.linspace(lo_a, hi_a, 512).reshape(-1, state.geometry.d)
+    d = state.geometry.d
+    cloud = np.linspace(lo_a, hi_a, 512 - 512 % d).reshape(-1, d)
     modes, empty = action_index_set(cloud, h, L, maslov)
     if empty or not modes:
         write_json(outdir / "scar.json", {"empty": True})

@@ -381,10 +381,7 @@ class StepRejectedError(InvariantError):
 
 def kam_step(state: NormalFormState, Kplus: int, gamma: float,
              delta: ApproximationFunction,
-             weights: GevreyWeights | None = None, *,
-             require_membership: bool = True,
-             reject_on_growth: bool = True,
-             lie_tol: float = 1e-16) -> NormalFormState:
+             weights: GevreyWeights | None = None) -> NormalFormState:
     """One full transformation step; returns the new state.
 
     Divisor failure and norm growth raise (the caller treats the step as
@@ -406,7 +403,7 @@ def kam_step(state: NormalFormState, Kplus: int, gamma: float,
     stats = {"min_kw": float(np.abs(table.kw).min())}
     for key, det in (("min_detA1", table.detA1), ("min_detA2", table.detA2)):
         stats[key] = math.nan if det is None else float(np.abs(det).min())
-    if require_membership and not member:
+    if not member:
         bad = table.select(~table.passed)
         raise DivisorError(
             f"divisor membership failed for {len(bad)} mode(s) at Kplus={Kplus}",
@@ -437,7 +434,7 @@ def kam_step(state: NormalFormState, Kplus: int, gamma: float,
         N_new = N_new + FourierTaylorSeries.quadratic_z(geo, M_next_abs,
                                                         prefactor=eps / 2.0)
 
-    moved, order_used = lie_transform_auto(N_old + state.P, F, 1.0, tol=lie_tol)
+    moved, order_used = lie_transform_auto(N_old + state.P, F, 1.0)
     P_raw = moved - N_new - FourierTaylorSeries.constant(geo, const_abs)
 
     # transport the remainder ledger whole: each entry rides along the flow
@@ -445,7 +442,7 @@ def kam_step(state: NormalFormState, Kplus: int, gamma: float,
     new_rterms = []
     for s, rs in state.rterms:
         w = eps ** s if s else 1.0
-        rs_moved, _ = lie_transform_auto(rs.scale(w), F, 1.0, tol=lie_tol)
+        rs_moved, _ = lie_transform_auto(rs.scale(w), F, 1.0)
         new_rterms.append((s, rs_moved.scale(1.0 / w)))
 
     flat_new, P_next = P_raw.partition(flat_remainder_part(P_raw))
@@ -453,7 +450,7 @@ def kam_step(state: NormalFormState, Kplus: int, gamma: float,
         new_rterms.append((s_new, flat_new.scale(eps ** (-s_new))))
 
     norm_after = norm(P_next)
-    if reject_on_growth and norm_after > norm_before * (1.0 + 1e-9):
+    if norm_after > norm_before * (1.0 + 1e-9):
         raise StepRejectedError(
             f"perturbation norm grew: {norm_before:.6e} -> {norm_after:.6e}",
             norm_before, norm_after)
@@ -509,8 +506,7 @@ class IterationResult:
 
 
 def iterate(state: NormalFormState, delta: ApproximationFunction,
-            schedule: Schedule | None = None, pmax: int = 6,
-            **step_kw) -> IterationResult:
+            schedule: Schedule | None = None, pmax: int = 6) -> IterationResult:
     """Run steps until pmax, the target norm, or a rejection.
 
     The trajectory starts with the initial norm at the undepleted weights
@@ -529,7 +525,7 @@ def iterate(state: NormalFormState, delta: ApproximationFunction,
         weights = schedule.weights_after(p, alpha)
         try:
             state = kam_step(state, schedule.Kplus_at(p), schedule.gamma,
-                             delta, weights, **step_kw)
+                             delta, weights)
         except (DivisorError, StepRejectedError) as exc:
             rejection = {"step": p, "reason": str(exc),
                          "kind": type(exc).__name__}

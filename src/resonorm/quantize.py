@@ -30,6 +30,10 @@ from .errors import ConfigError
 from .kam import NormalFormState
 
 RESONANT_SCALINGS = ("component", "oscillator")
+#: Largest number of levels a window may produce.
+MAX_LEVELS = 200_000
+#: Symmetry tolerance of the resonant matrix, relative to its largest entry.
+SYMMETRY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -70,7 +74,7 @@ class SpectrumPrediction:
         return np.array(out, dtype=int)
 
 
-def resonant_lambdas(M: np.ndarray, d0: int, *, offblock_tol: float = 1e-9):
+def resonant_lambdas(M: np.ndarray, d0: int):
     """Ascending eigenvalues of the two diagonal blocks of M.
 
     M must be symmetric; the mass of its off-diagonal blocks is returned so
@@ -79,7 +83,7 @@ def resonant_lambdas(M: np.ndarray, d0: int, *, offblock_tol: float = 1e-9):
     if d0 == 0:
         return np.zeros(0), np.zeros(0), 0.0
     M = np.asarray(M, dtype=float)
-    if not np.allclose(M, M.T, atol=offblock_tol * max(1.0, np.abs(M).max())):
+    if not np.allclose(M, M.T, atol=SYMMETRY_TOL * max(1.0, np.abs(M).max())):
         raise ConfigError("resonant matrix must be symmetric")
     U = M[:d0, :d0]
     V = M[d0:, d0:]
@@ -89,9 +93,10 @@ def resonant_lambdas(M: np.ndarray, d0: int, *, offblock_tol: float = 1e-9):
     return lam_u, lam_v, off
 
 
-def remainder_bound(h: float, epsilon: float, alpha: float, cC=(1.0, 1.0), *,
+def remainder_bound(h: float, epsilon: float, alpha: float, *,
                     exponent_sign: int = -1) -> float:
-    """C * |eps| * exp(-c * h^(sign/(alpha-1))).
+    """|eps| * exp(-h^(sign/(alpha-1))), the constants c and C of the
+    estimate C |eps| exp(-c h^(sign/(alpha-1))) both set to 1.
 
     The default sign -1 makes the bound vanish as h -> 0, matching the
     optimal-truncation estimate; sign +1 is the literal reading of the
@@ -103,15 +108,14 @@ def remainder_bound(h: float, epsilon: float, alpha: float, cC=(1.0, 1.0), *,
         raise ConfigError("h must be positive")
     if epsilon == 0.0:
         return 0.0
-    c, C = cC
     expo = exponent_sign / (alpha - 1.0)
-    return C * abs(epsilon) * math.exp(-c * h ** expo)
+    return abs(epsilon) * math.exp(-h ** expo)
 
 
 def predict_spectrum(state: NormalFormState, h: float, epsilon: float | None,
                      maslov, window, *, scaling: str = "oscillator",
-                     n_res_max: int = 8, max_entries: int = 200_000,
-                     cC=(1.0, 1.0), alpha: float = 2.0) -> SpectrumPrediction:
+                     n_res_max: int = 8,
+                     alpha: float = 2.0) -> SpectrumPrediction:
     """Enumerate all predicted eigenvalues inside the window [lo, hi].
 
     The torus quantum numbers run over the integer box that can reach the
@@ -185,13 +189,13 @@ def predict_spectrum(state: NormalFormState, h: float, epsilon: float | None,
             e = e_tor + er
             if lo <= e <= hi:
                 entries.append((QuantumNumbers(tuple(ny), nu, nv), e))
-                if len(entries) > max_entries:
+                if len(entries) > MAX_LEVELS:
                     raise ConfigError("window produced too many levels")
     entries.sort(key=lambda t: t[1])
     return SpectrumPrediction(
         entries=entries, h=h, epsilon=eps, maslov=maslov,
         lambdas_u=lam_u, lambdas_v=lam_v,
-        remainder=remainder_bound(h, eps, alpha, cC),
+        remainder=remainder_bound(h, eps, alpha),
         scaling=scaling, base_shift=base, off_block_mass=off)
 
 

@@ -16,7 +16,6 @@ perturbation P1.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -24,15 +23,21 @@ import numpy as np
 
 from .errors import ConfigError, DivisorError, InvariantError
 from .gevrey import ApproximationFunction
+from .kam import DivisorTable
 from .series import (
     FourierTaylorSeries,
     PhaseGeometry,
     flat_remainder_part,
-    knorm,
     lie_transform_auto,
 )
 
 RESONANCE_TOL = 1e-10
+#: Newton iterations per critical-point seed, and the gradient norm,
+#: relative to the coefficient scale, at which a seed has converged.
+NEWTON_STEPS = 60
+NEWTON_TOL = 1e-12
+#: Settling tolerance of the averaging step's Lie series.
+AVERAGING_LIE_TOL = 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -228,17 +233,14 @@ def resonant_average(P0bar: FourierTaylorSeries, d0: int) -> FourierTaylorSeries
     apply_unimodular_change): its Y = 0, k' = 0 slice, k' the first
     d = l - d0 mode components, as a series in the d0 resonant angles
     (on T^1 when d0 = 0)."""
-    d = P0bar.geometry.d - d0
-    geo = PhaseGeometry(d=max(d0, 1), d0=0)
-    terms = []
-    for (k, j, q), c in P0bar.terms():
-        if any(j) or any(q):
-            continue
-        if knorm(k[:d]) != 0:
-            continue
-        m = k[d:] if d0 else (0,)
-        terms.append(((tuple(m), (0,) * geo.d, ()), c))
-    return FourierTaylorSeries.from_terms(geo, terms)
+    l = P0bar.geometry.d
+    d = l - d0
+    e = P0bar.exps()
+    sel = ~e[:, :d].any(axis=1) & ~e[:, l:].any(axis=1)
+    m = e[sel, d:l] if d0 else np.zeros((int(sel.sum()), 1), dtype=np.int64)
+    return FourierTaylorSeries.from_arrays(
+        PhaseGeometry(d=max(d0, 1), d0=0), int(np.abs(m).max(initial=0)), 0,
+        np.concatenate([m, 0 * m], axis=1), P0bar.coefs()[sel], prune=True)
 
 
 @dataclass
@@ -258,25 +260,27 @@ class CriticalPointSet:
 
 def _angle_grad_hess(ks: np.ndarray, cs: np.ndarray, phi: np.ndarray):
     """Value, gradient and Hessian of sum_t Re(c_t e^{i<k_t, phi>}) over
-    decoded modes ks (n x d0) and coefficients cs."""
-    ph = cs * np.exp(1j * (ks @ phi))
-    return float(ph.real.sum()), -(ks.T @ ph.imag), -(ks.T * ph.real) @ ks
+    decoded modes ks (n x d0) and coefficients cs, at a point phi (d0,) or
+    at each point of a stack (..., d0); the stacked matmuls run the same
+    sums per point as a single point does."""
+    ph = cs * np.exp(1j * (ks @ phi[..., None])[..., 0])
+    return (ph.real.sum(axis=-1), -(ks.T @ ph.imag[..., None])[..., 0],
+            -(ks.T * ph.real[..., None, :]) @ ks)
 
 
 def critical_points(h0: FourierTaylorSeries, d0: int, *,
-                    grid_nodes: int = 64, newton_steps: int = 60,
-                    tol: float = 1e-12) -> CriticalPointSet:
+                    grid_nodes: int = 64) -> CriticalPointSet:
     """All critical points of an angle-only series on T^d0.
 
-    Dense grid seeding followed by Newton refinement on the gradient;
-    seeds whose Newton iteration fails to converge are dropped and
-    counted.  Each point carries its Hessian and a nondegeneracy flag.
+    Every node of a dense grid seeds a Newton iteration on the gradient,
+    all seeds at once; seeds that do not converge within NEWTON_STEPS, or
+    meet an exactly singular Hessian, are dropped and counted.  Each point
+    carries its Hessian and a nondegeneracy flag.
     """
     if h0.geometry.d != d0 or h0.geometry.d0 != 0:
         raise ConfigError("h0 must be an angle-only series on T^d0")
-    terms = h0.terms()
-    ks = np.array([k for (k, _, _), _ in terms], dtype=float).reshape(-1, d0)
-    cs = np.array([c for _, c in terms], dtype=complex)
+    ks = h0.exps()[:, :d0].astype(float)
+    cs = h0.coefs()
     kn = h0.knorms()
     coeff_scale = float(np.sum(np.abs(cs) * np.maximum(1, kn) ** 2,
                                where=kn > 0))
@@ -286,46 +290,42 @@ def critical_points(h0: FourierTaylorSeries, d0: int, *,
                 h0.evaluate().real), nondegenerate=False)],
             degenerate_family=True)
 
-    if d0 == 1:
-        seeds = [np.array([p]) for p in np.linspace(0, 2 * math.pi, grid_nodes,
-                                                    endpoint=False)]
-    else:
-        axes = [np.linspace(0, 2 * math.pi, grid_nodes, endpoint=False)
-                for _ in range(d0)]
-        seeds = [np.array(p) for p in itertools.product(*axes)]
+    axis = np.linspace(0, 2 * math.pi, grid_nodes, endpoint=False)
+    phi = np.stack(np.meshgrid(*[axis] * d0, indexing="ij"),
+                   axis=-1).reshape(-1, d0)
+    gtol = NEWTON_TOL * max(1.0, coeff_scale)
+    live = np.arange(len(phi))
+    converged = np.zeros(len(phi), dtype=bool)
+    for _ in range(NEWTON_STEPS):
+        _, g, H = _angle_grad_hess(ks, cs, phi[live])
+        done = np.linalg.norm(g, axis=-1) < gtol
+        converged[live[done]] = True
+        # an exactly singular Hessian (a zero LU pivot) ends its seed
+        go = ~done & (np.linalg.det(H) != 0)
+        step = np.linalg.solve(H[go], g[go, :, None])[..., 0]
+        size = np.linalg.norm(step, axis=-1, keepdims=True)
+        step *= math.pi / np.maximum(size, math.pi)
+        live = live[go]
+        phi[live] -= step
+        if not len(live):
+            break
 
-    found = []
-    failed = 0
-    for seed in seeds:
-        phi = seed.astype(float).copy()
-        ok = False
-        for _ in range(newton_steps):
-            _, g, H = _angle_grad_hess(ks, cs, phi)
-            gn = np.linalg.norm(g)
-            if gn < tol * max(1.0, coeff_scale):
-                ok = True
-                break
-            try:
-                step = np.linalg.solve(H, g)
-            except np.linalg.LinAlgError:
-                break
-            if np.linalg.norm(step) > math.pi:
-                step *= math.pi / np.linalg.norm(step)
-            phi -= step
-        if not ok:
-            failed += 1
-            continue
-        phi = np.mod(phi, 2 * math.pi)
-        if any(np.linalg.norm(np.minimum(np.abs(phi - p.phi),
-                                         2 * math.pi - np.abs(phi - p.phi)))
-               < 1e-6 for p in found):
-            continue
-        val, _, H = _angle_grad_hess(ks, cs, phi)
-        nondeg = abs(np.linalg.det(H)) > 1e-10 * max(1.0, coeff_scale ** d0)
-        found.append(CriticalPoint(phi=phi, hessian=H, value=val,
-                                   nondegenerate=nondeg))
-    found.sort(key=lambda p: (round(p.value, 9), tuple(np.round(p.phi, 6))))
-    return CriticalPointSet(points=found, failed_seeds=failed)
+    # the first converged seed near a point stands for it
+    found = np.mod(phi[converged], 2 * math.pi)
+    kept = []
+    while len(found):
+        kept.append(found[0])
+        gap = np.abs(found - found[0])
+        found = found[np.linalg.norm(np.minimum(gap, 2 * math.pi - gap),
+                                     axis=-1) >= 1e-6]
+    val, _, hess = _angle_grad_hess(ks, cs, np.reshape(kept, (-1, d0)))
+    nondeg = np.abs(np.linalg.det(hess)) > 1e-10 * max(1.0, coeff_scale ** d0)
+    points = sorted((CriticalPoint(phi=p, hessian=H, value=float(v),
+                                   nondegenerate=bool(n))
+                     for p, v, H, n in zip(kept, val, hess, nondeg)),
+                    key=lambda p: (round(p.value, 9), tuple(np.round(p.phi, 6))))
+    return CriticalPointSet(points=points,
+                            failed_seeds=len(phi) - int(converged.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -360,57 +360,56 @@ class ReducedHamiltonian:
 def apply_unimodular_change(P0: FourierTaylorSeries, K0: np.ndarray,
                             y0: np.ndarray) -> FourierTaylorSeries:
     """Pull back a series on T^l x R^l through x = K0^(-T) theta,
-    y = y0 + K0 Y.  Modes move by K0^(-1); y-monomials re-expand."""
+    y = y0 + K0 Y.  Modes move by the integer matrix K0^(-1); the
+    y-monomial of each distinct j re-expands once."""
     geo = P0.geometry
     l = geo.d
     K0 = np.asarray(K0)
-    K0_inv = np.linalg.inv(K0.astype(float))
+    K0_inv = np.rint(np.linalg.inv(K0.astype(float))).astype(np.int64)
+    if not np.array_equal(K0_inv @ K0, np.eye(l, dtype=np.int64)):
+        raise InvariantError("mode map produced non-integers: K0 is not "
+                             "unimodular")
     y0 = np.asarray(y0, dtype=float)
+    e, c = P0.exps(), P0.coefs()
+    kbar = e[:, :l] @ K0_inv.T
 
-    lin_forms = []
-    zk = (0,) * l
-    zq = (0,) * geo.zdim
-    for i in range(l):
-        terms = {}
-        if y0[i] != 0.0:
-            terms[(zk, zk, zq)] = complex(y0[i])
-        for a in range(l):
-            if K0[i, a] != 0:
-                j = tuple(1 if b == a else 0 for b in range(l))
-                terms[(zk, j, zq)] = complex(K0[i, a])
-        lin_forms.append(FourierTaylorSeries(geo, 0, 1, terms, prune=False))
-
-    out = FourierTaylorSeries.zero(geo)
-    for (k, j, q), c in P0.terms():
-        kbar = K0_inv @ np.asarray(k, dtype=float)
-        kbar_int = np.rint(kbar).astype(int)
-        if np.max(np.abs(kbar - kbar_int)) > 1e-9:
-            raise InvariantError(f"mode map produced non-integers for k={k}")
-        piece = FourierTaylorSeries.fourier_mode(geo, tuple(kbar_int), c)
+    # y_i = y0_i + sum_a K0[i, a] Y_a, a series in Y
+    rows = np.zeros((l + 1, geo.width), dtype=np.int64)
+    rows[1:, l:2 * l] = np.eye(l, dtype=np.int64)
+    lin = [FourierTaylorSeries.from_arrays(
+        geo, 0, 1, rows, np.concatenate(([y0[i]], K0[i])).astype(complex))
+        for i in range(l)]
+    js, group = np.unique(e[:, l:2 * l], axis=0, return_inverse=True)
+    exps, coefs = [np.empty((0, geo.width), np.int64)], [np.empty(0, complex)]
+    for g, j in enumerate(js.tolist()):
+        poly = FourierTaylorSeries.constant(geo, 1.0)
         for i, p in enumerate(j):
             for _ in range(p):
-                piece = piece * lin_forms[i]
-        out = out + piece
+                poly = poly * lin[i]
+        mine = group.ravel() == g
+        exps.append(np.concatenate(
+            [np.repeat(kbar[mine], len(poly), axis=0),
+             np.tile(poly.exps()[:, l:], (int(mine.sum()), 1))], axis=1))
+        coefs.append(np.outer(c[mine], poly.coefs()).ravel())
+    return FourierTaylorSeries.from_arrays(
+        geo, int(np.abs(kbar).max(initial=0)),
+        int(e[:, l:2 * l].sum(axis=1).max(initial=0)),
+        np.concatenate(exps), np.concatenate(coefs), prune=True)
+
+
+def _mass(c: np.ndarray):
+    """sum |c| in storage order, each |c| by libm's hypot, which numpy's
+    vectorized complex abs can miss in the last bit."""
+    return sum(np.hypot(c.real, c.imag).tolist())
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b rounded as scalar complex arithmetic rounds it, which numpy's
+    vectorized product (fused multiply-adds) can miss in the last bit."""
+    out = np.empty_like(a)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
     return out
-
-
-def _quadratic_y(geo: PhaseGeometry, Q: np.ndarray,
-                 prefactor: float = 0.5) -> FourierTaylorSeries:
-    """prefactor * <Y, Q Y> as a series in the action variables."""
-    n = geo.d
-    zk = (0,) * n
-    zq = (0,) * geo.zdim
-    terms = {}
-    for a in range(n):
-        for b in range(a, n):
-            c = Q[a, b] if a == b else Q[a, b] + Q[b, a]
-            if c == 0.0:
-                continue
-            j = [0] * n
-            j[a] += 1
-            j[b] += 1
-            terms[(zk, tuple(j), zq)] = complex(prefactor * c)
-    return FourierTaylorSeries(geo, 0, 2, terms, prune=False)
 
 
 def reduce_hamiltonian(h0_taylor: TaylorData, P0: FourierTaylorSeries | None,
@@ -418,18 +417,19 @@ def reduce_hamiltonian(h0_taylor: TaylorData, P0: FourierTaylorSeries | None,
                        delta: ApproximationFunction | None = None,
                        gamma: float = 0.05,
                        degmax: int = 6,
-                       scaling_exponent: float = 0.5,
-                       critical_index: int | None = None,
-                       lie_tol: float = 1e-15) -> ReducedHamiltonian:
+                       scaling_exponent: float = 0.5) -> ReducedHamiltonian:
     """Run the full reduction; see the module docstring for the steps.
 
-    Preconditions checked here: y0 lies on the resonant surface
-    (<tau_i, grad H0(y0)> = 0 to 1e-10), the Hessian of H0 and its
-    resonant block are nondegenerate, and the selected critical point of
-    the resonant average is nondegenerate.
+    Preconditions checked here: y0 has l components and lies on the
+    resonant surface (<tau_i, grad H0(y0)> = 0 to 1e-10), the Hessian of H0
+    and its resonant block are nondegenerate, and the resonant average has
+    a nondegenerate critical point; the one of least value is used.
     """
     y0 = np.asarray(y0, dtype=float)
     l, d0, d = module.l, module.d0, module.d
+    if y0.shape != (l,):
+        raise ConfigError(f"y0 has {y0.size} components; the resonance "
+                          f"module needs l = {l}")
     omega_full = np.asarray(h0_taylor.gradient, dtype=float)
     hess = np.asarray(h0_taylor.hessian, dtype=float)
 
@@ -454,31 +454,23 @@ def reduce_hamiltonian(h0_taylor: TaylorData, P0: FourierTaylorSeries | None,
 
     omega_star = module.K_star.T.astype(float) @ omega_full
 
-    # assemble the Hamiltonian in adapted coordinates (angles theta, actions Y)
+    # H0 in adapted coordinates (angles theta, actions Y): each index tuple
+    # of its Taylor tensors, K0 applied on every index, is the monomial
+    # Y_a1 ... Y_an with weight T_n[a1..an] / n!
     geo_l = PhaseGeometry(d=l, d0=0)
-    H = FourierTaylorSeries.linear_y(geo_l, K0.T @ omega_full)
-    H = H + _quadratic_y(geo_l, Gamma, 0.5)
+    tensors = [K0.T @ omega_full, Gamma]
     if h0_taylor.cubic is not None:
         T = np.asarray(h0_taylor.cubic, dtype=float)
-        Tb = np.einsum("ijk,ia,jb,kc->abc", T, K0, K0, K0)
-        zk = (0,) * l
-        cub_terms = {}
-        for a in range(l):
-            for b in range(l):
-                for c in range(l):
-                    if Tb[a, b, c] == 0.0:
-                        continue
-                    j = [0] * l
-                    j[a] += 1
-                    j[b] += 1
-                    j[c] += 1
-                    key = (zk, tuple(j), ())
-                    cub_terms[key] = cub_terms.get(key, 0j) + Tb[a, b, c] / 6.0
-        H = H + FourierTaylorSeries(geo_l, 0, 3, cub_terms)
+        tensors.append(np.einsum("ijk,ia,jb,kc->abc", T, K0, K0, K0))
+    idx = [np.indices(t.shape).reshape(t.ndim, -1).T for t in tensors]
+    j = np.concatenate([np.eye(l, dtype=np.int64)[i].sum(axis=1) for i in idx])
+    weights = [t.ravel() / math.factorial(t.ndim) for t in tensors]
+    H = FourierTaylorSeries.from_arrays(
+        geo_l, 0, len(tensors), np.concatenate([0 * j, j], axis=1),
+        np.concatenate(weights).astype(complex), prune=True)
 
     if epsilon < 0:
         raise ConfigError("epsilon must be non-negative")
-    P0bar = None
     h0_res = FourierTaylorSeries.zero(PhaseGeometry(d=max(d0, 1), d0=0))
     if P0 is not None and not P0.is_zero() and epsilon != 0.0:
         if not P0.is_real():
@@ -487,28 +479,32 @@ def reduce_hamiltonian(h0_taylor: TaylorData, P0: FourierTaylorSeries | None,
         H = H + P0bar.scale(epsilon)
         h0_res = resonant_average(P0bar, d0)
 
-        # averaging generator for the non-resonant angle modes at Y = 0
-        gen_terms = {}
-        for (k, j, q), c in P0bar.terms():
-            if any(j) or any(q):
-                continue
-            kp = k[:d]
-            if knorm(kp) == 0:
-                continue
-            div = float(np.dot(kp, omega_star))
-            if delta is not None:
-                thr = gamma / delta(knorm(kp))
-                if abs(div) <= thr:
-                    raise DivisorError(
-                        f"averaging divisor too small at k' = {kp}: "
-                        f"|<k',omega>| = {abs(div):.3e} <= {thr:.3e}",
-                        reports=[{"k": k, "kw": div, "threshold": thr}])
-            elif abs(div) < 1e-12:
-                raise DivisorError(f"vanishing divisor at k' = {kp}")
-            gen_terms[(k, j, q)] = -epsilon * c / (1j * div)
-        if gen_terms:
-            F1 = FourierTaylorSeries(geo_l, P0bar.kmax, 0, gen_terms)
-            H, _ = lie_transform_auto(H, F1, 1.0, tol=lie_tol,
+        # averaging generator for the non-resonant angle modes at Y = 0:
+        # -eps c / (i kw) = i eps c / kw, divided component by component
+        e, c = P0bar.exps(), P0bar.coefs()
+        gen = e[:, :d].any(axis=1) & ~e[:, l:].any(axis=1)
+        if gen.any():
+            kp = e[gen, :d]
+            kw = kp @ omega_star
+            # one threshold gamma / Delta(m) per shell |k'| = m
+            kn = np.abs(kp).max(axis=1)
+            th = np.full(len(kw), 1e-12) if delta is None else gamma / np.array(
+                [delta(m) for m in range(1, kn.max() + 1)])[kn - 1]
+            low = np.abs(kw) <= th
+            if low.any():
+                k, i = np.unique(kp[low], axis=0, return_index=True)
+                kw, th, zeros = kw[low][i], th[low][i], np.zeros(len(k))
+                raise DivisorError(
+                    f"averaging divisor too small at k' = "
+                    f"{tuple(k[0].tolist())}: |<k',omega>| = {abs(kw[0]):.3e}"
+                    f" <= {th[0]:.3e}",
+                    reports=DivisorTable(k, kw, None, None, th, zeros, zeros,
+                                         zeros.astype(bool)))
+            a = epsilon * c[gen]
+            F1 = FourierTaylorSeries.from_arrays(
+                geo_l, P0bar.kmax, 0, e[gen], -a.imag / kw + 1j * (a.real / kw),
+                prune=True)
+            H, _ = lie_transform_auto(H, F1, 1.0, tol=AVERAGING_LIE_TOL,
                                       kmax=4 * max(P0bar.kmax, 1),
                                       degmax=degmax + 2)
 
@@ -523,53 +519,54 @@ def reduce_hamiltonian(h0_taylor: TaylorData, P0: FourierTaylorSeries | None,
         usable = [p for p in cps.points if p.nondegenerate]
         if not usable:
             raise ConfigError("no nondegenerate critical point found")
-        if critical_index is None:
-            choice = min(usable, key=lambda p: p.value)
-        else:
-            choice = usable[critical_index]
+        choice = min(usable, key=lambda p: p.value)
         phi0 = choice.phi
         V0 = choice.hessian
 
     # shift the resonant angles to the critical point
     if d0 and np.any(phi0 != 0.0):
-        shifted = {}
-        for (k, j, q), c in H.terms():
-            phase = np.exp(1j * float(np.dot(k[d:], phi0)))
-            shifted[(k, j, q)] = c * phase
-        H = FourierTaylorSeries(geo_l, H.kmax, H.degmax, shifted)
+        e = H.exps()
+        H = FourierTaylorSeries.from_arrays(
+            geo_l, H.kmax, H.degmax, e,
+            _product(H.coefs(), np.exp(1j * (e[:, d:l] @ phi0))),
+            prune=True)
 
-    # re-express on the reduced geometry: x = theta', y = Y', u = Y'', v = theta''
+    # re-express on the reduced geometry: x = theta', y = Y', u = Y'',
+    # v = theta''; e^{i <k'', v>} expands over the monomials v^q of degree
+    # <= degmax, weighted by prod_a (i k''_a)^q_a / q_a! while the term's
+    # degree budget lasts
     geo_red = PhaseGeometry(d=d, d0=d0)
-    out_terms = {}
-    taylor_drop = 0.0
-    for (k, j, q), c in H.terms():
-        kp, ks = k[:d], k[d:]
-        jp, js = j[:d], j[d:]
-        base_deg = sum(jp) + sum(js)
-        if base_deg > degmax:
-            taylor_drop += abs(c)
-            continue
-        budget = degmax - base_deg
-        # expand e^{i <ks, v>} to the remaining degree budget
-        expansions = [((0,) * d0, complex(1.0))]
-        if d0 and knorm(ks) > 0:
-            expansions = _expand_phase(ks, budget)
-        for qv, w in expansions:
-            q_full = tuple(js) + tuple(qv)
-            key = (tuple(kp), tuple(jp), q_full)
-            out_terms[key] = out_terms.get(key, 0j) + c * w
-    Hred = FourierTaylorSeries(geo_red, H.kmax, degmax, out_terms)
+    e, c = H.exps(), H.coefs()
+    ks = e[:, d:l]
+    budget = degmax - e[:, l:].sum(axis=1)
+    taylor_drop = float(_mass(c[budget < 0]))
+    q = np.indices((degmax + 1,) * d0).reshape(d0, -1).T
+    q = q[q.sum(axis=1) <= degmax]
+    fact = np.array([math.factorial(p) for p in range(degmax + 1)], dtype=float)
+    mag = np.ones((len(e), len(q)))
+    for a in range(d0):
+        mag = mag * (ks[:, a, None] ** q[:, a] / fact[q[:, a]])
+    use = ((q.sum(axis=1) <= budget[:, None])
+           & ((ks[:, None, :] != 0) | (q == 0)).all(axis=2))
+    t, r = np.nonzero(use)
+    weight = np.array([1, 1j, -1, -1j])[q.sum(axis=1) % 4][r] * mag[t, r]
+    Hred = FourierTaylorSeries.from_arrays(
+        geo_red, H.kmax, degmax,
+        np.concatenate([e[t, :d], e[t, l:l + d], e[t, l + d:], q[r]], axis=1),
+        c[t] * weight, prune=True)
 
     # conformal action scaling: (y, u) -> mu*(y, u), H -> H / mu
     b = scaling_exponent
     mu = epsilon ** b if epsilon > 0 else 1.0
     eps_red = epsilon ** (1.0 - b) if epsilon > 0 else 0.0
     if epsilon > 0:
-        scaled = {}
-        for (k, j, q), c in Hred.terms():
-            action_deg = sum(j) + sum(q[:d0])
-            scaled[(k, j, q)] = c * mu ** (action_deg - 1)
-        Hred = FourierTaylorSeries(geo_red, Hred.kmax, Hred.degmax, scaled)
+        e = Hred.exps()
+        action_deg = e[:, d:2 * d + d0].sum(axis=1)
+        powers = np.array([mu ** (n - 1)
+                           for n in range(int(action_deg.max(initial=0)) + 1)])
+        Hred = FourierTaylorSeries.from_arrays(
+            geo_red, Hred.kmax, Hred.degmax, e,
+            Hred.coefs() * powers[action_deg], prune=True)
 
     # normal-form split
     U0 = Gamma22
@@ -593,12 +590,12 @@ def reduce_hamiltonian(h0_taylor: TaylorData, P0: FourierTaylorSeries | None,
         if not pert.is_zero():
             raise InvariantError("perturbation present at epsilon = 0")
 
-    cross_mass = sum(abs(c) for (k, j, q), c in flat.terms()
-                     if sum(j) and sum(q))
+    fe = flat.exps()
+    cross = fe[:, d:2 * d].any(axis=1) & fe[:, 2 * d:].any(axis=1)
     diag = {
         "taylor_drop": taylor_drop,
         "rterm_mass": flat.norm_l1(),
-        "cross_quad_mass": cross_mass,
+        "cross_quad_mass": _mass(flat.coefs()[cross]),
         "h0_critical_value": float(h0_res.evaluate(phi0).real) if d0 else 0.0,
         "hessian_cond": float(np.linalg.cond(hess)),
     }
@@ -619,23 +616,3 @@ def reduce_hamiltonian(h0_taylor: TaylorData, P0: FourierTaylorSeries | None,
     if abs(np.linalg.norm(result.omega1 - module.K_star.T @ omega_full)) > 1e-12:
         raise InvariantError("frequency consistency check failed")
     return result
-
-
-def _expand_phase(ks, budget: int):
-    """Taylor expansion of exp(i <ks, v>) in the angle deviation v up to
-    total degree `budget`: the coefficient of v^q is prod_a (i ks_a)^{q_a} / q_a!.
-    Returns [(q_v, weight)]."""
-    d0 = len(ks)
-    active = [a for a in range(d0) if ks[a] != 0]
-    out = []
-    for total in range(budget + 1):
-        for combo in itertools.product(range(total + 1), repeat=len(active)):
-            if sum(combo) != total:
-                continue
-            q = [0] * d0
-            w = complex(1.0)
-            for a, p in zip(active, combo):
-                q[a] = p
-                w *= (1j * ks[a]) ** p / math.factorial(p)
-            out.append((tuple(q), w))
-    return out

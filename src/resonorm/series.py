@@ -159,12 +159,12 @@ class FourierTaylorSeries:
     __slots__ = ("geometry", "kmax", "degmax", "_exps", "_coefs")
 
     def __init__(self, geometry: PhaseGeometry, kmax: int, degmax: int,
-                 coeffs=None, *, prune: bool = True, _label: str = "init"):
+                 coeffs=None, *, prune: bool = True):
         keys = list(coeffs) if coeffs else []
         values = [coeffs[key] for key in keys]
         exps = self._check_keys(geometry, int(kmax), int(degmax), keys)
         coefs = np.array(values, dtype=complex).reshape(len(keys))
-        keep = _kept(coefs, prune, _label)
+        keep = _kept(coefs, prune, "init")
         exps, coefs = _canonical(exps[keep], coefs[keep])
         self._store(geometry, kmax, degmax, exps, coefs)
 
@@ -288,12 +288,22 @@ class FourierTaylorSeries:
 
     @classmethod
     def from_arrays(cls, geometry: PhaseGeometry, kmax: int, degmax: int,
-                    exps, coefs):
+                    exps, coefs, *, prune: bool = False):
         """Build from an exponent matrix (rows in any order) and its
-        coefficient vector; exact zeros go, the bounds are not checked."""
-        keep = coefs != 0
+        coefficient vector; the bounds are not checked.  The coefficients
+        of equal rows are added one by one in their order of appearance, as
+        a dict accumulates them.  Exact zeros go; with prune, so does
+        |c| <= PRUNE_EPS, as in the dict constructor."""
+        exps, coefs = exps[coefs != 0], coefs[coefs != 0]
+        order = np.lexsort(exps.T[::-1])
+        exps, coefs = exps[order], coefs[order]
+        first = np.ones(len(exps), dtype=bool)
+        first[1:] = np.any(exps[1:] != exps[:-1], axis=1)
+        summed = coefs[first]
+        np.add.at(summed, np.cumsum(first)[~first] - 1, coefs[~first])
+        keep = _kept(summed, prune, "from_arrays")
         s = cls.__new__(cls)
-        s._store(geometry, kmax, degmax, *_canonical(exps[keep], coefs[keep]))
+        s._store(geometry, kmax, degmax, exps[first][keep], summed[keep])
         return s
 
     # -- basic access -------------------------------------------------------

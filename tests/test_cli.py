@@ -9,11 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from resonorm.cli import main
+from resonorm.cli import RunConfig, main
+from resonorm.errors import DivisorError
 from resonorm.gevrey import power_log_delta
 from resonorm.kam import check_divisors
 from resonorm.oracle import required_Nt
 from resonorm.quantize import remainder_bound
+from resonorm.reduction import unimodular_completion
 from resonorm.series import FourierTaylorSeries, PhaseGeometry, to_text
 
 
@@ -164,6 +166,83 @@ def test_reduce_missing_p0_exits_2(tmp_path):
     assert rc == 2
 
 
+REDUCE3_CFG = """
+[h0]
+value = 0.0
+gradient = 1.0 1.618033988749895 0.0
+hessian = 1 0 0 ; 0 1 0 ; 0 0 1.7
+y0 = 0 0 0
+
+[module]
+generators = 0 0 1
+
+[p0]
+file = p0.series
+
+[gevrey]
+family = power_log
+a = 2.0
+alpha = 2.0
+
+[kam]
+epsilon = 1e-3
+gamma = 0.01
+degmax = 4
+"""
+
+
+def write_modes_series(path: Path, modes):
+    """sum of 0.5 cos(<k, x>) over the modes, on T^3."""
+    geo = PhaseGeometry(d=3, d0=0)
+    s = FourierTaylorSeries.from_terms(geo, [
+        ((tuple(s * v for v in k), (0, 0, 0), ()), 0.5)
+        for k in modes for s in (1, -1)])
+    path.write_text(to_text(s))
+
+
+def test_reduce_y0_defaults_to_zeros_of_length_l(tmp_path):
+    write_modes_series(tmp_path / "p0.series", [(0, 0, 1), (1, 0, 1)])
+    outs = []
+    for name, text in (("given", REDUCE3_CFG),
+                       ("default", REDUCE3_CFG.replace("y0 = 0 0 0\n", ""))):
+        cfg = tmp_path / f"{name}.ini"
+        cfg.write_text(text)
+        outs.append(tmp_path / name)
+        assert main(["reduce", "--config", str(cfg), "--out", str(outs[-1])]) == 0
+    for f in ("p1.series", "rterm.series", "reduced.json"):
+        assert (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes()
+
+
+def test_reduce_y0_of_wrong_length_exits_2(tmp_path, capsys):
+    write_modes_series(tmp_path / "p0.series", [(0, 0, 1)])
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(REDUCE3_CFG.replace("y0 = 0 0 0", "y0 = 0 0"))
+    assert main(["reduce", "--config", str(cfg), "--out",
+                 str(tmp_path / "out")]) == 2
+    assert "y0 has 2 components" in capsys.readouterr().err
+
+
+def test_reduce_averaging_divisor_failure_exits_3(tmp_path, capsys):
+    # <(1, -1, 0), omega> = -1e-4 is below gamma / Delta(1) = 0.0025
+    write_modes_series(tmp_path / "p0.series", [(0, 0, 1), (1, -1, 0)])
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(REDUCE3_CFG.replace("1.618033988749895", "1.0001"))
+    assert main(["reduce", "--config", str(cfg), "--out",
+                 str(tmp_path / "out")]) == 3
+    K0 = unimodular_completion([(0, 0, 1)]).K0
+    kp = np.rint(np.linalg.solve(K0, [1, -1, 0])).astype(int)[:2]
+    assert f"k' = {tuple(sorted([kp, -kp], key=tuple)[0].tolist())}" in \
+        capsys.readouterr().err
+    with pytest.raises(DivisorError) as exc:
+        RunConfig(cfg)._run_reduce()
+    table = exc.value.reports
+    assert sorted(map(tuple, table.k.tolist())) == sorted(
+        [tuple(kp.tolist()), tuple((-kp).tolist())])
+    assert np.allclose(np.abs(table.kw), 1e-4)
+    assert np.all(np.abs(table.kw) <= table.threshold_kw)
+    assert not table.passed.any()
+
+
 def test_missing_config_exits_2(tmp_path):
     rc = main(["reduce", "--config", str(tmp_path / "nope.ini"),
                "--out", str(tmp_path / "o")])
@@ -274,6 +353,22 @@ def test_scar_command(tmp_path):
     assert rep["separation"]["violations"] == 0
     assert rep["census"]["fraction"] >= rep["census"]["floor"]
     assert rep["mass"]["passing_fraction"] >= 0.8
+
+
+def test_scar_command_three_tori(tmp_path):
+    # d = 3 takes a 510-point action cloud (512 rounded down to 3 | n)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(DIRECT_CFG.replace(
+        "omega = 1.6180339887498949",
+        "omega = 1.0 1.3247179572447454 1.7548776662466927")
+        .replace("epsilon = 1e-3", "epsilon = 0.0")
+        .replace("p_file = pert.series", "")
+        .replace("h = 0.05", "h = 0.2").replace("maslov = 0", "maslov = 0 0 0"))
+    out = tmp_path / "out"
+    assert main(["scar", "--config", str(cfg), "--out", str(out)]) == 0
+    rep = json.loads((out / "scar.json").read_text())
+    assert rep["matched_pairs"] >= 1
+    assert rep["census"]["fraction"] >= rep["census"]["floor"]
 
 
 @pytest.mark.parametrize("command", ["compare", "scar"])

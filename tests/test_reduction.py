@@ -314,6 +314,12 @@ def test_reduce_rejects_off_surface():
         reduce_hamiltonian(taylor, None, mod, np.array([1.0, 0.5]), epsilon=0.01)
 
 
+def test_reduce_rejects_y0_of_wrong_length():
+    mod, taylor, _ = _two_dof_setup()
+    with pytest.raises(ConfigError, match="y0 has 3 components"):
+        reduce_hamiltonian(taylor, None, mod, np.zeros(3), epsilon=0.01)
+
+
 def test_reduce_rejects_degenerate_hessian():
     mod, _, y0 = _two_dof_setup()
     taylor = TaylorData(value=0.0, gradient=np.array([1.0, 0.0]),
