@@ -130,6 +130,17 @@ class RunConfig:
                         gamma=self.get("kam", "gamma", 0.05, float),
                         target=self.get("kam", "target", 1e-14, float))
 
+    def quantize(self, d: int) -> dict:
+        """The [quantize] keys, defaulted, as predict_spectrum's keyword
+        arguments; maslov defaults to d zeros."""
+        window = _floats(self.get("quantize", "window", "0.0 0.5"))
+        return {"h": self.get("quantize", "h", 0.05, float),
+                "window": (window[0], window[1]),
+                "maslov": _ints(self.get("quantize", "maslov",
+                                         " ".join("0" * d))),
+                "scaling": self.get("quantize", "scaling", "oscillator"),
+                "n_res_max": self.get("quantize", "n_res_max", 6, int)}
+
     def p0_series(self):
         if not self.has("p0"):
             return None
@@ -183,7 +194,7 @@ class RunConfig:
             np.array(_floats(self.get("h0", "y0", " ".join("0" * module.l)))),
             self.get("kam", "epsilon", 0.0, float),
             delta=self.delta(),
-            gamma=self.get("kam", "gamma", 0.05, float),
+            gamma=self.schedule().gamma,
             degmax=self.get("kam", "degmax", 6, int),
             scaling_exponent=self.get("kam", "action_scaling_exponent",
                                       0.5, float))
@@ -304,15 +315,8 @@ def cmd_iterate(cfg: RunConfig, outdir: Path, seed: int) -> int:
 
 
 def _predict(cfg: RunConfig, state: NormalFormState):
-    h = cfg.get("quantize", "h", 0.05, float)
-    window = _floats(cfg.get("quantize", "window", "0.0 0.5"))
-    maslov = _ints(cfg.get("quantize", "maslov",
-                           " ".join("0" * state.geometry.d)))
-    return predict_spectrum(
-        state, h=h, epsilon=None, maslov=maslov, window=(window[0], window[1]),
-        scaling=cfg.get("quantize", "scaling", "oscillator"),
-        n_res_max=cfg.get("quantize", "n_res_max", 6, int),
-        alpha=cfg.delta().alpha)
+    return predict_spectrum(state, epsilon=None, alpha=cfg.delta().alpha,
+                            **cfg.quantize(state.geometry.d))
 
 
 def cmd_spectrum(cfg: RunConfig, outdir: Path, seed: int) -> int:
@@ -352,8 +356,7 @@ def _oracle_spec(cfg: RunConfig, state: NormalFormState):
                               couplings=couplings)
 
 
-def _oracle_eigs(cfg: RunConfig, state: NormalFormState, window):
-    h = cfg.get("quantize", "h", 0.05, float)
+def _oracle_eigs(cfg: RunConfig, state: NormalFormState, h, window):
     spec = _oracle_spec(cfg, state)
     Nt = cfg.get("oracle", "Nt", 0, int)
     omega = state.omega_p()
@@ -384,8 +387,8 @@ def cmd_compare(cfg: RunConfig, outdir: Path, seed: int) -> int:
     res = _iterate(cfg)
     state = res.state
     pred = _predict(cfg, state)
-    window = _floats(cfg.get("quantize", "window", "0.0 0.5"))
-    op, sel, _, _ = _oracle_eigs(cfg, state, window)
+    q = cfg.quantize(state.geometry.d)
+    op, sel, _, _ = _oracle_eigs(cfg, state, q["h"], q["window"])
     rep = match_spectrum(sel, pred,
                          gap_factor=cfg.get("oracle", "gap_factor", 4.0, float))
 
@@ -468,18 +471,15 @@ def _exact_zone_measure(k, beta):
 def cmd_scar(cfg: RunConfig, outdir: Path, seed: int) -> int:
     res = _iterate(cfg)
     state = res.state
-    h = cfg.get("quantize", "h", 0.05, float)
-    window = _floats(cfg.get("quantize", "window", "0.0 0.5"))
-    maslov = _ints(cfg.get("quantize", "maslov",
-                           " ".join("0" * state.geometry.d)))
+    q = cfg.quantize(state.geometry.d)
+    h, window, maslov = q["h"], q["window"], q["maslov"]
     delta = cfg.delta()
     lam = cfg.get("scarring", "lam", 4.0, float)
     delta_exp = cfg.get("scarring", "delta_exp", 1.85, float)
     meas_ratio = cfg.get("scarring", "meas_ratio", 0.5, float)
     mass_window = cfg.get("scarring", "mass_window", 2.5 * h, float)
-    scaling = cfg.get("quantize", "scaling", "oscillator")
 
-    op, sel, vsel, labels = _oracle_eigs(cfg, state, window)
+    op, sel, vsel, labels = _oracle_eigs(cfg, state, h, window)
 
     # lattice actions reaching the window
     L = cfg.get("scarring", "L", 0.5, float)
@@ -492,7 +492,7 @@ def cmd_scar(cfg: RunConfig, outdir: Path, seed: int) -> int:
         write_json(outdir / "scar.json", {"empty": True})
         return 0
 
-    offset = resonant_ground_energy(state, h, scaling)
+    offset = resonant_ground_energy(state, h, q["scaling"])
     table = build_quasi_table(state, h, maslov, modes, offset=offset)
     table.entries = [e for e in table.entries
                      if window[0] <= e[2] <= window[1]]

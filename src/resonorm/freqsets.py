@@ -104,8 +104,7 @@ def union_majorant(gamma1: float, delta: ApproximationFunction, Kmax: int,
 
 
 def excluded_set_measure(gamma1: float, delta: ApproximationFunction,
-                         Kmax: int, l: int, d: int, samples: int, seed: int,
-                         M: np.ndarray | None = None, gamma: float = 0.05):
+                         Kmax: int, l: int, d: int, samples: int, seed: int):
     """MC measure of the union of zones T_k(gamma1/Delta(|k|)) over
     0 < |k| <= Kmax, plus the analytic majorant for comparison.
 
@@ -128,8 +127,7 @@ def excluded_set_measure(gamma1: float, delta: ApproximationFunction,
         for k, beta in zip(modes, betas):
             if beta == 0.0:
                 continue
-            spec = ZoneSpec(k=k, beta=beta, M=M, gamma=gamma, delta=delta)
-            inside |= _zone_indicator(spec, W)
+            inside |= _zone_indicator(ZoneSpec(k=k, beta=beta), W)
         hits += int(inside.sum())
         left -= n
     p = hits / samples
@@ -147,8 +145,8 @@ class SummabilityResult:
 
 
 def summability_check(delta: ApproximationFunction, d: int,
-                      tol: float = 1e-9, m_cap: int = 2_000_000,
-                      chunk: int = 50_000) -> SummabilityResult:
+                      tol: float = 1e-9,
+                      m_cap: int = 2_000_000) -> SummabilityResult:
     """Convergence test and value estimate for sum_m m^(d-1)/Delta(m).
 
     Terms are accumulated until the current term falls below tol times the
@@ -163,7 +161,7 @@ def summability_check(delta: ApproximationFunction, d: int,
     m = 1
     prev = math.inf
     while m <= m_cap:
-        hi = min(m + chunk - 1, m_cap)
+        hi = min(m + 49_999, m_cap)
         ms = np.arange(m, hi + 1, dtype=float)
         vals = ms ** (d - 1) / np.array([delta(v) for v in ms])
         partial += float(vals.sum())

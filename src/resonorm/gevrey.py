@@ -68,14 +68,14 @@ class ApproximationFunction:
     def __call__(self, t: float) -> float:
         return float(self.fn(float(t)))
 
-    def inverse(self, s: float, t_hi: float = 1e12) -> float:
+    def inverse(self, s: float) -> float:
         """Monotone inverse by bisection: smallest t with Delta(t) >= s."""
         if self(0.0) >= s:
             return 0.0
         lo, hi = 0.0, 1.0
         while self(hi) < s:
             lo, hi = hi, hi * 2.0
-            if hi > t_hi:
+            if hi > 1e12:
                 raise DivergenceError(f"Delta never reaches {s}")
         for _ in range(200):
             mid = 0.5 * (lo + hi)
@@ -84,10 +84,6 @@ class ApproximationFunction:
             else:
                 hi = mid
         return 0.5 * (lo + hi)
-
-    def validate(self, grid_hi: float = 1e6, nodes_per_decade: int = 64,
-                 quad_rtol: float = 1e-9) -> "AdmissibilityReport":
-        return check_admissible(self, grid_hi, nodes_per_decade, quad_rtol)
 
 
 @dataclass
@@ -121,8 +117,7 @@ def subgevrey_exp_delta(beta: float, alpha: float = 2.0,
                                  log_fn=lambda t: t ** beta)
 
 
-def tabulated_delta(ts, vals, alpha: float = 2.0,
-                    varsigma: float = 0.01) -> ApproximationFunction:
+def tabulated_delta(ts, vals, alpha: float = 2.0) -> ApproximationFunction:
     """Monotone interpolation of tabulated samples (log-linear in between),
     extended by the last log-slope beyond the table."""
     ts = np.asarray(ts, dtype=float)
@@ -139,7 +134,7 @@ def tabulated_delta(ts, vals, alpha: float = 2.0,
             return float(math.exp(logv[-1] + slope * (t - ts[-1])))
         return float(math.exp(np.interp(t, ts, logv)))
 
-    return ApproximationFunction(alpha, fn, varsigma, name="tabulated")
+    return ApproximationFunction(alpha, fn, name="tabulated")
 
 
 def _geometric_grid(lo: float, hi: float, nodes_per_decade: int) -> np.ndarray:
@@ -248,13 +243,13 @@ def _log_objective(delta: ApproximationFunction, r: int, n: int, eta: float):
     return f
 
 
-def gamma_extremal(r: int, n: int, eta: float, delta: ApproximationFunction,
-                   *, rel_tol: float = 1e-8, t_div: float = 1e14) -> float:
+def gamma_extremal(r: int, n: int, eta: float,
+                   delta: ApproximationFunction) -> float:
     """sup over t >= 0 of (1+t)^r Delta(t)^n exp(-eta t^(1/alpha)).
 
     Bracketed 1-D maximization: multi-start geometric coarse grid, then
     golden-section refinement of the log objective to relative accuracy
-    rel_tol.  A supremum that is still climbing at t ~ 1e14 is reported as
+    1e-8.  A supremum that is still climbing at t ~ 1e14 is reported as
     divergence rather than returned as a number.
     """
     if eta <= 0:
@@ -263,7 +258,7 @@ def gamma_extremal(r: int, n: int, eta: float, delta: ApproximationFunction,
         raise ValueError("r, n must be non-negative")
     f = _log_objective(delta, r, n, eta)
 
-    grid = np.concatenate(([0.0], np.geomspace(1e-8, t_div, 1200)))
+    grid = np.concatenate(([0.0], np.geomspace(1e-8, 1e14, 1200)))
     vals = np.array([f(t) for t in grid])
     imax = int(np.argmax(vals))
     if imax >= len(grid) - 2 or math.isinf(vals[imax]):
@@ -278,11 +273,11 @@ def gamma_extremal(r: int, n: int, eta: float, delta: ApproximationFunction,
     for i in order:
         lo = grid[max(0, i - 1)]
         hi = grid[min(len(grid) - 1, i + 1)]
-        best = max(best, _golden_max(f, lo, hi, rel_tol))
+        best = max(best, _golden_max(f, lo, hi))
     return math.exp(best)
 
 
-def _golden_max(f, lo, hi, rel_tol):
+def _golden_max(f, lo, hi):
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
@@ -296,13 +291,13 @@ def _golden_max(f, lo, hi, rel_tol):
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
             fd = f(d)
-        if (b - a) <= rel_tol * (1.0 + abs(a) + abs(b)):
+        if (b - a) <= 1e-8 * (1.0 + abs(a) + abs(b)):
             break
     return max(fc, fd)
 
 
 def lemma_ba_bound(delta: ApproximationFunction, kappa: float, T: float,
-                   n: int, r: int, *, quad_rtol: float = 1e-10):
+                   n: int, r: int):
     """Integral bound on the extremal function.
 
     Computes a = (1/log kappa) * int_T^inf log Delta(t) / t^(1+1/alpha) dt
@@ -324,8 +319,8 @@ def lemma_ba_bound(delta: ApproximationFunction, kappa: float, T: float,
     def ig_c(t):
         return math.log1p(t) / t ** expo
 
-    a_val, a_err = quad(ig_a, T, np.inf, epsrel=quad_rtol, limit=400)
-    c_val, c_err = quad(ig_c, T, np.inf, epsrel=quad_rtol, limit=400)
+    a_val, a_err = quad(ig_a, T, np.inf, epsrel=1e-10, limit=400)
+    c_val, c_err = quad(ig_c, T, np.inf, epsrel=1e-10, limit=400)
     if not (math.isfinite(a_val) and math.isfinite(c_val)):
         raise DivergenceError("quadrature for the integral bound did not converge")
     if a_err > 1e-6 * max(1.0, a_val) or c_err > 1e-6 * max(1.0, c_val):

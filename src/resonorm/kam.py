@@ -33,11 +33,12 @@ from .series import (
     FourierTaylorSeries,
     GeneratingSeries,
     PhaseGeometry,
-    ansatz_index,
-    ansatz_monomials,
+    ansatz_arrays,
+    ansatz_blocks,
     average_over_angles,
     cutoff,
     flat_remainder_part,
+    integrable_part,
     lie_transform_auto,
     poisson_bracket,
 )
@@ -131,52 +132,9 @@ def check_divisors(omega, M, Kplus: int, gamma: float,
                                             th_A2, passed)
 
 
-# ---------------------------------------------------------------------------
-# the ansatz codec: a series of ansatz shape <-> per-mode blocks
-# ---------------------------------------------------------------------------
-
-def _ansatz_blocks(R: FourierTaylorSeries):
-    """The distinct modes ks of an ansatz-shaped series, in sorted order,
-    with their blocks: constant (m,), linear-y (m, d), linear-z (m, 2 d0)
-    and the symmetric C (m, 2 d0, 2 d0) whose <z, C z> is the
-    quadratic-z part."""
-    geo = R.geometry
-    d, n = geo.d, geo.zdim
-    shape = ansatz_index(R)
-    if (shape < 0).any():
-        raise ConfigError("R is not ansatz shaped at "
-                          f"{R.terms()[int(np.argmin(shape))][0]}")
-    # rows are sorted by k first: a mode starts wherever k changes
-    exps = R.exps()
-    new = np.ones(len(exps), dtype=bool)
-    new[1:] = (exps[1:, :d] != exps[:-1, :d]).any(axis=1)
-    ks = exps[new, :d]
-    V = np.zeros((len(ks), len(ansatz_monomials(geo))), dtype=complex)
-    V[np.cumsum(new) - 1, shape] = R.coefs()
-    a, b = np.triu_indices(n)
-    C = np.zeros((len(ks), n, n), dtype=complex)
-    C[:, a, b] = C[:, b, a] = V[:, 1 + d + n:] * np.where(a == b, 1.0, 0.5)
-    return ks, V[:, 0], V[:, 1:1 + d], V[:, 1 + d:1 + d + n], C
-
-
-def _ansatz_series(geo: PhaseGeometry, ks, c000, c010, b001,
-                   C002) -> GeneratingSeries:
-    """Inverse of _ansatz_blocks: the generator with these blocks on the
-    modes ks, its quadratic-z part <z, C002 z> (zero coefficients
-    dropped)."""
-    a, b = np.triu_indices(geo.zdim)
-    quad = np.where(a == b, C002[:, a, b], C002[:, a, b] + C002[:, b, a])
-    V = np.concatenate([c000[:, None], c010, b001, quad], axis=1)
-    table = ansatz_monomials(geo)
-    exps = np.concatenate([np.repeat(ks, len(table), axis=0),
-                           np.tile(table, (len(ks), 1))], axis=1)
-    return GeneratingSeries.from_arrays(geo, int(np.abs(ks).max(initial=0)),
-                                        2, exps, V.ravel())
-
-
-def _real_vector(v, what: str, tol=1e-9):
+def _real_vector(v, what: str):
     v = np.asarray(v)
-    if v.size and np.abs(v.imag).max() > tol * (1.0 + np.abs(v).max()):
+    if v.size and np.abs(v.imag).max() > 1e-9 * (1.0 + np.abs(v).max()):
         raise InvariantError(f"{what} has non-real content: {v}")
     return v.real.astype(float)
 
@@ -195,7 +153,7 @@ def _solve_modes(omega, M, eps_quad: float, R: FourierTaylorSeries,
     linear-z block is solved."""
     geo = R.geometry
     d0, n = geo.d0, geo.zdim
-    ks, c000, c010, b001, C002 = _ansatz_blocks(R)
+    ks, c000, c010, b001, C002 = ansatz_blocks(R)
     kn = np.abs(ks).max(axis=1, initial=0)
     kw = ks @ np.asarray(omega, dtype=float)
     # shell 0 (k = 0) has no divisor
@@ -235,7 +193,9 @@ def _solve_modes(omega, M, eps_quad: float, R: FourierTaylorSeries,
         # the solution's transpose has the same quadratic form
         sol = np.linalg.solve(A, -rhs_scale * C002[quad].reshape(-1, n * n, 1))
         F002[quad] = sol.reshape(-1, n, n)
-    return _ansatz_series(geo, ks, F000, F010, F001, F002)
+    return GeneratingSeries.from_arrays(
+        geo, int(np.abs(ks).max(initial=0)), 2,
+        *ansatz_arrays(geo, ks, F000, F010, F001, F002))
 
 
 def solve_homological(omega, M, R: FourierTaylorSeries, epsilon: float,
@@ -268,12 +228,9 @@ def homological_residual(omega, M, R, epsilon, F, *,
     geo = R.geometry
     if eps_quad is None:
         eps_quad = epsilon
-    N = FourierTaylorSeries.linear_y(geo, omega)
-    if geo.d0:
-        N = N + FourierTaylorSeries.quadratic_z(geo, np.asarray(M, dtype=float),
-                                                prefactor=eps_quad / 2.0)
+    N = integrable_part(geo, 0.0, omega, M, eps_quad)
     avg = average_over_angles(R)
-    b001 = _ansatz_blocks(avg)[3].sum(axis=0)     # avg has k = 0 at most
+    b001 = ansatz_blocks(avg)[3].sum(axis=0)      # avg has k = 0 at most
     rhs = (R - avg) + FourierTaylorSeries.linear_z(geo, _real_vector(b001, "P001"))
     res = poisson_bracket(N, F) + rhs.scale(epsilon)
     return res.norm_l1()
@@ -342,11 +299,8 @@ class NormalFormState:
 
     def integrable_series(self) -> FourierTaylorSeries:
         """<omega_p, y> + (eps/2) <z, M_p z>, the bracket-active part of N."""
-        N = FourierTaylorSeries.linear_y(self.geometry, self.omega_p())
-        if self.geometry.d0:
-            N = N + FourierTaylorSeries.quadratic_z(
-                self.geometry, self.M_p(), prefactor=self.epsilon / 2.0)
-        return N
+        return integrable_part(self.geometry, 0.0, self.omega_p(), self.M_p(),
+                               self.epsilon)
 
     def rterm_total(self) -> FourierTaylorSeries:
         """Transported flat remainder in absolute units."""
@@ -415,7 +369,7 @@ def kam_step(state: NormalFormState, Kplus: int, gamma: float,
         raise ConfigError("a non-trivial step needs epsilon > 0")
 
     R, _tail = cutoff(state.P, Kplus)
-    _, *k0 = _ansatz_blocks(average_over_angles(R))
+    _, *k0 = ansatz_blocks(average_over_angles(R))
     c000, c010, _, C002 = (blk.sum(axis=0) for blk in k0)   # k = 0 at most
     F = solve_homological(omega_now, M_now, R, 1.0, gamma, delta, eps_quad=eps)
 
@@ -428,14 +382,10 @@ def kam_step(state: NormalFormState, Kplus: int, gamma: float,
         M_next_abs = M_now
     const_abs = float(c000.real)
 
-    N_old = state.integrable_series()
-    N_new = FourierTaylorSeries.linear_y(geo, omega_next_abs)
-    if geo.d0:
-        N_new = N_new + FourierTaylorSeries.quadratic_z(geo, M_next_abs,
-                                                        prefactor=eps / 2.0)
-
-    moved, order_used = lie_transform_auto(N_old + state.P, F, 1.0)
-    P_raw = moved - N_new - FourierTaylorSeries.constant(geo, const_abs)
+    moved, order_used = lie_transform_auto(state.integrable_series() + state.P,
+                                           F, 1.0)
+    P_raw = moved - integrable_part(geo, const_abs, omega_next_abs,
+                                    M_next_abs, eps)
 
     # transport the remainder ledger whole: each entry rides along the flow
     # and never re-enters the perturbation channel

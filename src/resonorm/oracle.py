@@ -326,11 +326,11 @@ def split_clusters(values: np.ndarray, gap: float) -> list:
                     count=int(v.size), members=v) for v in out]
 
 
-def match_spectrum(eigs, prediction, *, gap_factor: float = 4.0,
-                   gap: float | None = None) -> ClusterReport:
+def match_spectrum(eigs, prediction, *,
+                   gap_factor: float = 4.0) -> ClusterReport:
     """Cluster the oracle eigenvalues and pair them with the prediction.
 
-    The split threshold defaults to gap_factor times the predicted
+    The split threshold is gap_factor times the predicted
     intra-cluster spacing (falling back to half the coarse torus spacing
     when the resonant part is absent); clusters are then greedily matched
     to predicted clusters by nearest center.  Count mismatches are
@@ -342,17 +342,16 @@ def match_spectrum(eigs, prediction, *, gap_factor: float = 4.0,
 
     lam_u, lam_v = prediction.lambdas_u, prediction.lambdas_v
     eps, h = prediction.epsilon, prediction.h
-    if gap is None:
-        if lam_u.size and eps != 0.0:
-            if prediction.scaling == "component":
-                intra = 0.5 * abs(eps) * float(
-                    min(lam_u.min(), lam_v.min()) if lam_v.size else lam_u.min())
-            else:
-                intra = abs(eps) * h * float(
-                    np.sqrt(np.maximum(lam_u * lam_v, 0.0)).min())
-            gap = gap_factor * intra
+    if lam_u.size and eps != 0.0:
+        if prediction.scaling == "component":
+            intra = 0.5 * abs(eps) * float(
+                min(lam_u.min(), lam_v.min()) if lam_v.size else lam_u.min())
         else:
-            gap = 0.5 * h
+            intra = abs(eps) * h * float(
+                np.sqrt(np.maximum(lam_u * lam_v, 0.0)).min())
+        gap = gap_factor * intra
+    else:
+        gap = 0.5 * h
     clusters = split_clusters(eigs, gap)
 
     pred_clusters = []

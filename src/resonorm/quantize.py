@@ -203,12 +203,11 @@ def predict_spectrum(state: NormalFormState, h: float, epsilon: float | None,
 # optimal truncation order
 # ---------------------------------------------------------------------------
 
-def optimal_n_brute(C: float, delta: float, alpha: float,
-                    n_max: int = 200) -> int:
-    """argmin over 1 <= n <= n_max of C^(n+1) n!^(alpha-1) delta^n,
+def optimal_n_brute(C: float, delta: float, alpha: float) -> int:
+    """argmin over 1 <= n <= 200 of C^(n+1) n!^(alpha-1) delta^n,
     evaluated in logs."""
     best_n, best_v = 1, math.inf
-    for n in range(1, n_max + 1):
+    for n in range(1, 201):
         v = (n + 1) * math.log(C) + (alpha - 1.0) * math.lgamma(n + 1) \
             + n * math.log(delta)
         if v < best_v:

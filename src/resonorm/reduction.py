@@ -28,6 +28,7 @@ from .series import (
     FourierTaylorSeries,
     PhaseGeometry,
     flat_remainder_part,
+    integrable_part,
     lie_transform_auto,
 )
 
@@ -400,7 +401,7 @@ def apply_unimodular_change(P0: FourierTaylorSeries, K0: np.ndarray,
 def _mass(c: np.ndarray):
     """sum |c| in storage order, each |c| by libm's hypot, which numpy's
     vectorized complex abs can miss in the last bit."""
-    return sum(np.hypot(c.real, c.imag).tolist())
+    return sum(np.hypot(c.real, c.imag).tolist(), 0.0)
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -573,11 +574,8 @@ def reduce_hamiltonian(h0_taylor: TaylorData, P0: FourierTaylorSeries | None,
     M1 = np.zeros((2 * d0, 2 * d0))
     M1[:d0, :d0] = U0
     M1[d0:, d0:] = V0
-    N_quad = FourierTaylorSeries.quadratic_z(geo_red, M1, prefactor=eps_red / 2.0) \
-        if d0 else FourierTaylorSeries.zero(geo_red)
-    N_lin = FourierTaylorSeries.linear_y(geo_red, omega_star)
     const = Hred.coeff((0,) * d)
-    rem = Hred - N_lin - N_quad - FourierTaylorSeries.constant(geo_red, const)
+    rem = Hred - integrable_part(geo_red, const, omega_star, M1, eps_red)
 
     if eps_red > 0:
         flat, pert = rem.partition(flat_remainder_part(rem))

@@ -134,8 +134,7 @@ class SeparationReport:
 
 
 def separation_check(table: QuasiEigenvalueTable, C1: float,
-                     delta_fn: ApproximationFunction, *,
-                     zero_tol: float = 1e-13) -> SeparationReport:
+                     delta_fn: ApproximationFunction) -> SeparationReport:
     """For every pair with |I_m - I_m'| within the slow-divisor action gap,
     measure |mu_m - mu_m'| / h^(3/2); the smallest ratio is the measured
     separation constant, and (near-)coincident quasi-eigenvalues are listed
@@ -153,7 +152,7 @@ def separation_check(table: QuasiEigenvalueTable, C1: float,
         pairs += 1
         dmu = abs(mu1 - mu2)
         measured = min(measured, dmu / ref)
-        if dmu <= zero_tol * max(1.0, scale):
+        if dmu <= 1e-13 * max(1.0, scale):
             violations.append((m1, m2, dmu))
     return SeparationReport(violations=violations,
                             measured_C2=measured if pairs else math.nan,
@@ -219,7 +218,7 @@ class DiffeoReport:
 
 def local_diffeo_check(state: NormalFormState, Dbox, eps_grid, *,
                        grid_nodes: int = 24, pair_samples: int = 10_000,
-                       fd_step: float = 1e-6, seed: int = 0) -> DiffeoReport:
+                       seed: int = 0) -> DiffeoReport:
     """Regularity of the map I -> (K0, d_eps K0, ..., d_eps^(d-1) K0).
 
     Returns the minimum Jacobian singular value over a grid in the action
@@ -240,7 +239,7 @@ def local_diffeo_check(state: NormalFormState, Dbox, eps_grid, *,
     def jac(I, eps):
         J = np.zeros((d, d))
         for a in range(d):
-            step = fd_step * max(1.0, abs(I[a]))
+            step = 1e-6 * max(1.0, abs(I[a]))
             Ip = I.copy(); Ip[a] += step
             Im = I.copy(); Im[a] -= step
             J[:, a] = (eta(Ip, eps) - eta(Im, eps)) / (2.0 * step)
@@ -304,14 +303,12 @@ def mass_on_torus(eigvec, basis_labels, window_modes) -> float:
     return total
 
 
-def match_quasimodes(table: QuasiEigenvalueTable, oracle_eigs,
-                     tol: float | None = None):
+def match_quasimodes(table: QuasiEigenvalueTable, oracle_eigs):
     """Nearest-eigenvalue matching: for each table entry, the index of the
-    closest oracle eigenvalue within tol (default: half the median gap)."""
+    closest oracle eigenvalue within half the median gap."""
     eigs = np.sort(np.asarray(oracle_eigs, dtype=float))
-    if tol is None:
-        gaps = np.diff(eigs)
-        tol = 0.5 * float(np.median(gaps)) if gaps.size else math.inf
+    gaps = np.diff(eigs)
+    tol = 0.5 * float(np.median(gaps)) if gaps.size else math.inf
     out = []
     for m, I_m, mu in table.entries:
         i = int(np.searchsorted(eigs, mu))
@@ -340,16 +337,14 @@ def weyl_count_check(eigs, band, h: float, d: int, phase_volume: float):
 
 
 def epsilon_collision_sweep(state_builder, eps_values, h: float, maslov,
-                            modes, delta_exp: float, *, offset_fn=None):
+                            modes, delta_exp: float):
     """Fraction of epsilon grid points at which some window pair collides
     (|mu_m - mu_m'| < h^delta); exercises the small-collision-measure
     claim on a grid."""
     hd = h ** delta_exp
     hits = 0
     for eps in eps_values:
-        state = state_builder(eps)
-        offset = offset_fn(state) if offset_fn else 0.0
-        table = build_quasi_table(state, h, maslov, modes, offset=offset)
+        table = build_quasi_table(state_builder(eps), h, maslov, modes)
         mus = table.mus()
         collide = np.any(np.abs(np.subtract.outer(mus, mus))
                          [~np.eye(len(mus), dtype=bool)] < hd) if len(mus) > 1 \

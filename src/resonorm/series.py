@@ -11,8 +11,17 @@ matrix, one row per term and 2d + 2d0 columns (the k, j and q digits side
 by side), and its coefficients as one complex128 vector.  Rows are
 distinct, carry nonzero coefficients and are kept in lexicographic
 (k, j, q) order, so equal series have equal arrays and the text form
-needs no sort.  `terms()` decodes the rows into ((k, j, q), c) tuples for
-callers that walk a series term by term.
+needs no sort.  One routine, `_canonical`, brings rows into that form for
+every constructor and operation that can yield them unsorted or repeated
+(the dict and array constructors, +, * and conjugate); the bracket merges
+its int64 codes itself.  `terms()` decodes the rows into ((k, j, q), c)
+tuples for callers that walk a series term by term.
+
+The generator ansatz (modes carrying 1, y_i, z_a and z_a z_b) has one
+codec, `ansatz_blocks` and its inverse `ansatz_arrays`.  The k = 0
+factories (`constant`, `linear_y`, `linear_z`, `quadratic_z`) and the
+integrable part N of a normal form (`integrable_part`) are built through
+it.
 
 The canonical bracket convention used throughout is
 
@@ -39,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryMismatchError, InvariantError
+from .errors import ConfigError, GeometryMismatchError, InvariantError
 
 PRUNE_EPS = 1e-15
 LIE_ORDER_CAP = 32
@@ -102,24 +111,29 @@ TRUNCATION_LOG = TruncationLog()
 
 # -- array helpers -----------------------------------------------------------
 
-def _canonical(exps, coefs):
-    """Rows sorted lexicographically, coefficients of equal rows summed in
-    their order of appearance (the sort is stable)."""
+def _canonical(exps, coefs, label):
+    """Canonical form of rows in any order: sorted lexicographically, the
+    coefficients of equal rows added one by one in their order of
+    appearance (the sort is stable), as a dict accumulates them, and zeros
+    dropped, exact zeros before the sum too.  With a label, |c| <=
+    PRUNE_EPS goes as well (see _kept)."""
+    nonzero = coefs != 0
+    exps, coefs = exps[nonzero], coefs[nonzero]
     order = np.lexsort(exps.T[::-1])
     exps, coefs = exps[order], coefs[order]
-    if len(exps) < 2:
-        return exps, coefs
-    starts = np.flatnonzero(np.concatenate(
-        ([True], np.any(exps[1:] != exps[:-1], axis=1))))
-    if len(starts) == len(exps):
-        return exps, coefs
-    return exps[starts], np.add.reduceat(coefs, starts)
+    first = np.ones(len(exps), dtype=bool)
+    first[1:] = np.any(exps[1:] != exps[:-1], axis=1)
+    summed = coefs[first]
+    np.add.at(summed, np.cumsum(first)[~first] - 1, coefs[~first])
+    keep = _kept(summed, label)
+    return exps[first][keep], summed[keep]
 
 
-def _kept(coefs, prune: bool, label: str):
-    """Mask of the coefficients a series stores.  Exact zeros always go;
-    with prune, so does |c| <= PRUNE_EPS, its mass logged under label."""
-    if not prune:
+def _kept(coefs, label):
+    """Mask of the coefficients a series stores: the nonzero ones, and with
+    a label only those above PRUNE_EPS, the mass of the rest logged under
+    label."""
+    if label is None:
         return coefs != 0
     mag = np.abs(coefs)
     small = mag <= PRUNE_EPS
@@ -134,7 +148,7 @@ def _make(geometry, kmax, degmax, exps, coefs, *, label=None):
     With a label, small coefficients are pruned and logged under it;
     without, the coefficients are taken to be nonzero already."""
     if label is not None:
-        keep = _kept(coefs, True, label)
+        keep = _kept(coefs, label)
         if not keep.all():
             exps, coefs = exps[keep], coefs[keep]
     s = FourierTaylorSeries.__new__(FourierTaylorSeries)
@@ -164,9 +178,8 @@ class FourierTaylorSeries:
         values = [coeffs[key] for key in keys]
         exps = self._check_keys(geometry, int(kmax), int(degmax), keys)
         coefs = np.array(values, dtype=complex).reshape(len(keys))
-        keep = _kept(coefs, prune, "init")
-        exps, coefs = _canonical(exps[keep], coefs[keep])
-        self._store(geometry, kmax, degmax, exps, coefs)
+        self._store(geometry, kmax, degmax,
+                    *_canonical(exps, coefs, "init" if prune else None))
 
     def _store(self, geometry, kmax, degmax, exps, coefs):
         exps.flags.writeable = False
@@ -214,8 +227,8 @@ class FourierTaylorSeries:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, geometry: PhaseGeometry, kmax: int = 0, degmax: int = 0):
-        return cls(geometry, kmax, degmax, {})
+    def zero(cls, geometry: PhaseGeometry):
+        return cls(geometry, 0, 0, {})
 
     @classmethod
     def from_terms(cls, geometry: PhaseGeometry, terms, kmax=None, degmax=None):
@@ -232,53 +245,36 @@ class FourierTaylorSeries:
         return cls(geometry, kmax, degmax, agg)
 
     @classmethod
+    def _k0(cls, geo: PhaseGeometry, degmax: int, c, by, bz, C):
+        """The k = 0 ansatz series c + <by, y> + <bz, z> + <z, C z> for a
+        symmetric C, each block broadcast to its shape; capacity (0, degmax)."""
+        n = geo.zdim
+        blocks = [np.broadcast_to(np.asarray(v, dtype=complex), (1, *shape))
+                  for v, shape in zip((c, by, bz, C),
+                                      ((), (geo.d,), (n,), (n, n)))]
+        exps, coefs = ansatz_arrays(geo, np.zeros((1, geo.d), np.int64),
+                                    *blocks)
+        return cls.from_arrays(geo, 0, degmax, exps, coefs, prune=True)
+
+    @classmethod
     def constant(cls, geometry: PhaseGeometry, value):
-        zk = (0,) * geometry.d
-        zq = (0,) * geometry.zdim
-        return cls(geometry, 0, 0, {(zk, zk, zq): complex(value)})
+        return cls._k0(geometry, 0, value, 0, 0, 0)
 
     @classmethod
     def linear_y(cls, geometry: PhaseGeometry, omega):
         """<omega, y> as a series."""
-        omega = np.asarray(omega, dtype=float)
-        zk = (0,) * geometry.d
-        zq = (0,) * geometry.zdim
-        terms = {}
-        for i, w in enumerate(omega):
-            j = tuple(1 if a == i else 0 for a in range(geometry.d))
-            terms[(zk, j, zq)] = complex(w)
-        return cls(geometry, 0, 1, terms)
+        return cls._k0(geometry, 1, 0, omega, 0, 0)
 
     @classmethod
     def linear_z(cls, geometry: PhaseGeometry, b):
         """<b, z> as a series."""
-        b = np.asarray(b, dtype=float)
-        zk = (0,) * geometry.d
-        zj = (0,) * geometry.d
-        terms = {}
-        for a, v in enumerate(b):
-            q = tuple(1 if c == a else 0 for c in range(geometry.zdim))
-            terms[(zk, zj, q)] = complex(v)
-        return cls(geometry, 0, 1, terms)
+        return cls._k0(geometry, 1, 0, 0, b, 0)
 
     @classmethod
     def quadratic_z(cls, geometry: PhaseGeometry, Q, prefactor=1.0):
         """prefactor * <z, Q z> for a symmetric matrix Q."""
-        Q = np.asarray(Q, dtype=float)
-        n = geometry.zdim
-        zk = (0,) * geometry.d
-        zj = (0,) * geometry.d
-        terms = {}
-        for a in range(n):
-            for b in range(a, n):
-                c = Q[a, b] if a == b else Q[a, b] + Q[b, a]
-                if c == 0.0:
-                    continue
-                q = [0] * n
-                q[a] += 1
-                q[b] += 1
-                terms[(zk, zj, tuple(q))] = complex(prefactor * c)
-        return cls(geometry, 0, 2, terms)
+        return cls._k0(geometry, 2, 0, 0, 0,
+                       prefactor * np.asarray(Q, dtype=float))
 
     @classmethod
     def fourier_mode(cls, geometry: PhaseGeometry, k, coeff=1.0):
@@ -290,20 +286,12 @@ class FourierTaylorSeries:
     def from_arrays(cls, geometry: PhaseGeometry, kmax: int, degmax: int,
                     exps, coefs, *, prune: bool = False):
         """Build from an exponent matrix (rows in any order) and its
-        coefficient vector; the bounds are not checked.  The coefficients
-        of equal rows are added one by one in their order of appearance, as
-        a dict accumulates them.  Exact zeros go; with prune, so does
-        |c| <= PRUNE_EPS, as in the dict constructor."""
-        exps, coefs = exps[coefs != 0], coefs[coefs != 0]
-        order = np.lexsort(exps.T[::-1])
-        exps, coefs = exps[order], coefs[order]
-        first = np.ones(len(exps), dtype=bool)
-        first[1:] = np.any(exps[1:] != exps[:-1], axis=1)
-        summed = coefs[first]
-        np.add.at(summed, np.cumsum(first)[~first] - 1, coefs[~first])
-        keep = _kept(summed, prune, "from_arrays")
+        coefficient vector, brought to canonical form by _canonical; the
+        bounds are not checked.  With prune, |c| <= PRUNE_EPS goes too, as
+        in the dict constructor."""
         s = cls.__new__(cls)
-        s._store(geometry, kmax, degmax, exps[first][keep], summed[keep])
+        s._store(geometry, kmax, degmax,
+                 *_canonical(exps, coefs, "from_arrays" if prune else None))
         return s
 
     # -- basic access -------------------------------------------------------
@@ -353,7 +341,8 @@ class FourierTaylorSeries:
     def is_real(self, tol: float = 1e-12) -> bool:
         """True iff c_{-k,j,q} = conj(c_{k,j,q}) for every stored index."""
         _, gap = _canonical(np.concatenate((self._exps, self._reflected())),
-                            np.concatenate((self._coefs, -self._coefs.conj())))
+                            np.concatenate((self._coefs, -self._coefs.conj())),
+                            None)
         return bool(np.all(np.abs(gap) <= tol))
 
     def _reflected(self):
@@ -388,10 +377,11 @@ class FourierTaylorSeries:
         if isinstance(other, (int, float, complex)):
             other = FourierTaylorSeries.constant(self.geometry, other)
         self._require_same_geometry(other)
-        exps, coefs = _canonical(np.concatenate((self._exps, other._exps)),
-                                 np.concatenate((self._coefs, other._coefs)))
         return _make(self.geometry, max(self.kmax, other.kmax),
-                     max(self.degmax, other.degmax), exps, coefs, label="add")
+                     max(self.degmax, other.degmax),
+                     *_canonical(np.concatenate((self._exps, other._exps)),
+                                 np.concatenate((self._coefs, other._coefs)),
+                                 "add"))
 
     __radd__ = __add__
 
@@ -415,17 +405,17 @@ class FourierTaylorSeries:
             return self.scale(other)
         self._require_same_geometry(other)
         ia, ib = np.divmod(np.arange(len(self) * len(other)), len(other))
-        exps, coefs = _canonical(self._exps[ia] + other._exps[ib],
-                                 self._coefs[ia] * other._coefs[ib])
         return _make(self.geometry, self.kmax + other.kmax,
-                     self.degmax + other.degmax, exps, coefs, label="mul")
+                     self.degmax + other.degmax,
+                     *_canonical(self._exps[ia] + other._exps[ib],
+                                 self._coefs[ia] * other._coefs[ib], "mul"))
 
     __rmul__ = __mul__
 
     def conjugate(self):
-        exps, coefs = _canonical(self._reflected(), self._coefs.conj())
-        return _make(self.geometry, self.kmax, self.degmax, exps, coefs,
-                     label="conjugate")
+        return _make(self.geometry, self.kmax, self.degmax,
+                     *_canonical(self._reflected(), self._coefs.conj(),
+                                 "conjugate"))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -489,6 +479,55 @@ def ansatz_index(s: FourierTaylorSeries) -> np.ndarray:
     g = s.geometry
     hit = (s._exps[:, None, g.d:] == ansatz_monomials(g)).all(axis=2)
     return np.where(hit.any(axis=1), hit.argmax(axis=1), -1)
+
+
+def ansatz_blocks(R: FourierTaylorSeries):
+    """The distinct modes ks of an ansatz-shaped series, in sorted order,
+    with their blocks: constant (m,), linear-y (m, d), linear-z (m, 2 d0)
+    and the symmetric C (m, 2 d0, 2 d0) whose <z, C z> is the
+    quadratic-z part."""
+    geo = R.geometry
+    d, n = geo.d, geo.zdim
+    shape = ansatz_index(R)
+    if (shape < 0).any():
+        raise ConfigError("R is not ansatz shaped at "
+                          f"{R.terms()[int(np.argmin(shape))][0]}")
+    # rows are sorted by k first: a mode starts wherever k changes
+    exps = R.exps()
+    new = np.ones(len(exps), dtype=bool)
+    new[1:] = (exps[1:, :d] != exps[:-1, :d]).any(axis=1)
+    ks = exps[new, :d]
+    V = np.zeros((len(ks), len(ansatz_monomials(geo))), dtype=complex)
+    V[np.cumsum(new) - 1, shape] = R.coefs()
+    a, b = np.triu_indices(n)
+    C = np.zeros((len(ks), n, n), dtype=complex)
+    C[:, a, b] = C[:, b, a] = V[:, 1 + d + n:] * np.where(a == b, 1.0, 0.5)
+    return ks, V[:, 0], V[:, 1:1 + d], V[:, 1 + d:1 + d + n], C
+
+
+def ansatz_arrays(geo: PhaseGeometry, ks, c, by, bz, C):
+    """Inverse of ansatz_blocks: the exponent rows and coefficients of the
+    series with these blocks on the modes ks, its quadratic-z part
+    <z, C z> for a symmetric C.  Every ansatz monomial of every mode gets
+    a row, zero or not; from_arrays drops the zeros."""
+    a, b = np.triu_indices(geo.zdim)
+    quad = np.where(a == b, C[:, a, b], C[:, a, b] + C[:, b, a])
+    V = np.concatenate([c[:, None], by, bz, quad], axis=1)
+    table = ansatz_monomials(geo)
+    exps = np.concatenate([np.repeat(ks, len(table), axis=0),
+                           np.tile(table, (len(ks), 1))], axis=1)
+    return exps, V.ravel()
+
+
+def integrable_part(geo: PhaseGeometry, const, omega, M,
+                    eps) -> FourierTaylorSeries:
+    """The integrable part N = const + <omega, y> + (eps/2) <z, M z> of a
+    normal form, for a symmetric M; without a resonant block M is not read
+    and the capacity is (0, 1) instead of (0, 2)."""
+    if not geo.d0:
+        return FourierTaylorSeries._k0(geo, 1, const, omega, 0, 0)
+    return FourierTaylorSeries._k0(geo, 2, const, omega, 0,
+                                   eps / 2.0 * np.asarray(M, dtype=float))
 
 
 def ansatz_rows(s: FourierTaylorSeries) -> np.ndarray:

@@ -213,6 +213,17 @@ def test_reduce_y0_defaults_to_zeros_of_length_l(tmp_path):
         assert (outs[0] / f).read_bytes() == (outs[1] / f).read_bytes()
 
 
+def test_reduce_writes_cross_quad_mass_as_a_float(tmp_path):
+    # this reduction leaves no y.z cross term in the flat remainder, so the
+    # mass is 0.0; it is written as a float, as a nonzero mass is
+    write_modes_series(tmp_path / "p0.series", [(0, 0, 1), (1, 0, 1)])
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(REDUCE3_CFG)
+    out = tmp_path / "out"
+    assert main(["reduce", "--config", str(cfg), "--out", str(out)]) == 0
+    assert '"cross_quad_mass": 0.0,' in (out / "reduced.json").read_text()
+
+
 def test_reduce_y0_of_wrong_length_exits_2(tmp_path, capsys):
     write_modes_series(tmp_path / "p0.series", [(0, 0, 1)])
     cfg = tmp_path / "run.ini"

@@ -24,6 +24,7 @@ from resonorm.series import (
     lie_transform_auto,
     cutoff,
     average_over_angles,
+    integrable_part,
     truncate,
     to_text,
     from_text,
@@ -478,6 +479,94 @@ def test_construction_validation_and_prune():
                                        ((-1,), (0,), ()): 0.0})
     assert s.terms() == [(((0,), (1,), ()), 2.0 + 0j)]
     assert TRUNCATION_LOG.drain() == [("prune:init", 1e-16, 1)]
+
+
+def _same_bits(a, b):
+    """Same geometry, capacity bounds, exponent rows and coefficient bits."""
+    return (a.geometry == b.geometry and (a.kmax, a.degmax) == (b.kmax, b.degmax)
+            and a.exps().tobytes() == b.exps().tobytes()
+            and a.coefs().tobytes() == b.coefs().tobytes())
+
+
+def test_factories_match_dict_built_series():
+    rng = np.random.default_rng(83)
+    for d, d0 in ((1, 0), (1, 1), (2, 1), (2, 2)):
+        geo = PhaseGeometry(d=d, d0=d0)
+        n = geo.zdim
+        zk, zq = (0,) * d, (0,) * n
+        unit = np.eye(d + n, dtype=int)
+        omega = rng.normal(size=d)
+        omega[0] = 0.0                       # a zero coefficient is dropped
+        b = rng.normal(size=n)
+        X = rng.normal(size=(n, n))
+        Q, pre = X + X.T, float(rng.normal())
+        pairs = [
+            (FourierTaylorSeries.constant(geo, -1.25),
+             FourierTaylorSeries(geo, 0, 0, {(zk, zk, zq): -1.25})),
+            (FourierTaylorSeries.linear_y(geo, omega),
+             FourierTaylorSeries(geo, 0, 1, {
+                 (zk, tuple(unit[i, :d]), zq): w
+                 for i, w in enumerate(omega)})),
+            (FourierTaylorSeries.linear_z(geo, b),
+             FourierTaylorSeries(geo, 0, 1, {
+                 (zk, zk, tuple(unit[d + a, d:])): v
+                 for a, v in enumerate(b)})),
+            (FourierTaylorSeries.quadratic_z(geo, Q, prefactor=pre),
+             FourierTaylorSeries(geo, 0, 2, {
+                 (zk, zk, tuple(unit[d + a, d:] + unit[d + c, d:])):
+                     pre * (Q[a, c] if a == c else Q[a, c] + Q[c, a])
+                 for a in range(n) for c in range(a, n)})),
+        ]
+        for got, ref in pairs:
+            assert _same_bits(got, ref), (d, d0, got, ref)
+
+
+def test_equal_rows_add_in_order_of_appearance():
+    # 1e16 absorbs each later 1.0 one at a time, but not their pairwise
+    # sum: only a left-to-right sum gives 1e16 back
+    geo = PhaseGeometry(d=1, d0=1)
+    vals = [1e16 + 2j] + [1.0 - 1e-17j] * 9 + [
+        complex(*v) for v in np.random.default_rng(89).normal(size=(6, 2))]
+    bits = lambda c: np.complex128(c).tobytes()
+    row, other = [1, 0, 1, 0], [0, 1, 0, 0]
+    s = FourierTaylorSeries.from_arrays(
+        geo, 1, 2, np.array([row] * 10 + [other] + [row] * 6),
+        np.array(vals[:10] + [3.0] + vals[10:]))
+    assert bits(s.coeff((1,), (0,), (1, 0))) == bits(sum(vals, 0j))
+
+    # the product: mode k of f meets -k of g at k = 0, in f's order; g's
+    # coefficients are 1, so each product is f's coefficient exactly
+    f = FourierTaylorSeries.from_arrays(
+        geo, 16, 0, np.array([[k, 0, 0, 0] for k in range(16)]),
+        np.array(vals))
+    g = FourierTaylorSeries.from_arrays(
+        geo, 16, 0, np.array([[-k, 0, 0, 0] for k in range(16)]),
+        np.ones(16, dtype=complex))
+    assert bits((f * g).coeff((0,))) == bits(sum(f.coefs().tolist(), 0j))
+
+    # the sum of two equal rows, signed zeros included
+    for za, zb in itertools.product((0.0, -0.0), repeat=2):
+        f, g = (FourierTaylorSeries(geo, 1, 0, {((1,), (0,), (0, 0)): c})
+                for c in (complex(za, 1.0), complex(zb, 2.0)))
+        assert bits((f + g).coefs()[0]) == bits(complex(za, 1.0)
+                                                + complex(zb, 2.0))
+
+
+def test_integrable_part_evaluates_to_N():
+    rng = np.random.default_rng(97)
+    for d, d0 in ((1, 0), (1, 1), (2, 1), (2, 2)):
+        geo = PhaseGeometry(d=d, d0=d0)
+        n = geo.zdim
+        X = rng.normal(size=(n, n))
+        M, omega = X + X.T, rng.normal(size=d)
+        const, eps = float(rng.normal()), 0.3
+        N = integrable_part(geo, const, omega, M if d0 else None, eps)
+        assert (N.kmax, N.degmax) == (0, 2 if d0 else 1)
+        assert len(N) == 1 + d + n * (n + 1) // 2
+        for _ in range(5):
+            x, y, z = rng.normal(size=d), rng.normal(size=d), rng.normal(size=n)
+            want = const + omega @ y + 0.5 * eps * z @ M @ z
+            assert abs(N.evaluate(x, y, z) - want) <= 1e-13 * (1 + abs(want))
 
 
 def test_text_round_trip_bit_exact():
