@@ -505,9 +505,7 @@ def reduce_hamiltonian(h0_taylor: TaylorData, P0: FourierTaylorSeries | None,
             F1 = FourierTaylorSeries.from_arrays(
                 geo_l, P0bar.kmax, 0, e[gen], -a.imag / kw + 1j * (a.real / kw),
                 prune=True)
-            H, _ = lie_transform_auto(H, F1, 1.0, tol=AVERAGING_LIE_TOL,
-                                      kmax=4 * max(P0bar.kmax, 1),
-                                      degmax=degmax + 2)
+            H, _ = lie_transform_auto(H, F1, 1.0, tol=AVERAGING_LIE_TOL)
 
     # critical point of the resonant average
     phi0 = np.zeros(d0)

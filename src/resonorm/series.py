@@ -14,8 +14,12 @@ distinct, carry nonzero coefficients and are kept in lexicographic
 needs no sort.  One routine, `_canonical`, brings rows into that form for
 every constructor and operation that can yield them unsorted or repeated
 (the dict and array constructors, +, * and conjugate); the bracket merges
-its int64 codes itself.  `terms()` decodes the rows into ((k, j, q), c)
-tuples for callers that walk a series term by term.
+its int64 codes itself.  Operations drop coefficients with |c| <=
+PRUNE_EPS silently: an epsilon floor, not a truncation, so nothing else
+is cut and nothing is logged.  Both constructors check their rows
+against the capacity bounds with one helper, `_check_bounds`.  `terms()`
+decodes the rows into ((k, j, q), c) tuples for callers that walk a
+series term by term.
 
 The generator ansatz (modes carrying 1, y_i, z_a and z_a z_b) has one
 codec, `ansatz_blocks` and its inverse `ansatz_arrays`.  The k = 0
@@ -90,33 +94,14 @@ def knorm(k) -> int:
     return max((abs(int(c)) for c in k), default=0)
 
 
-class TruncationLog:
-    """Running record of coefficient mass dropped by truncation/pruning."""
-
-    def __init__(self):
-        self.records = []
-
-    def add(self, op: str, dropped_mass: float, dropped_terms: int):
-        if dropped_terms:
-            self.records.append((op, dropped_mass, dropped_terms))
-
-    def drain(self):
-        out, self.records = self.records, []
-        return out
-
-
-#: Module-wide log; operations report dropped mass here, never silently.
-TRUNCATION_LOG = TruncationLog()
-
-
 # -- array helpers -----------------------------------------------------------
 
-def _canonical(exps, coefs, label):
+def _canonical(exps, coefs, *, prune):
     """Canonical form of rows in any order: sorted lexicographically, the
     coefficients of equal rows added one by one in their order of
     appearance (the sort is stable), as a dict accumulates them, and zeros
-    dropped, exact zeros before the sum too.  With a label, |c| <=
-    PRUNE_EPS goes as well (see _kept)."""
+    dropped, exact zeros before the sum too.  With prune, |c| <= PRUNE_EPS
+    goes as well."""
     nonzero = coefs != 0
     exps, coefs = exps[nonzero], coefs[nonzero]
     order = np.lexsort(exps.T[::-1])
@@ -125,35 +110,38 @@ def _canonical(exps, coefs, label):
     first[1:] = np.any(exps[1:] != exps[:-1], axis=1)
     summed = coefs[first]
     np.add.at(summed, np.cumsum(first)[~first] - 1, coefs[~first])
-    keep = _kept(summed, label)
+    keep = ~(np.abs(summed) <= (PRUNE_EPS if prune else 0.0))
     return exps[first][keep], summed[keep]
 
 
-def _kept(coefs, label):
-    """Mask of the coefficients a series stores: the nonzero ones, and with
-    a label only those above PRUNE_EPS, the mass of the rest logged under
-    label."""
-    if label is None:
-        return coefs != 0
-    mag = np.abs(coefs)
-    small = mag <= PRUNE_EPS
-    lost = mag[small & (mag != 0)]
-    if lost.size:
-        TRUNCATION_LOG.add(f"prune:{label}", float(lost.sum()), int(lost.size))
-    return ~small
-
-
-def _make(geometry, kmax, degmax, exps, coefs, *, label=None):
+def _make(geometry, kmax, degmax, exps, coefs, prune=False):
     """Series from rows already in canonical order, without validation.
-    With a label, small coefficients are pruned and logged under it;
-    without, the coefficients are taken to be nonzero already."""
-    if label is not None:
-        keep = _kept(coefs, label)
+    With prune, |c| <= PRUNE_EPS goes; without, the coefficients are taken
+    to be nonzero already."""
+    if prune:
+        keep = ~(np.abs(coefs) <= PRUNE_EPS)
         if not keep.all():
             exps, coefs = exps[keep], coefs[keep]
     s = FourierTaylorSeries.__new__(FourierTaylorSeries)
     s._store(geometry, kmax, degmax, exps, coefs)
     return s
+
+
+def _check_bounds(g: PhaseGeometry, kmax: int, degmax: int, exps):
+    """Raise ValueError on the first exponent row beyond kmax or degmax or
+    with a negative power."""
+    kn = np.abs(exps[:, :g.d]).max(axis=1, initial=0)
+    negative = (exps[:, g.d:] < 0).any(axis=1)
+    deg = exps[:, g.d:].sum(axis=1)
+    bad = (kn > kmax) | negative | (deg > degmax)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if kn[i] > kmax:
+            raise ValueError(f"mode {tuple(exps[i, :g.d].tolist())} "
+                             f"exceeds kmax={kmax}")
+        if negative[i]:
+            raise ValueError("polynomial powers must be non-negative")
+        raise ValueError(f"degree {int(deg[i])} exceeds degmax={degmax}")
 
 
 class FourierTaylorSeries:
@@ -176,10 +164,11 @@ class FourierTaylorSeries:
                  coeffs=None, *, prune: bool = True):
         keys = list(coeffs) if coeffs else []
         values = [coeffs[key] for key in keys]
-        exps = self._check_keys(geometry, int(kmax), int(degmax), keys)
+        exps = self._check_keys(geometry, keys)
+        _check_bounds(geometry, int(kmax), int(degmax), exps)
         coefs = np.array(values, dtype=complex).reshape(len(keys))
         self._store(geometry, kmax, degmax,
-                    *_canonical(exps, coefs, "init" if prune else None))
+                    *_canonical(exps, coefs, prune=prune))
 
     def _store(self, geometry, kmax, degmax, exps, coefs):
         exps.flags.writeable = False
@@ -193,10 +182,9 @@ class FourierTaylorSeries:
         raise AttributeError("FourierTaylorSeries is immutable")
 
     @staticmethod
-    def _check_keys(g: PhaseGeometry, kmax: int, degmax: int, keys):
+    def _check_keys(g: PhaseGeometry, keys):
         """Exponent matrix of (k, j, q) keys; raises ValueError on the first
-        key of the wrong shape, beyond kmax or degmax, or with a negative
-        power."""
+        key of the wrong shape."""
         n = len(keys)
         try:
             blocks = [np.array([key[p] for key in keys],
@@ -209,20 +197,7 @@ class FourierTaylorSeries:
                         f"index dims {len(k)},{len(j)},{len(q)} do not "
                         f"match geometry d={g.d}, 2*d0={g.zdim}") from None
             raise
-        exps = np.concatenate(blocks, axis=1)
-        kn = np.abs(blocks[0]).max(axis=1, initial=0)
-        negative = (exps[:, g.d:] < 0).any(axis=1)
-        deg = exps[:, g.d:].sum(axis=1)
-        bad = (kn > kmax) | negative | (deg > degmax)
-        if bad.any():
-            i = int(np.argmax(bad))
-            if kn[i] > kmax:
-                raise ValueError(f"mode {tuple(blocks[0][i].tolist())} "
-                                 f"exceeds kmax={kmax}")
-            if negative[i]:
-                raise ValueError("polynomial powers must be non-negative")
-            raise ValueError(f"degree {int(deg[i])} exceeds degmax={degmax}")
-        return exps
+        return np.concatenate(blocks, axis=1)
 
     # -- constructors -------------------------------------------------------
 
@@ -286,12 +261,13 @@ class FourierTaylorSeries:
     def from_arrays(cls, geometry: PhaseGeometry, kmax: int, degmax: int,
                     exps, coefs, *, prune: bool = False):
         """Build from an exponent matrix (rows in any order) and its
-        coefficient vector, brought to canonical form by _canonical; the
-        bounds are not checked.  With prune, |c| <= PRUNE_EPS goes too, as
-        in the dict constructor."""
+        coefficient vector, brought to canonical form by _canonical and then
+        checked against the bounds as in the dict constructor.  With prune,
+        |c| <= PRUNE_EPS goes too."""
+        exps, coefs = _canonical(exps, coefs, prune=prune)
+        _check_bounds(geometry, int(kmax), int(degmax), exps)
         s = cls.__new__(cls)
-        s._store(geometry, kmax, degmax,
-                 *_canonical(exps, coefs, "from_arrays" if prune else None))
+        s._store(geometry, kmax, degmax, exps, coefs)
         return s
 
     # -- basic access -------------------------------------------------------
@@ -342,7 +318,7 @@ class FourierTaylorSeries:
         """True iff c_{-k,j,q} = conj(c_{k,j,q}) for every stored index."""
         _, gap = _canonical(np.concatenate((self._exps, self._reflected())),
                             np.concatenate((self._coefs, -self._coefs.conj())),
-                            None)
+                            prune=False)
         return bool(np.all(np.abs(gap) <= tol))
 
     def _reflected(self):
@@ -360,11 +336,15 @@ class FourierTaylorSeries:
         if not isinstance(other, FourierTaylorSeries):
             return NotImplemented
         return (self.geometry == other.geometry
+                and (self.kmax, self.degmax) == (other.kmax, other.degmax)
                 and np.array_equal(self._exps, other._exps)
                 and np.array_equal(self._coefs, other._coefs))
 
     def __hash__(self):
-        return hash((self.geometry, tuple(self.terms())))
+        # + 0.0 turns -0.0 parts into 0.0, which array_equal treats as equal
+        return hash((self.geometry, self.kmax, self.degmax,
+                     self._exps.astype(np.int64, copy=False).tobytes(),
+                     (self._coefs + 0.0).tobytes()))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -381,7 +361,7 @@ class FourierTaylorSeries:
                      max(self.degmax, other.degmax),
                      *_canonical(np.concatenate((self._exps, other._exps)),
                                  np.concatenate((self._coefs, other._coefs)),
-                                 "add"))
+                                 prune=True))
 
     __radd__ = __add__
 
@@ -398,7 +378,7 @@ class FourierTaylorSeries:
         if c == 0:
             return FourierTaylorSeries.zero(self.geometry)
         return _make(self.geometry, self.kmax, self.degmax, self._exps,
-                     self._coefs * c, label="scale")
+                     self._coefs * c, prune=True)
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -408,14 +388,15 @@ class FourierTaylorSeries:
         return _make(self.geometry, self.kmax + other.kmax,
                      self.degmax + other.degmax,
                      *_canonical(self._exps[ia] + other._exps[ib],
-                                 self._coefs[ia] * other._coefs[ib], "mul"))
+                                 self._coefs[ia] * other._coefs[ib],
+                                 prune=True))
 
     __rmul__ = __mul__
 
     def conjugate(self):
         return _make(self.geometry, self.kmax, self.degmax,
                      *_canonical(self._reflected(), self._coefs.conj(),
-                                 "conjugate"))
+                                 prune=True))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -555,20 +536,9 @@ def cutoff(P: FourierTaylorSeries, Kplus: int):
 
 
 def average_over_angles(P: FourierTaylorSeries) -> FourierTaylorSeries:
-    """Projection onto the k = 0 Fourier modes."""
-    kept, _ = P.partition(P.knorms() == 0)
-    return kept
-
-
-def truncate(P: FourierTaylorSeries, kmax: int, degmax: int,
-             label: str = "truncate") -> FourierTaylorSeries:
-    """Drop modes beyond (kmax, degmax); dropped mass goes to TRUNCATION_LOG."""
-    keep = (P.knorms() <= kmax) & (P.degrees() <= degmax)
-    if not keep.all():
-        lost = P._coefs[~keep]
-        TRUNCATION_LOG.add(label, float(np.abs(lost).sum()), len(lost))
-    return _make(P.geometry, min(P.kmax, kmax), min(P.degmax, degmax),
-                 P._exps[keep], P._coefs[keep])
+    """Projection onto the k = 0 Fourier modes; capacity (0, degmax of P)."""
+    keep = P.knorms() == 0
+    return _make(P.geometry, 0, P.degmax, P._exps[keep], P._coefs[keep])
 
 
 # -- Poisson bracket ---------------------------------------------------------
@@ -655,13 +625,15 @@ def poisson_bracket(f: FourierTaylorSeries,
             pending_codes, pending_coefs = [], []
             npending = 0
     exps = codes[:, None] // strides % np.array(radix) + (lo1 + lo2)
-    return _make(geo, kmax, degmax, exps, coefs, label="bracket")
+    return _make(geo, kmax, degmax, exps, coefs, prune=True)
 
 
 def lie_transform_auto(H, F, epsilon=1.0, *, tol=1e-16,
-                       order_cap=LIE_ORDER_CAP, kmax=None, degmax=None):
+                       order_cap=LIE_ORDER_CAP):
     """Lie series iterated until the next term's l1 mass falls below
-    tol * (1 + |H|_l1); returns (series, order used)."""
+    tol * (1 + |H|_l1); returns (series, order used).  Nothing is cut: when
+    F is free of actions and resonant variables each order lowers the
+    degree of H by one, and the series ends exactly."""
     result = H
     term = H
     scale = 1.0 + H.norm_l1()
@@ -669,10 +641,6 @@ def lie_transform_auto(H, F, epsilon=1.0, *, tol=1e-16,
         return H, 0
     for m in range(1, order_cap + 1):
         term = poisson_bracket(term, F).scale(epsilon / m)
-        if kmax is not None or degmax is not None:
-            term = truncate(term, kmax if kmax is not None else term.kmax,
-                            degmax if degmax is not None else term.degmax,
-                            label="lie_transform_auto")
         result = result + term
         if term.norm_l1() <= tol * scale:
             return result, m

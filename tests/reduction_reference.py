@@ -273,9 +273,7 @@ def reduce_hamiltonian(h0_taylor: TaylorData, P0: FourierTaylorSeries | None,
             gen_terms[(k, j, q)] = -epsilon * c / (1j * div)
         if gen_terms:
             F1 = FourierTaylorSeries(geo_l, P0bar.kmax, 0, gen_terms)
-            H, _ = lie_transform_auto(H, F1, 1.0, tol=lie_tol,
-                                      kmax=4 * max(P0bar.kmax, 1),
-                                      degmax=degmax + 2)
+            H, _ = lie_transform_auto(H, F1, 1.0, tol=lie_tol)
 
     # critical point of the resonant average
     phi0 = np.zeros(d0)

@@ -16,7 +16,8 @@ from resonorm.kam import check_divisors
 from resonorm.oracle import required_Nt
 from resonorm.quantize import remainder_bound
 from resonorm.reduction import unimodular_completion
-from resonorm.series import FourierTaylorSeries, PhaseGeometry, to_text
+from resonorm.series import (FourierTaylorSeries, PhaseGeometry,
+                             lie_transform_auto, to_text)
 
 
 def write_cos_series(path: Path, l=2, k=(0, 1)):
@@ -436,7 +437,25 @@ def test_every_exported_name_resolves():
     assert not missing
 
 
-def test_tracer_targets_resolve():
+def test_no_module_state():
+    # state is passed explicitly: no module holds an instance of a resonorm
+    # class or a mutable container, apart from the CLI's command table
+    import pkgutil
+    import resonorm
+    allowed = {("resonorm.cli", "COMMANDS")}
+    found = []
+    for info in pkgutil.iter_modules(resonorm.__path__):
+        name = f"resonorm.{info.name}"
+        for attr, value in vars(importlib.import_module(name)).items():
+            if attr.startswith("__") or (name, attr) in allowed:
+                continue
+            if (type(value).__module__.startswith("resonorm")
+                    or isinstance(value, (list, dict, set))):
+                found.append((name, attr, type(value).__name__))
+    assert not found
+
+
+def test_tracer_targets_resolve(monkeypatch):
     # the benchmark's --trace wraps these module attributes by name; read
     # perfbench/spans.py (never edit it) and check every one still exists
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -453,3 +472,19 @@ def test_tracer_targets_resolve():
         result = check_divisors(omega[:d], M, Kplus, 1e-3, power_log_delta(a=2.0))
         assert len(result[1]) == (2 * Kplus + 1) ** d - 1
         assert modes((), {}, result) == {"modes": (2 * Kplus + 1) ** d - 1}
+    # its Lie span reads the order from a real result
+    order = {attr: attrs
+             for _, attr, _, attrs in spans.TARGETS}["lie_transform_auto"]
+    G = PhaseGeometry(d=1, d0=0)
+    H = FourierTaylorSeries(G, 0, 2, {((0,), (2,), ()): 0.5})
+    F = FourierTaylorSeries.fourier_mode(G, (1,), 0.1j)
+    result = lie_transform_auto(H, F, 1.0)
+    assert result[1] == 3
+    assert order((H, F, 1.0), {}, result) == {"order": 3}
+    # and its construct span wraps __init__ in place, which must still build
+    tracer = spans.Tracer("test")
+    monkeypatch.setattr(FourierTaylorSeries, "__init__", tracer.wrap(
+        "series.construct", FourierTaylorSeries.__init__))
+    s = FourierTaylorSeries(G, 1, 1, {((1,), (1,), ()): 2.0})
+    assert s.terms() == [(((1,), (1,), ()), 2.0 + 0j)]
+    assert [span[0] for span in tracer.spans] == ["series.construct"]

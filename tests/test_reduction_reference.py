@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import reduction_reference as ref
+import resonorm.reduction
 from resonorm.gevrey import power_log_delta
 from resonorm.reduction import (
     TaylorData,
@@ -17,7 +18,8 @@ from resonorm.reduction import (
     resonant_average,
     unimodular_completion,
 )
-from resonorm.series import FourierTaylorSeries, PhaseGeometry
+from resonorm.series import (FourierTaylorSeries, PhaseGeometry,
+                             lie_transform_auto)
 
 REL = 1e-14
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -29,6 +31,22 @@ def assert_series_match(got, want):
     assert np.array_equal(got.exps(), want.exps())
     a, b = got.coefs(), want.coefs()
     assert np.all(np.abs(a - b) <= REL * np.maximum(np.abs(a), np.abs(b)))
+
+
+def assert_reductions_match(got, want):
+    assert_series_match(got.P1, want.P1)
+    assert_series_match(got.Rterm, want.Rterm)
+    assert got.geometry == want.geometry and got.epsilon == want.epsilon
+    assert_close(got.epsilonN0, want.epsilonN0, REL)
+    assert np.array_equal(got.omega1, want.omega1)
+    assert np.array_equal(got.U0, want.U0)
+    assert_close(got.phi0, want.phi0, 1e-12)
+    assert_close(got.V0, want.V0, 1e-12)
+    assert_close(got.M1, want.M1, 1e-12)
+    assert got.diagnostics.keys() == want.diagnostics.keys()
+    for key, value in want.diagnostics.items():
+        tol = 1e-12 if key == "h0_critical_value" else REL
+        assert_close(got.diagnostics[key], value, tol)
 
 
 def assert_close(got, want, tol):
@@ -155,22 +173,36 @@ def test_reduce_hamiltonian_matches_termwise(d0, cubic, y_dependent, degmax):
     kw = dict(delta=power_log_delta(a=2.0), gamma=0.01, degmax=degmax)
     got = reduce_hamiltonian(taylor, P0, mod, y0, 1e-3, **kw)
     want = ref.reduce_hamiltonian(taylor, P0, mod, y0, 1e-3, **kw)
-    assert_series_match(got.P1, want.P1)
-    assert_series_match(got.Rterm, want.Rterm)
-    assert got.geometry == want.geometry and got.epsilon == want.epsilon
-    assert_close(got.epsilonN0, want.epsilonN0, REL)
-    assert np.array_equal(got.omega1, want.omega1)
-    assert np.array_equal(got.U0, want.U0)
-    assert_close(got.phi0, want.phi0, 1e-12)
-    assert_close(got.V0, want.V0, 1e-12)
-    assert_close(got.M1, want.M1, 1e-12)
-    assert got.diagnostics.keys() == want.diagnostics.keys()
-    for key, value in want.diagnostics.items():
-        tol = 1e-12 if key == "h0_critical_value" else REL
-        assert_close(got.diagnostics[key], value, tol)
+    assert_reductions_match(got, want)
     if d0 == 2:
         assert np.all(np.abs(np.sin(got.phi0)) > 1e-3)
     if degmax == 2:
         assert got.diagnostics["taylor_drop"] > 0
     if cubic:
         assert got.diagnostics["cross_quad_mass"] > 0
+
+
+def test_averaging_lie_series_is_not_cut(monkeypatch):
+    # Y_1^4 e^{i theta_1} in P0 meets the averaging generator F1 (modes
+    # |k| <= 1) in four brackets that reach |k| = 5; a cut of the Lie
+    # series at |k| <= 4 max|k| would drop 5.8e-12 of mass here.  Nothing
+    # is cut: the series ends by itself and P1 carries that content
+    taylor, P0, mod, y0 = _reduction_case(1, True, True)
+    P0 = P0 + real_series(P0.geometry, [((1, 0, 0), (4, 0, 0))],
+                          np.random.default_rng(5))
+    seen = []
+
+    def spy(H, F, *args, **kwargs):
+        seen.append((H, F, lie_transform_auto(H, F, *args, **kwargs)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(resonorm.reduction, "lie_transform_auto", spy)
+    kw = dict(delta=power_log_delta(a=2.0), gamma=0.01, degmax=4)
+    got = reduce_hamiltonian(taylor, P0, mod, y0, 1e-2, **kw)
+    (H, F1, (moved, order)), = seen
+    assert F1.kmax == 1 and order <= H.degrees().max() + 1
+    assert np.abs(moved.coefs()[moved.knorms() > 4]).sum() > 5e-12
+    assert got.P1.knorms().max() == 5
+    assert_reductions_match(
+        got, ref.reduce_hamiltonian(taylor, P0, mod, y0, 1e-2, **kw))
+
