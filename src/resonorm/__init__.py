@@ -51,6 +51,7 @@ from .oracle import (
     diagonalize,
     interior,
     match_spectrum,
+    window_eigenvalues,
 )
 from .freqsets import ZoneSpec, zone_measure_mc, excluded_set_measure, summability_check
 from .scarring import (
@@ -77,7 +78,7 @@ __all__ = [
     "QuantumNumbers", "SpectrumPrediction", "predict_spectrum",
     "remainder_bound", "action_index_set",
     "OperatorSpec", "CouplingTerm", "ModelOperator", "build_operator",
-    "diagonalize", "interior", "match_spectrum",
+    "diagonalize", "interior", "match_spectrum", "window_eigenvalues",
     "ZoneSpec", "zone_measure_mc", "excluded_set_measure",
     "summability_check",
     "build_quasi_table", "separation_check", "window_census",

@@ -45,6 +45,7 @@ from .oracle import (
     interior,
     match_spectrum,
     required_Nt,
+    window_eigenvalues,
 )
 from .quantize import action_index_set, predict_spectrum
 from .reduction import TaylorData, reduce_hamiltonian, unimodular_completion
@@ -356,7 +357,7 @@ def _oracle_spec(cfg: RunConfig, state: NormalFormState):
                               couplings=couplings)
 
 
-def _oracle_eigs(cfg: RunConfig, state: NormalFormState, h, window):
+def _oracle_operator(cfg: RunConfig, state: NormalFormState, h, window):
     spec = _oracle_spec(cfg, state)
     Nt = cfg.get("oracle", "Nt", 0, int)
     omega = state.omega_p()
@@ -369,9 +370,8 @@ def _oracle_eigs(cfg: RunConfig, state: NormalFormState, h, window):
             f"oracle basis Nt={Nt} does not cover the window; need >= {need}")
     Nh = cfg.get("oracle", "Nh", 16, int)
     dim_cap = cfg.get("oracle", "dim_cap", 4096, int)
-    op = build_operator(spec, h=h, epsilon=state.epsilon, Nt=Nt, Nh=Nh,
-                        dim_cap=dim_cap)
-    return (op, *_interior_filter(op, window))
+    return build_operator(spec, h=h, epsilon=state.epsilon, Nt=Nt, Nh=Nh,
+                          dim_cap=dim_cap)
 
 
 def _interior_filter(op, window):
@@ -388,7 +388,8 @@ def cmd_compare(cfg: RunConfig, outdir: Path, seed: int) -> int:
     state = res.state
     pred = _predict(cfg, state)
     q = cfg.quantize(state.geometry.d)
-    op, sel, _, _ = _oracle_eigs(cfg, state, q["h"], q["window"])
+    op = _oracle_operator(cfg, state, q["h"], q["window"])
+    sel = window_eigenvalues(interior(op), q["window"])
     rep = match_spectrum(sel, pred,
                          gap_factor=cfg.get("oracle", "gap_factor", 4.0, float))
 
@@ -479,7 +480,8 @@ def cmd_scar(cfg: RunConfig, outdir: Path, seed: int) -> int:
     meas_ratio = cfg.get("scarring", "meas_ratio", 0.5, float)
     mass_window = cfg.get("scarring", "mass_window", 2.5 * h, float)
 
-    op, sel, vsel, labels = _oracle_eigs(cfg, state, h, window)
+    op = _oracle_operator(cfg, state, h, window)
+    sel, vsel, labels = _interior_filter(op, window)
 
     # lattice actions reaching the window
     L = cfg.get("scarring", "L", 0.5, float)

@@ -1,5 +1,5 @@
 """Independent spectral ground truth: small model operators assembled in a
-torus-plane-wave (x) Hermite tensor basis, one checked Hermitian eigensolve,
+torus-plane-wave (x) Hermite tensor basis, checked Hermitian eigensolves,
 cluster extraction, and comparison against a predicted spectrum.
 
 Basis and matrix elements.  Per torus degree of freedom the basis is
@@ -10,6 +10,17 @@ resonant degree of freedom the basis is the first Nh Hermite levels of the
 unit oscillator, with position and momentum given by the standard ladder
 matrices at scale sqrt(h/2); Weyl ordering of a mixed monomial u v is the
 symmetrized product.
+
+Eigensolves.  In the torus-major order a coupling of mode range K reaches
+about K (2 Nt + 1)^(d-1) nh indices off the diagonal (nh Hermite levels
+per torus mode), so the bandwidth is about K / (2 Nt + 1) of the
+dimension: below 1/6, because the CLI asks for Nt >= required_Nt > 3 K.
+`window_eigenvalues` (the compare path) needs eigenvalues only: one
+values-only band solve (LAPACK ?hbevd) gives the whole spectrum, and each
+checked window value is confirmed by inverse iteration on one band LU.
+`diagonalize` (the scar path) needs the eigenvectors of tight clusters and
+stays one dense eigh: the band solver with vectors (?hbevx) forms Q densely
+and is slower than the dense solve.
 """
 from __future__ import annotations
 
@@ -22,8 +33,11 @@ import numpy as np
 from .errors import ConfigError, CoverageError, InvariantError
 
 DIM_CAP_DEFAULT = 4096
-SPOT_CHECKS = 10           # eigenpairs whose residual diagonalize checks
+# eigenpairs whose residual diagonalize checks, and window eigenvalues that
+# window_eigenvalues confirms by inverse iteration (all, when fewer)
+SPOT_CHECKS = 10
 RESIDUAL_TOL = 1e-10       # relative to ||A||_2
+SHIFT_OFFSET = 1e-13       # inverse-iteration shift past lambda, of ||A||_2
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +289,10 @@ def diagonalize(op: ModelOperator):
     Residuals ||A v - lambda v|| of SPOT_CHECKS distinct pairs (all of
     them in a smaller matrix), drawn with a fixed seed, are checked against
     RESIDUAL_TOL * max|lambda|, which equals ||A||_2 for a Hermitian A."""
-    vals, vecs = np.linalg.eigh(op.matrix)
+    try:
+        vals, vecs = np.linalg.eigh(op.matrix)
+    except np.linalg.LinAlgError as exc:
+        raise InvariantError(f"eigensolve failed: {exc}") from exc
     norm_a = max(float(np.abs(vals).max()), 1e-300)
     idx = np.random.default_rng(0).choice(op.dim, min(SPOT_CHECKS, op.dim),
                                           replace=False)
@@ -284,6 +301,61 @@ def diagonalize(op: ModelOperator):
         if res > RESIDUAL_TOL * norm_a:
             raise InvariantError(f"eigenpair residual {res:.3e} too large")
     return vals, vecs
+
+
+def window_eigenvalues(op: ModelOperator, window) -> np.ndarray:
+    """The ascending eigenvalues of op.matrix in the closed window
+    [lo, hi], without eigenvectors.
+
+    The matrix goes into band storage, with the bandwidth read from its
+    nonzeros, and one values-only eig_banded call (LAPACK ?hbevd) gives
+    every eigenvalue; the extremes give max|lambda| = ||A||_2.  Then
+    min(SPOT_CHECKS, window size) window values, drawn with a fixed seed,
+    are confirmed by two inverse-iteration steps on one band LU.  The LU
+    is factored at lambda + SHIFT_OFFSET ||A||_2, because a value that
+    equals a diagonal entry exactly (the epsilon = 0 models) makes
+    A - lambda I singular; the residual is measured at lambda itself.  For a
+    Hermitian A, ||A x - lambda x|| <= RESIDUAL_TOL ||A||_2 with ||x|| = 1
+    proves lambda lies within that distance of the spectrum.  A second step
+    keeps a start vector with a small component along the eigenvector from
+    failing a true value."""
+    from scipy.linalg import eig_banded, get_lapack_funcs
+
+    A, n = op.matrix, op.dim
+    rows, cols = np.nonzero(A)
+    bw = int(np.abs(rows - cols).max(initial=0))
+    # LAPACK general band storage, A[i, j] at ab[2 bw + i - j, j]; the top
+    # bw rows are room for the LU's fill-in.  Rows 2 bw .. 3 bw, the
+    # diagonal and the bw subdiagonals, are eig_banded's lower storage.
+    ab = np.zeros((3 * bw + 1, n), dtype=A.dtype)
+    for k in range(-bw, bw + 1):
+        ab[2 * bw - k, max(k, 0):n + min(k, 0)] = np.diagonal(A, k)
+    try:
+        vals = eig_banded(ab[2 * bw:], lower=True, eigvals_only=True)
+    except np.linalg.LinAlgError as exc:
+        raise InvariantError(f"band eigensolve failed: {exc}") from exc
+    norm_a = max(abs(vals[0]), abs(vals[-1]), 1e-300)
+    sel = vals[(vals >= window[0]) & (vals <= window[1])]
+
+    gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+    rng = np.random.default_rng(0)
+    for lam in sel[rng.choice(sel.size, min(SPOT_CHECKS, sel.size),
+                              replace=False)].tolist():
+        shifted = ab.copy()
+        shifted[2 * bw] -= lam + SHIFT_OFFSET * norm_a
+        lu, piv, info = gbtrf(shifted, bw, bw)
+        if info != 0:
+            raise InvariantError(
+                f"band LU at window eigenvalue {lam!r} failed (info {info})")
+        x = rng.standard_normal((n, 1)).astype(A.dtype)
+        for _ in range(2):
+            x, _ = gbtrs(lu, bw, bw, x / np.linalg.norm(x), piv)
+        x = x[:, 0] / np.linalg.norm(x)
+        res = np.linalg.norm(A @ x - lam * x)
+        if not res <= RESIDUAL_TOL * norm_a:
+            raise InvariantError(
+                f"window eigenvalue {lam!r} residual {res:.3e} too large")
+    return sel
 
 
 # ---------------------------------------------------------------------------

@@ -314,6 +314,35 @@ def test_compare_window_not_covered_exits_4(tmp_path):
     assert rc == 4
 
 
+def test_oracle_solver_failures_exit_5(tmp_path, monkeypatch, capsys):
+    import scipy.linalg
+    eig_banded, eigh = scipy.linalg.eig_banded, np.linalg.eigh
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(DIRECT_CFG.replace("epsilon = 1e-3", "epsilon = 0.0")
+                   .replace("p_file = pert.series", ""))
+
+    def run(command):
+        return main([command, "--config", str(cfg), "--out",
+                     str(tmp_path / "out")])
+    # a band eigenvalue 1e-6 off the spectrum fails its residual check
+    monkeypatch.setattr(scipy.linalg, "eig_banded",
+                        lambda *a, **k: eig_banded(*a, **k) + 1e-6)
+    assert run("compare") == 5
+    assert "residual" in capsys.readouterr().err
+
+    # a LAPACK failure in either oracle solve is an invariant violation
+    def fails(a, *args, **kwargs):
+        if np.shape(a)[-1] > 1:
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+        return eigh(a, *args, **kwargs)
+    monkeypatch.setattr(scipy.linalg, "eig_banded", fails)
+    monkeypatch.setattr(np.linalg, "eigh", fails)
+    assert run("compare") == 5
+    assert "band eigensolve failed" in capsys.readouterr().err
+    assert run("scar") == 5
+    assert "eigensolve failed" in capsys.readouterr().err
+
+
 def test_compare_resonant_clusters(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text(RESONANT_CFG)
@@ -385,23 +414,30 @@ def test_scar_command_three_tori(tmp_path):
 
 @pytest.mark.parametrize("command", ["compare", "scar"])
 def test_oracle_commands_solve_once(tmp_path, monkeypatch, command):
+    import scipy.linalg
     calls = []
-    for name in ("eigh", "eigvalsh"):
-        def counted(a, *args, _name=name, _fn=getattr(np.linalg, name),
+    for owner, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"),
+                        (scipy.linalg, "eig_banded")):
+        def counted(a, *args, _name=name, _fn=getattr(owner, name),
                     **kwargs):
             calls.append((_name, np.shape(a)))
             return _fn(a, *args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     cfg = tmp_path / "run.ini"
     cfg.write_text(RESONANT_CFG)
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
     # the prediction diagonalizes the 1 x 1 blocks of M; every larger
     # matrix is an oracle solve, and the only one is on the 19 interior
-    # levels of Nh = 24
+    # levels of Nh = 24.  compare needs eigenvalues only: one band solve
+    # on the lower band storage, whose bandwidth is the 19 levels the
+    # e^{ix} coupling shifts by; scar needs eigenvectors: one dense eigh
     solves = [c for c in calls if c[1][0] > 1]
     nt = 2 * required_Nt(0.38, 0.05, 1.0, 1) + 1
-    assert solves == [("eigh", (nt * 19, nt * 19))]
+    if command == "compare":
+        assert solves == [("eig_banded", (20, nt * 19))]
+    else:
+        assert solves == [("eigh", (nt * 19, nt * 19))]
 
 
 def test_measure_command_and_determinism(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from resonorm.errors import ConfigError, CoverageError, InvariantError
 from resonorm.kam import NormalFormState
 from resonorm.oracle import (
+    SPOT_CHECKS,
     CouplingTerm,
     OperatorSpec,
     build_operator,
@@ -21,6 +22,7 @@ from resonorm.oracle import (
     split_clusters,
     torus_shift,
     weyl_uv_power,
+    window_eigenvalues,
 )
 from resonorm.quantize import predict_spectrum
 from resonorm.series import FourierTaylorSeries, PhaseGeometry
@@ -130,6 +132,100 @@ def test_spectral_radius_is_the_two_norm():
     vals, _ = diagonalize(op)
     two_norm = np.linalg.norm(A, 2)
     assert abs(np.abs(vals).max() - two_norm) <= 1e-12 * two_norm
+
+
+def _coupled_d1_interior():
+    spec = OperatorSpec.build(
+        d=1, d0=1, torus_poly={(1,): 1.0}, quad_u=[0.3], quad_v=[0.4],
+        couplings=[CouplingTerm(coeff=0.05, k=(1,)),
+                   CouplingTerm(coeff=0.02, k=(1,), upow=(1,))])
+    return interior(build_operator(spec, h=0.1, epsilon=0.1, Nt=6, Nh=10))
+
+
+def _wide_band_d2_interior():
+    spec = OperatorSpec.build(
+        d=2, d0=1, torus_poly={(1, 0): 1.0, (0, 1): 0.7}, quad_u=[0.3],
+        quad_v=[0.2],
+        couplings=[CouplingTerm(coeff=0.05, k=(1, 0)),
+                   CouplingTerm(coeff=0.03j, k=(0, 1), upow=(1,))])
+    return interior(build_operator(spec, h=0.1, epsilon=0.1, Nt=3, Nh=5))
+
+
+def _torus_only():
+    spec = OperatorSpec.build(d=1, torus_poly={(1,): 1.0, (2,): 0.5},
+                              couplings=[CouplingTerm(coeff=0.1, k=(2,))])
+    op = build_operator(spec, h=0.2, epsilon=0.1, Nt=20, Nh=1)
+    assert interior(op) is op
+    return op
+
+
+def _random_dense():
+    rng = np.random.default_rng(5)
+    A = rng.normal(size=(29, 29)) + 1j * rng.normal(size=(29, 29))
+    op = build_operator(OperatorSpec.build(d=1, torus_poly={}), h=1.0,
+                        epsilon=0.0, Nt=14, Nh=1)
+    op.matrix[:] = 0.5 * (A + A.conj().T)
+    return op
+
+
+@pytest.mark.parametrize("make, bandwidth", [
+    (_coupled_d1_interior, 9),      # e^{ix} u: 8 interior levels, plus 1
+    (_wide_band_d2_interior, 28),   # e^{ix}: (2 Nt + 1) * 4 levels
+    (_torus_only, 2),               # e^{2ix}
+    (_random_dense, 28),            # bw = n - 1
+])
+def test_window_eigenvalues_match_dense_eigvalsh(make, bandwidth):
+    op = make()
+    rows, cols = np.nonzero(op.matrix)
+    assert np.abs(rows - cols).max() == bandwidth
+    vals = np.linalg.eigvalsh(op.matrix)
+    norm_a = np.abs(vals).max()
+    # window edges in the middle of spectral gaps, so that rounding in
+    # either solver cannot move a value across them
+    n = vals.size
+    lo = 0.5 * (vals[n // 4] + vals[n // 4 + 1])
+    hi = 0.5 * (vals[3 * n // 4] + vals[3 * n // 4 + 1])
+    want = vals[(vals >= lo) & (vals <= hi)]
+    got = window_eigenvalues(op, (lo, hi))
+    assert want.size > SPOT_CHECKS
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * norm_a
+    full = window_eigenvalues(op, (vals[0] - 1.0, vals[-1] + 1.0))
+    assert np.abs(full - vals).max() <= 1e-13 * norm_a
+
+
+def test_window_eigenvalues_closed_window_and_singular_shift():
+    # epsilon = 0: the matrix is diagonal, every eigenvalue equals a
+    # diagonal entry exactly and A - lambda I is exactly singular, which
+    # the shifted LU of the residual check must survive; h = 1/4 makes the
+    # eigenvalues h n exact, so lo and hi sit exactly on eigenvalues
+    spec = OperatorSpec.build(d=1, torus_poly={(1,): 1.0})
+    op = build_operator(spec, h=0.25, epsilon=0.0, Nt=6, Nh=1)
+    assert np.array_equal(window_eigenvalues(op, (0.25, 1.0)),
+                          [0.25, 0.5, 0.75, 1.0])
+    assert np.array_equal(window_eigenvalues(op, (-1.5, 1.5)),
+                          0.25 * np.arange(-6, 7))
+    empty = window_eigenvalues(op, (0.3, 0.4))
+    assert empty.shape == (0,)
+
+
+def test_window_residual_guard_rejects_a_shifted_eigenvalue(monkeypatch):
+    import scipy.linalg
+    spec = OperatorSpec.build(d=1, torus_poly={(1,): 1.0},
+                              couplings=[CouplingTerm(coeff=0.2, k=(1,))])
+    op = build_operator(spec, h=0.5, epsilon=0.2, Nt=2, Nh=1)
+    assert op.dim <= SPOT_CHECKS
+    window = (-10.0, 10.0)
+    assert window_eigenvalues(op, window).size == op.dim
+    eig_banded = scipy.linalg.eig_banded
+    for bad in range(op.dim):
+        def shifted(*args, bad=bad, **kwargs):
+            vals = eig_banded(*args, **kwargs).copy()
+            vals[bad] += 1e-6
+            return vals
+        monkeypatch.setattr(scipy.linalg, "eig_banded", shifted)
+        with pytest.raises(InvariantError, match="residual"):
+            window_eigenvalues(op, window)
 
 
 def test_interior_is_the_principal_submatrix():
