@@ -44,8 +44,6 @@ from .quantize import (
     action_index_set,
 )
 from .oracle import (
-    OperatorSpec,
-    CouplingTerm,
     ModelOperator,
     build_operator,
     diagonalize,
@@ -77,7 +75,7 @@ __all__ = [
     "kam_step", "iterate",
     "QuantumNumbers", "SpectrumPrediction", "predict_spectrum",
     "remainder_bound", "action_index_set",
-    "OperatorSpec", "CouplingTerm", "ModelOperator", "build_operator",
+    "ModelOperator", "build_operator",
     "diagonalize", "interior", "match_spectrum", "window_eigenvalues",
     "ZoneSpec", "zone_measure_mc", "excluded_set_measure",
     "summability_check",

@@ -38,8 +38,6 @@ from .gevrey import (
 )
 from .kam import NormalFormState, Schedule, iterate
 from .oracle import (
-    CouplingTerm,
-    OperatorSpec,
     build_operator,
     diagonalize,
     interior,
@@ -336,33 +334,24 @@ def cmd_spectrum(cfg: RunConfig, outdir: Path, seed: int) -> int:
     return 0
 
 
-def _oracle_spec(cfg: RunConfig, state: NormalFormState):
-    d, d0 = state.geometry.d, state.geometry.d0
-    omega = state.omega_p()
-    eps = state.epsilon
-    torus_poly = {tuple(1 if a == i else 0 for a in range(d)): float(omega[i])
-                  for i in range(d)}
-    quad_u = quad_v = ()
-    if d0:
-        M = state.M_p()
-        quad_u = [0.5 * eps * M[j, j] for j in range(d0)]
-        quad_v = [0.5 * eps * M[d0 + j, d0 + j] for j in range(d0)]
-    couplings = []
-    g = cfg.get("oracle", "coupling", 0.0, float)
-    if g:
-        couplings.append(CouplingTerm(coeff=g * eps / 2.0,
-                                      k=tuple([1] + [0] * (d - 1))))
-    return OperatorSpec.build(d=d, d0=d0, torus_poly=torus_poly,
-                              quad_u=quad_u, quad_v=quad_v,
-                              couplings=couplings)
+def _oracle_symbol(cfg: RunConfig, state: NormalFormState):
+    """The symbol the oracle quantizes: N = <omega_p, y> + (eps/2) <z, M_p z>
+    with all of M_p, plus the [oracle] coupling g eps cos x_1 as the rows
+    +-e_1 with coefficient g eps / 2."""
+    geo = state.geometry
+    c = cfg.get("oracle", "coupling", 0.0, float) * state.epsilon / 2.0
+    e1 = (1,) + (0,) * (geo.d - 1)
+    return (state.integrable_series()
+            + FourierTaylorSeries.fourier_mode(geo, e1, c)
+            + FourierTaylorSeries.fourier_mode(geo, [-v for v in e1], c))
 
 
 def _oracle_operator(cfg: RunConfig, state: NormalFormState, h, window):
-    spec = _oracle_spec(cfg, state)
+    symbol = _oracle_symbol(cfg, state)
     Nt = cfg.get("oracle", "Nt", 0, int)
     omega = state.omega_p()
     need = required_Nt(window[1], h, float(np.min(np.abs(omega))),
-                       spec.coupling_range())
+                       int(symbol.knorms().max(initial=0)))
     if Nt == 0:
         Nt = need
     if Nt < need:
@@ -370,8 +359,7 @@ def _oracle_operator(cfg: RunConfig, state: NormalFormState, h, window):
             f"oracle basis Nt={Nt} does not cover the window; need >= {need}")
     Nh = cfg.get("oracle", "Nh", 16, int)
     dim_cap = cfg.get("oracle", "dim_cap", 4096, int)
-    return build_operator(spec, h=h, epsilon=state.epsilon, Nt=Nt, Nh=Nh,
-                          dim_cap=dim_cap)
+    return build_operator(symbol, h, Nt, Nh, dim_cap=dim_cap)
 
 
 def _interior_filter(op, window):

@@ -1,8 +1,7 @@
 """Measure estimation for resonance zones and the excluded frequency set.
 
-A zone is the set of frequencies in the unit cube where a mode's divisor
-conditions fail: |<w,k>| <= beta together with (optionally) the two
-determinant conditions built from a fixed resonant matrix.  Zones are
+A zone is the set of frequencies in the unit cube where a mode's first
+divisor condition fails: |<w,k>| <= beta.  Zones are
 measured by plain uniform Monte Carlo with binomial confidence intervals;
 the union over modes up to a cutoff carries an analytic majorant from the
 per-mode strip bound  |{w in [0,1]^l : |<w,k>| <= beta}| <= 2*beta/|k|.
@@ -18,22 +17,15 @@ from scipy.integrate import quad
 
 from .errors import ConfigError
 from .gevrey import ApproximationFunction
-from .kam import divisor_determinants
 from .series import knorm
 
 
 @dataclass(frozen=True)
 class ZoneSpec:
-    """One resonance zone: mode k, width beta, optional matrix conditions.
-
-    When M is given, the determinant thresholds gamma^(2 d0)/Delta^(2 d0)(|k|)
-    and gamma^(4 d0^2)/Delta^(4 d0^2)(|k|) apply on top of the strip."""
+    """One resonance zone: the strip |<w,k>| <= beta of mode k."""
 
     k: tuple
     beta: float
-    M: np.ndarray | None = None
-    gamma: float = 0.05
-    delta: ApproximationFunction | None = None
 
     def __post_init__(self):
         if self.beta < 0:
@@ -41,24 +33,10 @@ class ZoneSpec:
         if knorm(self.k) == 0:
             raise ConfigError("k must be nonzero")
 
-    def thresholds(self):
-        if self.M is None:
-            return None, None
-        d0 = self.M.shape[0] // 2
-        dk = self.delta(knorm(self.k)) if self.delta else 1.0
-        return (self.gamma ** (2 * d0) / dk ** (2 * d0),
-                self.gamma ** (4 * d0 * d0) / dk ** (4 * d0 * d0))
-
 
 def _zone_indicator(spec: ZoneSpec, W: np.ndarray) -> np.ndarray:
     k = np.asarray(spec.k, dtype=float)
-    kw = W[:, :k.size] @ k
-    inside = np.abs(kw) <= spec.beta
-    if spec.M is not None:
-        th1, th2 = spec.thresholds()
-        det1, det2 = divisor_determinants(kw[inside], spec.M)
-        inside[inside] = (np.abs(det1) <= th1) & (np.abs(det2) <= th2)
-    return inside
+    return np.abs(W[:, :k.size] @ k) <= spec.beta
 
 
 def zone_measure_mc(spec: ZoneSpec, l: int, samples: int, seed: int):

@@ -98,6 +98,19 @@ def divisor_determinants(kw, M: np.ndarray):
             np.prod((mu[:, None] + mu).ravel() - ikw, axis=-1))
 
 
+def divisor_thresholds(gamma: float, delta: ApproximationFunction, K: int,
+                       d0: int) -> np.ndarray:
+    """The three divisor thresholds of every shell |k| = m = 1..K, row
+    m - 1: gamma/Delta(m), gamma^(2 d0)/Delta(m)^(2 d0) and
+    gamma^(4 d0^2)/Delta(m)^(4 d0^2), the last two 0 without a resonant
+    block."""
+    return np.array([
+        (gamma / dk,
+         (gamma ** (2 * d0)) / dk ** (2 * d0) if d0 else 0.0,
+         (gamma ** (4 * d0 * d0)) / dk ** (4 * d0 * d0) if d0 else 0.0)
+        for dk in (delta(m) for m in range(1, K + 1))]).reshape(K, 3)
+
+
 def check_divisors(omega, M, Kplus: int, gamma: float,
                    delta: ApproximationFunction):
     """Evaluate all three divisor conditions for every 0 < |k| <= Kplus.
@@ -116,13 +129,7 @@ def check_divisors(omega, M, Kplus: int, gamma: float,
     ks = np.delete(ks, len(ks) // 2, axis=0)      # k = 0, the box's centre
     kn = np.abs(ks).max(axis=1)
     kw = ks @ omega
-    # the thresholds depend on |k| only: one value per shell, row m - 1
-    shells = [delta(m) for m in range(1, Kplus + 1)]
-    th_kw, th_A1, th_A2 = np.array([
-        (gamma / dk,
-         (gamma ** (2 * d0)) / dk ** (2 * d0) if d0 else 0.0,
-         (gamma ** (4 * d0 * d0)) / dk ** (4 * d0 * d0) if d0 else 0.0)
-        for dk in shells])[kn - 1].T
+    th_kw, th_A1, th_A2 = divisor_thresholds(gamma, delta, Kplus, d0)[kn - 1].T
     passed = np.abs(kw) >= th_kw
     det1 = det2 = None
     if d0:
@@ -157,8 +164,8 @@ def _solve_modes(omega, M, eps_quad: float, R: FourierTaylorSeries,
     kn = np.abs(ks).max(axis=1, initial=0)
     kw = ks @ np.asarray(omega, dtype=float)
     # shell 0 (k = 0) has no divisor
-    th_kw = np.array([0.0] + [gamma / delta(m)
-                              for m in range(1, kn.max(initial=0) + 1)])[kn]
+    th_kw = np.concatenate(([0.0], divisor_thresholds(
+        gamma, delta, int(kn.max(initial=0)), d0)[:, 0]))[kn]
     low = np.abs(kw) < th_kw
     if low.any():
         i = int(np.argmax(low))

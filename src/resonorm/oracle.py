@@ -1,26 +1,45 @@
-"""Independent spectral ground truth: small model operators assembled in a
-torus-plane-wave (x) Hermite tensor basis, checked Hermitian eigensolves,
-cluster extraction, and comparison against a predicted spectrum.
+"""Independent spectral ground truth: the Weyl quantization of a
+Fourier-Taylor symbol in a torus-plane-wave (x) Hermite tensor basis,
+checked Hermitian eigensolves, cluster extraction, and comparison against
+a predicted spectrum.
 
-Basis and matrix elements.  Per torus degree of freedom the basis is
-e^{i n x}, |n| <= Nt, on which h*D_x acts diagonally as h*n and e^{i k x}
-acts as the mode shift n -> n + k (transitions leaving the box are
-truncated; comparisons therefore stay away from the box edge).  Per
-resonant degree of freedom the basis is the first Nh Hermite levels of the
-unit oscillator, with position and momentum given by the standard ladder
-matrices at scale sqrt(h/2); Weyl ordering of a mixed monomial u v is the
-symmetrized product.
+The symbol.  `build_operator` quantizes a real `FourierTaylorSeries`
+sum c e^{i<k,x>} y^j z^q in absolute units; the CLI passes the integrable
+part N = <omega_p, y> + (eps/2) <z, M_p z> of the normal form, all of M_p,
+plus the `[oracle] coupling` rows.
 
-Eigensolves.  In the torus-major order a coupling of mode range K reaches
+Basis and the midpoint rule.  Per torus degree of freedom the basis is
+e^{i n x}, |n| <= Nt.  The Weyl quantization of e^{i k x} f(y) maps
+e^{i n x} to f(h (n + k/2)) e^{i (n + k) x}, the symbol read at the
+midpoint of the transition, so a row (k, j, q, c) acts on the torus
+factor as c e^{i<k,x>} prod_a (h (n_a + k_a/2))^(j_a); transitions
+leaving the box are dropped, and comparisons therefore stay away from the
+box edge.  Per resonant degree of freedom the basis is the first Nh
+Hermite levels of the unit oscillator, with position and momentum given
+by the standard ladder matrices at scale sqrt(h/2); the q digits of a row
+act as the Kronecker product over resonant directions of the Weyl-ordered
+monomials `weyl_uv_power` (u v is the symmetrized product).  A real
+symbol gives a Hermitian matrix.
+
+Storage.  A `ModelOperator` holds the operator once, as its nonzero
+entries (row, col, value) in row-major order, both triangles, with
+coincident contributions summed at assembly.  Three views read them:
+`interior` keeps the entries of the principal sub-operator below the
+Hermite truncation edge, `window_eigenvalues` scatters them into band
+storage, and `ModelOperator.matrix` builds the dense array for
+`diagonalize`.
+
+Eigensolves.  In the torus-major order a row of mode range K reaches
 about K (2 Nt + 1)^(d-1) nh indices off the diagonal (nh Hermite levels
 per torus mode), so the bandwidth is about K / (2 Nt + 1) of the
 dimension: below 1/6, because the CLI asks for Nt >= required_Nt > 3 K.
 `window_eigenvalues` (the compare path) needs eigenvalues only: one
 values-only band solve (LAPACK ?hbevd) gives the whole spectrum, and each
-checked window value is confirmed by inverse iteration on one band LU.
-`diagonalize` (the scar path) needs the eigenvectors of tight clusters and
-stays one dense eigh: the band solver with vectors (?hbevx) forms Q densely
-and is slower than the dense solve.
+checked window value is confirmed by inverse iteration on one band LU, so
+`compare` never forms the n x n matrix.  `diagonalize` (the scar path)
+needs the eigenvectors of tight clusters and stays one dense eigh: the
+band solver with vectors (?hbevx) forms Q densely and is slower than the
+dense solve.
 """
 from __future__ import annotations
 
@@ -40,67 +59,28 @@ RESIDUAL_TOL = 1e-10       # relative to ||A||_2
 SHIFT_OFFSET = 1e-13       # inverse-iteration shift past lambda, of ||A||_2
 
 
-# ---------------------------------------------------------------------------
-# operator specification
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CouplingTerm:
-    """coeff * e^{i<k,x>} * Weyl(u^upow v^vpow); adds its own conjugate when
-    `hermitian` is set so the assembled matrix stays self-adjoint."""
-
-    coeff: complex
-    k: tuple
-    upow: tuple = ()
-    vpow: tuple = ()
-    hermitian: bool = True
-
-
-@dataclass(frozen=True)
-class OperatorSpec:
-    """Symbol data for a model operator.
-
-    torus_poly maps momentum-power tuples to coefficients: the symbol
-    sum_a c_a (h n)^a.  quad_u / quad_v are the coefficients of Op(u_j^2)
-    and Op(v_j^2) per resonant direction.  couplings holds trigonometric
-    (optionally oscillator-weighted) perturbation terms.
-    """
-
-    d: int
-    d0: int = 0
-    torus_poly: tuple = ()         # ((powers, coeff), ...)
-    quad_u: tuple = ()
-    quad_v: tuple = ()
-    couplings: tuple = ()
-
-    @classmethod
-    def build(cls, d, d0=0, torus_poly=None, quad_u=None, quad_v=None,
-              couplings=None):
-        tp = tuple((tuple(p), float(c)) for p, c in (torus_poly or {}).items())
-        return cls(d=d, d0=d0, torus_poly=tp,
-                   quad_u=tuple(float(v) for v in (quad_u or ())),
-                   quad_v=tuple(float(v) for v in (quad_v or ())),
-                   couplings=tuple(couplings or ()))
-
-    def coupling_range(self) -> int:
-        return max((max(abs(v) for v in t.k) if t.k else 0
-                    for t in self.couplings), default=0)
-
-
 @dataclass
 class ModelOperator:
-    spec: OperatorSpec
-    h: float
-    epsilon: float
-    Nt: int
+    """An assembled operator: values[i] at (rows[i], cols[i]), distinct
+    nonzero positions in row-major order, both triangles."""
+
     Nh: int
-    matrix: np.ndarray
     torus_modes: list              # tuples, aligned with the torus factor
     hermite_levels: list           # tuples, aligned with the Hermite factor
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return len(self.torus_modes) * len(self.hermite_levels)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix, built from the entries on every access."""
+        A = np.zeros((self.dim, self.dim), dtype=complex)
+        A[self.rows, self.cols] = self.values
+        return A
 
     def basis_labels(self):
         """(torus mode, hermite level) per matrix index, torus factor major."""
@@ -152,135 +132,114 @@ def weyl_uv_power(upow: int, vpow: int, Nh: int, h: float) -> np.ndarray:
     raise ConfigError(f"unsupported oscillator monomial u^{upow} v^{vpow}")
 
 
-def torus_shift(modes: list, k: tuple) -> np.ndarray:
-    """Mode-shift matrix of e^{i<k,x>} on the listed torus modes; transitions
-    leaving the box are dropped (edge truncation)."""
-    index = {n: i for i, n in enumerate(modes)}
-    S = np.zeros((len(modes), len(modes)))
-    for n, i in index.items():
-        target = tuple(a + b for a, b in zip(n, k))
-        jdx = index.get(target)
-        if jdx is not None:
-            S[jdx, i] = 1.0
-    return S
-
-
 # ---------------------------------------------------------------------------
 # assembly / diagonalization
 # ---------------------------------------------------------------------------
 
 def required_Nt(window_hi: float, h: float, omega_min: float,
-                coupling_range: int) -> int:
-    """Torus cutoff keeping the comparison window at least three coupling
-    ranges away from the box edge."""
+                kmax: int) -> int:
+    """Torus cutoff keeping the comparison window at least three mode
+    ranges of the symbol (its largest |k|, at least 1) away from the box
+    edge."""
     return int(math.ceil(window_hi / (h * max(omega_min, 1e-12)))) \
-        + 3 * max(coupling_range, 1)
+        + 3 * max(kmax, 1)
 
 
-def build_operator(spec: OperatorSpec, h: float, epsilon: float, Nt: int,
-                   Nh: int, *, dim_cap: int = DIM_CAP_DEFAULT) -> ModelOperator:
-    """Assemble the Hermitian matrix of the model operator.
+def _sum_coincident(keys, vals):
+    """The distinct keys, ascending, and per key the sum of its values,
+    added in their order of appearance."""
+    out, at = np.unique(keys, return_inverse=True)
+    sums = np.zeros(len(out), dtype=complex)
+    np.add.at(sums, at, vals)
+    return out, sums
 
-    Couplings whose mode shift exceeds the torus box are rejected with the
-    cutoff that would be needed.  The assembled matrix is checked for
-    Hermiticity to 1e-12 relative.
+
+def build_operator(symbol, h: float, Nt: int, Nh: int, *,
+                   dim_cap: int = DIM_CAP_DEFAULT) -> ModelOperator:
+    """Weyl-quantize a real FourierTaylorSeries symbol on the torus box
+    |n| <= Nt (x) Nh Hermite levels per resonant direction.
+
+    Each row (k, j, q, c) maps e^{inx} (x) |m> to
+    c prod_a (h (n_a + k_a/2))^(j_a) e^{i(n+k)x} (x) W_q |m>, where W_q is
+    the Kronecker product of weyl_uv_power(q_u_a, q_v_a) over the resonant
+    directions; transitions leaving the box are dropped.  Contributions to
+    one position are summed in the order of the rows.  A mode beyond Nt
+    raises CoverageError with the cutoff that would be needed; the entries
+    are checked against their conjugate transpose to 1e-12 relative, so a
+    non-real symbol raises InvariantError.
     """
+    g = symbol.geometry
+    d, d0 = g.d, g.d0
     if h <= 0:
         raise ConfigError("h must be positive")
-    if spec.d0 and Nh < 2:
+    if d0 and Nh < 2:
         raise ConfigError("need at least two Hermite levels per resonant dof")
-    krange = spec.coupling_range()
+    krange = int(symbol.knorms().max(initial=0))
     if krange > Nt:
         raise CoverageError(
             f"torus cutoff Nt={Nt} cannot represent mode shift {krange}; "
             f"need Nt >= {krange}")
 
     torus_modes = [tuple(n) for n in
-                   itertools.product(range(-Nt, Nt + 1), repeat=spec.d)]
+                   itertools.product(range(-Nt, Nt + 1), repeat=d)]
     hermite_levels = [tuple(m) for m in
-                      itertools.product(range(Nh), repeat=spec.d0)]
-    dim = len(torus_modes) * len(hermite_levels)
+                      itertools.product(range(Nh), repeat=d0)]
+    nh = len(hermite_levels)
+    dim = len(torus_modes) * nh
     if dim > dim_cap:
         raise ConfigError(f"matrix dimension {dim} exceeds cap {dim_cap}")
 
-    nt = len(torus_modes)
-    nh = len(hermite_levels)
-    eye_h = np.eye(nh, dtype=complex)
-    eye_t = np.eye(nt, dtype=complex)
+    n = np.array(torus_modes, dtype=np.int64).reshape(-1, d)
+    parts = [(np.zeros(0, np.int64),) * 2 + (np.zeros(0, complex),)]
+    for row, c in zip(symbol.exps(), symbol.coefs()):
+        k, j, q = row[:d], row[d:2 * d], row[2 * d:]
+        target = n + k
+        inside = (np.abs(target) <= Nt).all(axis=1)
+        src = np.flatnonzero(inside)
+        dst = np.ravel_multi_index((target[inside] + Nt).T, (2 * Nt + 1,) * d)
+        f = c * np.prod((h * (n[inside] + k / 2.0)) ** j, axis=1)
+        osc = np.ones((1, 1), dtype=complex)
+        for a in range(d0):
+            osc = np.kron(osc, weyl_uv_power(q[a], q[d0 + a], Nh, h))
+        oi, oj = np.nonzero(osc)
+        parts.append(((dst[:, None] * nh + oi).ravel(),
+                      (src[:, None] * nh + oj).ravel(),
+                      (f[:, None] * osc[oi, oj]).ravel()))
+    rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
+    keys, values = _sum_coincident(rows * dim + cols, vals)
+    nonzero = values != 0
+    keys, values = keys[nonzero], values[nonzero]
+    rows, cols = np.divmod(keys, dim)
 
-    A = np.zeros((dim, dim), dtype=complex)
-
-    # torus polynomial: diagonal in the plane-wave factor
-    if spec.torus_poly:
-        diag = np.zeros(nt)
-        for i, n in enumerate(torus_modes):
-            val = 0.0
-            for powers, c in spec.torus_poly:
-                val += c * math.prod((h * n[a]) ** p
-                                     for a, p in enumerate(powers))
-            diag[i] = val
-        A += np.kron(np.diag(diag), eye_h)
-
-    # resonant quadratic part
-    if spec.d0:
-        for j in range(spec.d0):
-            cu = spec.quad_u[j] if j < len(spec.quad_u) else 0.0
-            cv = spec.quad_v[j] if j < len(spec.quad_v) else 0.0
-            if cu == 0.0 and cv == 0.0:
-                continue
-            blocks_u = [weyl_uv_power(2, 0, Nh, h) if a == j
-                        else np.eye(Nh, dtype=complex)
-                        for a in range(spec.d0)]
-            blocks_v = [weyl_uv_power(0, 2, Nh, h) if a == j
-                        else np.eye(Nh, dtype=complex)
-                        for a in range(spec.d0)]
-            opu = blocks_u[0]
-            opv = blocks_v[0]
-            for b_u, b_v in zip(blocks_u[1:], blocks_v[1:]):
-                opu = np.kron(opu, b_u)
-                opv = np.kron(opv, b_v)
-            A += np.kron(eye_t, cu * opu + cv * opv)
-
-    # trigonometric couplings
-    for term in spec.couplings:
-        S = torus_shift(torus_modes, tuple(term.k)).astype(complex)
-        if spec.d0:
-            osc = None
-            for a in range(spec.d0):
-                up = term.upow[a] if a < len(term.upow) else 0
-                vp = term.vpow[a] if a < len(term.vpow) else 0
-                blk = weyl_uv_power(up, vp, Nh, h)
-                osc = blk if osc is None else np.kron(osc, blk)
-        else:
-            osc = eye_h
-        piece = complex(term.coeff) * np.kron(S, osc)
-        A += piece
-        if term.hermitian:
-            A += piece.conj().T
-
-    scale = max(np.abs(A).max(), 1e-300)
-    if np.abs(A - A.conj().T).max() > 1e-12 * scale:
+    # each value against the conjugate of its mirror entry, zero if absent
+    _, gap = _sum_coincident(np.concatenate((keys, cols * dim + rows)),
+                             np.concatenate((values, -values.conj())))
+    scale = max(np.abs(values).max(initial=0.0), 1e-300)
+    if np.abs(gap).max(initial=0.0) > 1e-12 * scale:
         raise InvariantError("assembled matrix is not Hermitian")
-    return ModelOperator(spec=spec, h=h, epsilon=epsilon, Nt=Nt, Nh=Nh,
-                         matrix=A, torus_modes=torus_modes,
-                         hermite_levels=hermite_levels)
+    return ModelOperator(Nh=Nh, torus_modes=torus_modes,
+                         hermite_levels=hermite_levels, rows=rows, cols=cols,
+                         values=values)
 
 
 def interior(op: ModelOperator) -> ModelOperator:
     """The operator restricted to Hermite levels below max(int(0.8 Nh), 1)
     in every resonant direction, which drops the truncation edge of the
-    ladder.  The principal submatrix keeps the torus modes and the
+    ladder.  The principal sub-operator keeps the torus modes and the
     torus-major order, so basis_labels() stays aligned; Nh stays the
-    truncation the matrix was assembled at.  Returns op itself when
+    truncation the operator was assembled at.  Returns op itself when
     nothing is cut."""
     cut = max(int(0.8 * op.Nh), 1)
-    levels = [m for m in op.hermite_levels if all(v < cut for v in m)]
-    if len(levels) == len(op.hermite_levels):
+    kept = np.array([all(v < cut for v in m) for m in op.hermite_levels])
+    if kept.all():
         return op
-    kept = set(levels)
-    keep = [i for i, (_, m) in enumerate(op.basis_labels()) if m in kept]
-    return replace(op, matrix=op.matrix[np.ix_(keep, keep)],
-                   hermite_levels=levels)
+    keep = np.tile(kept, len(op.torus_modes))
+    index = np.cumsum(keep) - 1
+    both = keep[op.rows] & keep[op.cols]
+    return replace(op, rows=index[op.rows[both]], cols=index[op.cols[both]],
+                   values=op.values[both],
+                   hermite_levels=[m for m, k in zip(op.hermite_levels, kept)
+                                   if k])
 
 
 def diagonalize(op: ModelOperator):
@@ -289,47 +248,47 @@ def diagonalize(op: ModelOperator):
     Residuals ||A v - lambda v|| of SPOT_CHECKS distinct pairs (all of
     them in a smaller matrix), drawn with a fixed seed, are checked against
     RESIDUAL_TOL * max|lambda|, which equals ||A||_2 for a Hermitian A."""
+    A = op.matrix
     try:
-        vals, vecs = np.linalg.eigh(op.matrix)
+        vals, vecs = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:
         raise InvariantError(f"eigensolve failed: {exc}") from exc
     norm_a = max(float(np.abs(vals).max()), 1e-300)
     idx = np.random.default_rng(0).choice(op.dim, min(SPOT_CHECKS, op.dim),
                                           replace=False)
     for i in idx:
-        res = np.linalg.norm(op.matrix @ vecs[:, i] - vals[i] * vecs[:, i])
+        res = np.linalg.norm(A @ vecs[:, i] - vals[i] * vecs[:, i])
         if res > RESIDUAL_TOL * norm_a:
             raise InvariantError(f"eigenpair residual {res:.3e} too large")
     return vals, vecs
 
 
 def window_eigenvalues(op: ModelOperator, window) -> np.ndarray:
-    """The ascending eigenvalues of op.matrix in the closed window
-    [lo, hi], without eigenvectors.
+    """The ascending eigenvalues of the operator in the closed window
+    [lo, hi], without eigenvectors and without the dense matrix.
 
-    The matrix goes into band storage, with the bandwidth read from its
-    nonzeros, and one values-only eig_banded call (LAPACK ?hbevd) gives
-    every eigenvalue; the extremes give max|lambda| = ||A||_2.  Then
+    The entries go into band storage, with the bandwidth max |row - col|,
+    and one values-only eig_banded call (LAPACK ?hbevd) gives every
+    eigenvalue; the extremes give max|lambda| = ||A||_2.  Then
     min(SPOT_CHECKS, window size) window values, drawn with a fixed seed,
     are confirmed by two inverse-iteration steps on one band LU.  The LU
     is factored at lambda + SHIFT_OFFSET ||A||_2, because a value that
     equals a diagonal entry exactly (the epsilon = 0 models) makes
-    A - lambda I singular; the residual is measured at lambda itself.  For a
-    Hermitian A, ||A x - lambda x|| <= RESIDUAL_TOL ||A||_2 with ||x|| = 1
-    proves lambda lies within that distance of the spectrum.  A second step
-    keeps a start vector with a small component along the eigenvector from
-    failing a true value."""
+    A - lambda I singular; the residual, a mat-vec over the entries, is
+    measured at lambda itself.  For a Hermitian A,
+    ||A x - lambda x|| <= RESIDUAL_TOL ||A||_2 with ||x|| = 1 proves lambda
+    lies within that distance of the spectrum.  A second step keeps a start
+    vector with a small component along the eigenvector from failing a
+    true value."""
     from scipy.linalg import eig_banded, get_lapack_funcs
 
-    A, n = op.matrix, op.dim
-    rows, cols = np.nonzero(A)
+    rows, cols, n = op.rows, op.cols, op.dim
     bw = int(np.abs(rows - cols).max(initial=0))
     # LAPACK general band storage, A[i, j] at ab[2 bw + i - j, j]; the top
     # bw rows are room for the LU's fill-in.  Rows 2 bw .. 3 bw, the
     # diagonal and the bw subdiagonals, are eig_banded's lower storage.
-    ab = np.zeros((3 * bw + 1, n), dtype=A.dtype)
-    for k in range(-bw, bw + 1):
-        ab[2 * bw - k, max(k, 0):n + min(k, 0)] = np.diagonal(A, k)
+    ab = np.zeros((3 * bw + 1, n), dtype=complex)
+    ab[2 * bw + rows - cols, cols] = op.values
     try:
         vals = eig_banded(ab[2 * bw:], lower=True, eigvals_only=True)
     except np.linalg.LinAlgError as exc:
@@ -347,11 +306,13 @@ def window_eigenvalues(op: ModelOperator, window) -> np.ndarray:
         if info != 0:
             raise InvariantError(
                 f"band LU at window eigenvalue {lam!r} failed (info {info})")
-        x = rng.standard_normal((n, 1)).astype(A.dtype)
+        x = rng.standard_normal((n, 1)).astype(complex)
         for _ in range(2):
             x, _ = gbtrs(lu, bw, bw, x / np.linalg.norm(x), piv)
         x = x[:, 0] / np.linalg.norm(x)
-        res = np.linalg.norm(A @ x - lam * x)
+        ax = np.zeros(n, dtype=complex)
+        np.add.at(ax, rows, op.values * x[cols])
+        res = np.linalg.norm(ax - lam * x)
         if not res <= RESIDUAL_TOL * norm_a:
             raise InvariantError(
                 f"window eigenvalue {lam!r} residual {res:.3e} too large")

@@ -7,6 +7,7 @@ import time
 import numpy as np
 import pytest
 
+from desk import desk_model
 from resonorm.errors import InvariantError
 from resonorm.freqsets import ZoneSpec, excluded_set_measure, summability_check, zone_measure_mc
 from resonorm.gevrey import (
@@ -16,7 +17,7 @@ from resonorm.gevrey import (
     subgevrey_exp_delta,
 )
 from resonorm.kam import NormalFormState, Schedule, homological_residual, iterate, solve_homological
-from resonorm.oracle import CouplingTerm, OperatorSpec, build_operator, diagonalize, match_spectrum
+from resonorm.oracle import build_operator, diagonalize, interior, match_spectrum
 from resonorm.quantize import optimal_n_brute, optimal_n_stirling, predict_spectrum
 from resonorm.scarring import (
     build_quasi_table,
@@ -58,11 +59,8 @@ def test_criterion_1_exact_integrable_limit():
         geo = PhaseGeometry(d=d, d0=0)
         state = NormalFormState.initial(geo, omega, None, 0.0,
                                         FourierTaylorSeries.zero(geo))
-        spec = OperatorSpec.build(
-            d=d, torus_poly={tuple(1 if a == i else 0 for a in range(d)):
-                             omega[i] for i in range(d)})
         Nt = 6
-        op = build_operator(spec, h=h, epsilon=0.0, Nt=Nt, Nh=1)
+        op = build_operator(state.integrable_series(), h, Nt, 1)
         vals, vecs = diagonalize(op)
         for i, e in enumerate(vals):
             mode = op.torus_modes[int(np.argmax(np.abs(vecs[:, i])))]
@@ -141,22 +139,12 @@ def test_criterion_4_cluster_structure():
     t0 = time.monotonic()
     h, eps, w = 0.05, 0.01, 1.0
     lam = lamt = 1.0
-    geo = PhaseGeometry(d=1, d0=1)
-    st = NormalFormState.initial(geo, [w], np.diag([lam, lamt]), eps,
-                                 FourierTaylorSeries.zero(geo))
+    st, op = desk_model(h, 14, 24, eps=eps, lam=lam, lamt=lamt, w=w)
     pred = predict_spectrum(st, h=h, epsilon=eps, maslov=(0,),
                             window=(0.12, 0.38), scaling="oscillator",
                             n_res_max=5)
-    spec = OperatorSpec.build(
-        d=1, d0=1, torus_poly={(1,): w},
-        quad_u=[0.5 * eps * lam], quad_v=[0.5 * eps * lamt],
-        couplings=[CouplingTerm(coeff=0.1 * eps / 2.0, k=(1,))])
-    Nh = 24
-    op = build_operator(spec, h=h, epsilon=eps, Nt=14, Nh=Nh)
     assert op.dim <= 2000
-    labels = op.basis_labels()
-    keep = [i for i, (n, m) in enumerate(labels) if m[0] < int(0.8 * Nh)]
-    eigs = np.sort(np.linalg.eigvalsh(op.matrix[np.ix_(keep, keep)]))
+    eigs = np.sort(np.linalg.eigvalsh(interior(op).matrix))
     sel = eigs[(eigs > 0.12) & (eigs < 0.38)]
     rep = match_spectrum(sel, pred)
     centers = sorted(rep.clusters[i].center for i, _ in rep.matched)
@@ -233,28 +221,19 @@ def test_criterion_7_integral_bound_dominates():
 
 def _desk_model(h, eps=0.01, lam=1.0, lamt=1.0, w=1.0, window=(0.12, 0.38),
                 Nh=24, coupling=0.1):
-    geo = PhaseGeometry(d=1, d0=1)
-    st = NormalFormState.initial(geo, [w], np.diag([lam, lamt]), eps,
-                                 FourierTaylorSeries.zero(geo))
-    spec = OperatorSpec.build(
-        d=1, d0=1, torus_poly={(1,): w},
-        quad_u=[0.5 * eps * lam], quad_v=[0.5 * eps * lamt],
-        couplings=[CouplingTerm(coeff=coupling * eps / 2.0, k=(1,))])
     Nt = int(math.ceil(window[1] / (h * w))) + 4
-    op = build_operator(spec, h=h, epsilon=eps, Nt=Nt, Nh=Nh, dim_cap=8000)
-    labels = op.basis_labels()
-    keep = [i for i, (n, m) in enumerate(labels) if m[0] < int(0.8 * Nh)]
-    sub = op.matrix[np.ix_(keep, keep)]
-    vals, vecs = np.linalg.eigh(sub)
+    st, op = desk_model(h, Nt, Nh, eps=eps, lam=lam, lamt=lamt, w=w,
+                        coupling=coupling, dim_cap=8000)
+    sub = interior(op)
+    vals, vecs = np.linalg.eigh(sub.matrix)
     sel = (vals >= window[0]) & (vals <= window[1])
-    labels_kept = [labels[i] for i in keep]
     modes = [(m,) for m in range(int(window[0] / h) + 1,
                                  int(window[1] / h) + 1)]
     offset = resonant_ground_energy(st, h, "oscillator")
     table = build_quasi_table(st, h, (0,), modes, offset=offset)
     table.entries = [e for e in table.entries
                      if window[0] <= e[2] <= window[1]]
-    return st, op, vals[sel], vecs[:, sel], labels_kept, table
+    return st, op, vals[sel], vecs[:, sel], sub.basis_labels(), table
 
 
 def test_criterion_8_separation_and_windows():

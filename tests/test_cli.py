@@ -13,7 +13,7 @@ from resonorm.cli import RunConfig, main
 from resonorm.errors import DivisorError
 from resonorm.gevrey import power_log_delta
 from resonorm.kam import check_divisors
-from resonorm.oracle import required_Nt
+from resonorm.oracle import ModelOperator, required_Nt
 from resonorm.quantize import remainder_bound
 from resonorm.reduction import unimodular_completion
 from resonorm.series import (FourierTaylorSeries, PhaseGeometry,
@@ -438,6 +438,45 @@ def test_oracle_commands_solve_once(tmp_path, monkeypatch, command):
         assert solves == [("eig_banded", (20, nt * 19))]
     else:
         assert solves == [("eigh", (nt * 19, nt * 19))]
+
+
+def test_compare_never_forms_the_dense_matrix(tmp_path, monkeypatch):
+    def dense(self):
+        raise AssertionError("compare read the dense matrix")
+    monkeypatch.setattr(ModelOperator, "matrix", property(dense))
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(RESONANT_CFG)
+    assert main(["compare", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 0
+
+
+def test_compare_quantizes_off_diagonal_M(tmp_path):
+    # d0 = 2 with U = V = [[1, 0.3], [0.3, 1]]: the oracle quantizes all of
+    # M, whose normal modes have lambda = (0.7, 1.3).  U = V conserves the
+    # total Hermite level, so below the interior cut the oracle levels are
+    # exactly the prediction's eps h sum_j lambda_j (n_j + 1/2) on top of
+    # the torus level h n w; the window holds the n = 3 cluster only
+    h, eps = 0.05, 0.01
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(RESONANT_CFG
+                   .replace("d0 = 1", "d0 = 2")
+                   .replace("M = 1.0 0 ; 0 1.0", "M = 1 0.3 0 0 ; 0.3 1 0 0 ; "
+                            "0 0 1 0.3 ; 0 0 0.3 1")
+                   .replace("window = 0.12 0.38", "window = 0.1495 0.152175")
+                   .replace("n_res_max = 5", "n_res_max = 8")
+                   .replace("Nh = 24\ncoupling = 0.1", "Nh = 10"))
+    out = tmp_path / "out"
+    assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = (out / "comparison.csv").read_text().strip().splitlines()[1:]
+    got = [[float(v) for v in r.split(",")[:2]] for r in rows]
+    want = sorted(3 * h + eps * h * (0.7 * (n1 + 0.5) + 1.3 * (n2 + 0.5))
+                  for n1 in range(9) for n2 in range(9))
+    want = [e for e in want if 0.1495 <= e <= 0.152175]
+    assert len(want) == 10
+    assert len(got) == len(want)
+    for (predicted, oracle), e in zip(got, want):
+        assert abs(predicted - e) <= 1e-15
+        assert abs(oracle - e) <= 1e-15
 
 
 def test_measure_command_and_determinism(tmp_path):

@@ -1,17 +1,18 @@
-"""Model-operator tests: exact diagonal and ladder spectra, perturbation
-theory as an independent oracle for weak coupling, Weyl symmetrization,
-and cluster matching."""
+"""Model-operator tests: the Weyl assembler against the midpoint rule and an
+independent Kronecker-sum assembly, exact diagonal and ladder spectra,
+perturbation theory as an independent oracle for weak coupling, Weyl
+symmetrization, and cluster matching."""
 import math
 
 import numpy as np
 import pytest
 
+from desk import desk_model
 from resonorm.errors import ConfigError, CoverageError, InvariantError
 from resonorm.kam import NormalFormState
 from resonorm.oracle import (
     SPOT_CHECKS,
-    CouplingTerm,
-    OperatorSpec,
+    ModelOperator,
     build_operator,
     diagonalize,
     hermite_momentum,
@@ -20,17 +21,118 @@ from resonorm.oracle import (
     match_spectrum,
     required_Nt,
     split_clusters,
-    torus_shift,
     weyl_uv_power,
     window_eigenvalues,
 )
 from resonorm.quantize import predict_spectrum
-from resonorm.series import FourierTaylorSeries, PhaseGeometry
+from resonorm.series import FourierTaylorSeries, PhaseGeometry, integrable_part
+
+
+def _symbol(d, d0=0, terms=(), waves=()):
+    """A real symbol: `terms` are ((k, j, q), c) rows taken as given, and
+    each wave (c, k, q) adds c e^{i<k,x>} z^q plus its conjugate row."""
+    zero_q = (0,) * (2 * d0)
+    rows = list(terms)
+    for c, k, q in waves:
+        q = tuple(q) if q else zero_q
+        rows += [((tuple(k), (0,) * d, q), c),
+                 ((tuple(-v for v in k), (0,) * d, q), np.conj(c))]
+    return FourierTaylorSeries.from_terms(PhaseGeometry(d=d, d0=d0), rows)
+
+
+def _y(d, a, c, d0=0, power=1):
+    """The row c y_a^power."""
+    j = tuple(power if b == a else 0 for b in range(d))
+    return (((0,) * d, j, (0,) * (2 * d0)), c)
+
+
+def _quad(d, d0, cu, cv):
+    """The rows cu_a u_a^2 + cv_a v_a^2."""
+    rows = []
+    for a in range(d0):
+        for c, b in ((cu[a], a), (cv[a], d0 + a)):
+            q = tuple(2 if i == b else 0 for i in range(2 * d0))
+            rows.append((((0,) * d, (0,) * d, q), c))
+    return rows
+
+
+def _from_dense(A):
+    """The operator whose entries are the nonzeros of the Hermitian A, on
+    len(A) torus modes without resonant directions."""
+    rows, cols = np.nonzero(A)
+    n = len(A)
+    return ModelOperator(Nh=1, torus_modes=[(i - n // 2,) for i in range(n)],
+                         hermite_levels=[()], rows=rows, cols=cols,
+                         values=np.asarray(A, dtype=complex)[rows, cols])
+
+
+# ---------------------------------------------------------------------------
+# the assembler
+# ---------------------------------------------------------------------------
+
+def test_midpoint_rule():
+    # c e^{ix} y + c.c.: the k = 1 row takes y at the midpoint h (n + 1/2)
+    # of the transition n -> n + 1, and its conjugate row the same midpoint
+    # of n + 1 -> n, so the matrix is Hermitian
+    c, h, Nt = 0.3 + 0.4j, 0.1, 4
+    G = PhaseGeometry(d=1)
+    symbol = FourierTaylorSeries.from_terms(
+        G, [(((1,), (1,), ()), c), (((-1,), (1,), ()), np.conj(c))])
+    op = build_operator(symbol, h, Nt, 1)
+    A = op.matrix
+    idx = {m: i for i, (m, _) in enumerate(op.basis_labels())}
+    for n in range(-Nt, Nt):
+        assert A[idx[(n + 1,)], idx[(n,)]] == c * (h * (n + 0.5))
+        assert A[idx[(n,)], idx[(n + 1,)]] == np.conj(c) * (h * (n + 0.5))
+    # a midpoint is never 0: every one of the 2 Nt transitions each way
+    assert np.count_nonzero(A) == 2 * 2 * Nt
+
+
+def test_non_real_symbol_rejected():
+    G = PhaseGeometry(d=1, d0=1)
+    one_sided = FourierTaylorSeries.fourier_mode(G, (1,), 0.1)
+    imaginary = FourierTaylorSeries.from_terms(G, [(((0,), (0,), (2, 0)), 1j)])
+    for symbol in (one_sided, imaginary):
+        with pytest.raises(InvariantError, match="Hermitian"):
+            build_operator(symbol, 0.1, 3, 4)
+
+
+def test_dense_view_is_the_kronecker_sum():
+    # P = 0: the operator is T (x) I + I (x) O, T the torus part h n w plus
+    # the coupling g eps/2 (e^{ix} + e^{-ix}), O = cu u^2 + cv v^2 from
+    # ladder matrices built here; entry for entry the same sums in the same
+    # order, so bit for bit
+    h, eps, w, g, Nt, Nh = 0.05, 0.01, 1.3, 0.1, 5, 7
+    cu, cv = eps / 2.0 * 0.8, eps / 2.0 * 1.7
+    G = PhaseGeometry(d=1, d0=1)
+    symbol = integrable_part(G, 0.0, [w], np.diag([0.8, 1.7]), eps) + \
+        _symbol(1, 1, waves=[(g * eps / 2.0, (1,), None)])
+    n = np.arange(-Nt, Nt + 1)
+    T = (np.diag(h * n * w) + np.diag(np.full(2 * Nt, g * eps / 2.0), 1)
+         + np.diag(np.full(2 * Nt, g * eps / 2.0), -1))
+    lad = np.sqrt(h * np.arange(1, Nh) / 2.0)
+    U = np.diag(lad, 1) + np.diag(lad, -1)
+    P = 1j * (np.diag(lad, -1) - np.diag(lad, 1))
+    O = cu * (U @ U) + cv * (P @ P)
+    want = np.kron(T, np.eye(Nh)) + np.kron(np.eye(2 * Nt + 1), O)
+    assert np.array_equal(build_operator(symbol, h, Nt, Nh).matrix, want)
+
+
+def test_mode_shift_composition():
+    # cos x applied twice equals 1/2 + cos(2x)/2 away from the box edge,
+    # where the truncation drops the intermediate modes
+    h, Nt = 0.1, 4
+    once = build_operator(_symbol(1, waves=[(0.5, (1,), None)]), h, Nt, 1)
+    twice = build_operator(_symbol(1, terms=[(((0,), (0,), ()), 0.5)],
+                                   waves=[(0.25, (2,), None)]), h, Nt, 1)
+    prod = once.matrix @ once.matrix
+    assert np.allclose(prod[1:-1, 1:-1], twice.matrix[1:-1, 1:-1],
+                       atol=1e-15)
+    assert not np.allclose(prod, twice.matrix)
 
 
 def test_pure_torus_diagonal():
-    spec = OperatorSpec.build(d=1, torus_poly={(1,): 2.0})   # 2 h D_x
-    op = build_operator(spec, h=0.1, epsilon=0.0, Nt=5, Nh=1)
+    op = build_operator(_symbol(1, terms=[_y(1, 0, 2.0)]), 0.1, 5, 1)  # 2 h D_x
     eigs, _ = diagonalize(op)
     want = sorted(2.0 * 0.1 * n for n in range(-5, 6))
     assert np.allclose(eigs, want, atol=1e-14)
@@ -39,11 +141,10 @@ def test_pure_torus_diagonal():
 def test_oscillator_ladder_exact():
     # ((h D_u)^2 + u^2)/2: every interior level h (m + 1/2) appears exactly;
     # only the top truncated level is corrupted (the standard edge effect)
-    spec = OperatorSpec.build(d=1, d0=1, torus_poly={}, quad_u=[0.5],
-                              quad_v=[0.5])
     h = 0.05
     Nh = 12
-    op = build_operator(spec, h=h, epsilon=0.0, Nt=0, Nh=Nh)
+    op = build_operator(_symbol(1, 1, terms=_quad(1, 1, [0.5], [0.5])), h,
+                        0, Nh)
     eigs, _ = diagonalize(op)
     for m in range(Nh - 1):
         want = h * (m + 0.5)
@@ -56,10 +157,8 @@ def test_weak_coupling_second_order_perturbation_oracle():
     # with E_n - E_{n+-1} = -+ h w: the second-order shift cancels, so the
     # eigenvalues match h w n to O(eps^2/gap) and the deviation is bounded
     h, w, eps = 0.1, 1.0, 1e-3
-    spec = OperatorSpec.build(
-        d=1, torus_poly={(1,): w},
-        couplings=[CouplingTerm(coeff=eps / 2.0, k=(1,))])
-    op = build_operator(spec, h=h, epsilon=eps, Nt=12, Nh=1)
+    symbol = _symbol(1, terms=[_y(1, 0, w)], waves=[(eps / 2.0, (1,), None)])
+    op = build_operator(symbol, h, 12, 1)
     eigs, _ = diagonalize(op)
     interior = [n for n in range(-8, 9)]
     want = sorted(h * w * n for n in interior)
@@ -70,22 +169,18 @@ def test_weak_coupling_second_order_perturbation_oracle():
 
 
 def test_shift_out_of_range_rejected():
-    spec = OperatorSpec.build(d=1, torus_poly={(1,): 1.0},
-                              couplings=[CouplingTerm(0.1, k=(3,))])
+    symbol = _symbol(1, terms=[_y(1, 0, 1.0)], waves=[(0.1, (3,), None)])
     with pytest.raises(CoverageError, match="Nt >= 3"):
-        build_operator(spec, h=0.1, epsilon=0.1, Nt=2, Nh=1)
+        build_operator(symbol, 0.1, 2, 1)
 
 
 def test_dimension_cap():
-    spec = OperatorSpec.build(d=2, torus_poly={(1, 0): 1.0})
     with pytest.raises(ConfigError, match="cap"):
-        build_operator(spec, h=0.1, epsilon=0.0, Nt=40, Nh=1)
+        build_operator(_symbol(2, terms=[_y(2, 0, 1.0)]), 0.1, 40, 1)
 
 
 def test_diagonalize_small_cases():
-    spec = OperatorSpec.build(d=1, torus_poly={(1,): 1.0})
-    op = build_operator(spec, h=1.0, epsilon=0.0, Nt=1, Nh=1)
-    op.matrix[:] = [[0, 1, 0], [1, 0, 0], [0, 0, 2.0]]
+    op = _from_dense(np.array([[0, 1, 0], [1, 0, 0], [0, 0, 2.0]]))
     eigs, _ = diagonalize(op)
     assert np.allclose(eigs, [-1.0, 1.0, 2.0])
 
@@ -94,21 +189,18 @@ def test_trace_invariance_random_hermitian():
     rng = np.random.default_rng(7)
     A = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
     A = 0.5 * (A + A.conj().T)
-    spec = OperatorSpec.build(d=1, torus_poly={})
-    op = build_operator(spec, h=1.0, epsilon=0.0, Nt=14, Nh=1)
-    assert op.dim == 29
     op29 = A[:29, :29]
     op29 = 0.5 * (op29 + op29.conj().T)
-    op.matrix[:] = op29
+    op = _from_dense(op29)
+    assert op.dim == 29
     eigs, _ = diagonalize(op)
     assert abs(np.sum(eigs) - np.trace(op29).real) < 1e-10 * max(
         1.0, abs(np.trace(op29)))
 
 
 def test_residual_guard_rejects_a_corrupted_eigenvector(monkeypatch):
-    spec = OperatorSpec.build(d=1, torus_poly={(1,): 1.0},
-                              couplings=[CouplingTerm(coeff=0.2, k=(1,))])
-    op = build_operator(spec, h=0.5, epsilon=0.2, Nt=2, Nh=1)
+    op = build_operator(_symbol(1, terms=[_y(1, 0, 1.0)],
+                                waves=[(0.2, (1,), None)]), 0.5, 2, 1)
     eigh = np.linalg.eigh
     diagonalize(op)
     for bad in range(op.dim):
@@ -126,35 +218,29 @@ def test_spectral_radius_is_the_two_norm():
     rng = np.random.default_rng(11)
     A = rng.normal(size=(25, 25)) + 1j * rng.normal(size=(25, 25))
     A = 0.5 * (A + A.conj().T)
-    spec = OperatorSpec.build(d=1, torus_poly={})
-    op = build_operator(spec, h=1.0, epsilon=0.0, Nt=12, Nh=1)
-    op.matrix[:] = A
+    op = _from_dense(A)
     vals, _ = diagonalize(op)
     two_norm = np.linalg.norm(A, 2)
     assert abs(np.abs(vals).max() - two_norm) <= 1e-12 * two_norm
 
 
 def _coupled_d1_interior():
-    spec = OperatorSpec.build(
-        d=1, d0=1, torus_poly={(1,): 1.0}, quad_u=[0.3], quad_v=[0.4],
-        couplings=[CouplingTerm(coeff=0.05, k=(1,)),
-                   CouplingTerm(coeff=0.02, k=(1,), upow=(1,))])
-    return interior(build_operator(spec, h=0.1, epsilon=0.1, Nt=6, Nh=10))
+    symbol = _symbol(1, 1, terms=[_y(1, 0, 1.0, 1)] + _quad(1, 1, [0.3], [0.4]),
+                     waves=[(0.05, (1,), None), (0.02, (1,), (1, 0))])
+    return interior(build_operator(symbol, 0.1, 6, 10))
 
 
 def _wide_band_d2_interior():
-    spec = OperatorSpec.build(
-        d=2, d0=1, torus_poly={(1, 0): 1.0, (0, 1): 0.7}, quad_u=[0.3],
-        quad_v=[0.2],
-        couplings=[CouplingTerm(coeff=0.05, k=(1, 0)),
-                   CouplingTerm(coeff=0.03j, k=(0, 1), upow=(1,))])
-    return interior(build_operator(spec, h=0.1, epsilon=0.1, Nt=3, Nh=5))
+    symbol = _symbol(2, 1, terms=[_y(2, 0, 1.0, 1), _y(2, 1, 0.7, 1)]
+                     + _quad(2, 1, [0.3], [0.2]),
+                     waves=[(0.05, (1, 0), None), (0.03j, (0, 1), (1, 0))])
+    return interior(build_operator(symbol, 0.1, 3, 5))
 
 
 def _torus_only():
-    spec = OperatorSpec.build(d=1, torus_poly={(1,): 1.0, (2,): 0.5},
-                              couplings=[CouplingTerm(coeff=0.1, k=(2,))])
-    op = build_operator(spec, h=0.2, epsilon=0.1, Nt=20, Nh=1)
+    symbol = _symbol(1, terms=[_y(1, 0, 1.0), _y(1, 0, 0.5, power=2)],
+                     waves=[(0.1, (2,), None)])
+    op = build_operator(symbol, 0.2, 20, 1)
     assert interior(op) is op
     return op
 
@@ -162,10 +248,7 @@ def _torus_only():
 def _random_dense():
     rng = np.random.default_rng(5)
     A = rng.normal(size=(29, 29)) + 1j * rng.normal(size=(29, 29))
-    op = build_operator(OperatorSpec.build(d=1, torus_poly={}), h=1.0,
-                        epsilon=0.0, Nt=14, Nh=1)
-    op.matrix[:] = 0.5 * (A + A.conj().T)
-    return op
+    return _from_dense(0.5 * (A + A.conj().T))
 
 
 @pytest.mark.parametrize("make, bandwidth", [
@@ -199,8 +282,7 @@ def test_window_eigenvalues_closed_window_and_singular_shift():
     # diagonal entry exactly and A - lambda I is exactly singular, which
     # the shifted LU of the residual check must survive; h = 1/4 makes the
     # eigenvalues h n exact, so lo and hi sit exactly on eigenvalues
-    spec = OperatorSpec.build(d=1, torus_poly={(1,): 1.0})
-    op = build_operator(spec, h=0.25, epsilon=0.0, Nt=6, Nh=1)
+    op = build_operator(_symbol(1, terms=[_y(1, 0, 1.0)]), 0.25, 6, 1)
     assert np.array_equal(window_eigenvalues(op, (0.25, 1.0)),
                           [0.25, 0.5, 0.75, 1.0])
     assert np.array_equal(window_eigenvalues(op, (-1.5, 1.5)),
@@ -211,9 +293,8 @@ def test_window_eigenvalues_closed_window_and_singular_shift():
 
 def test_window_residual_guard_rejects_a_shifted_eigenvalue(monkeypatch):
     import scipy.linalg
-    spec = OperatorSpec.build(d=1, torus_poly={(1,): 1.0},
-                              couplings=[CouplingTerm(coeff=0.2, k=(1,))])
-    op = build_operator(spec, h=0.5, epsilon=0.2, Nt=2, Nh=1)
+    op = build_operator(_symbol(1, terms=[_y(1, 0, 1.0)],
+                                waves=[(0.2, (1,), None)]), 0.5, 2, 1)
     assert op.dim <= SPOT_CHECKS
     window = (-10.0, 10.0)
     assert window_eigenvalues(op, window).size == op.dim
@@ -229,11 +310,10 @@ def test_window_residual_guard_rejects_a_shifted_eigenvalue(monkeypatch):
 
 
 def test_interior_is_the_principal_submatrix():
-    spec = OperatorSpec.build(
-        d=1, d0=2, torus_poly={(1,): 1.0}, quad_u=[0.3, 0.5],
-        quad_v=[0.4, 0.2],
-        couplings=[CouplingTerm(coeff=0.05, k=(1,), upow=(1, 0))])
-    op = build_operator(spec, h=0.1, epsilon=0.1, Nt=2, Nh=5)
+    symbol = _symbol(1, 2, terms=[_y(1, 0, 1.0, 2)]
+                     + _quad(1, 2, [0.3, 0.5], [0.4, 0.2]),
+                     waves=[(0.05, (1,), (1, 0, 0, 0))])
+    op = build_operator(symbol, 0.1, 2, 5)
     sub = interior(op)
     keep = [i for i, (n, m) in enumerate(op.basis_labels())
             if all(v < 4 for v in m)]
@@ -245,8 +325,8 @@ def test_interior_is_the_principal_submatrix():
 
 
 def test_interior_without_resonant_directions_is_the_operator():
-    spec = OperatorSpec.build(d=2, torus_poly={(1, 0): 1.0, (0, 1): 0.7})
-    op = build_operator(spec, h=0.1, epsilon=0.0, Nt=3, Nh=1)
+    op = build_operator(_symbol(2, terms=[_y(2, 0, 1.0), _y(2, 1, 0.7)]),
+                        0.1, 3, 1)
     assert interior(op) is op
 
 
@@ -263,17 +343,8 @@ def test_weyl_symmetrization_uv():
     assert np.allclose(interior, 1j * h, atol=1e-12)
 
 
-def test_torus_shift_composition():
-    modes = [(n,) for n in range(-4, 5)]
-    s1 = torus_shift(modes, (1,))
-    s2 = torus_shift(modes, (2,))
-    # composition agrees away from the truncation edge
-    prod = s1 @ s1
-    assert np.allclose(prod[1:-1, 1:-1], s2[1:-1, 1:-1])
-
-
 def test_required_Nt_margin():
-    n = required_Nt(window_hi=1.0, h=0.05, omega_min=1.0, coupling_range=2)
+    n = required_Nt(window_hi=1.0, h=0.05, omega_min=1.0, kmax=2)
     assert n >= 20 + 6
 
 
@@ -319,21 +390,12 @@ def test_full_pipeline_cluster_structure():
     # intra-cluster spacing eps*h*sqrt(lam*lamt)
     h, eps, w = 0.05, 0.01, 1.0
     lam, lamt = 1.0, 1.0
-    st = _state([w], M=np.diag([lam, lamt]), eps=eps, d0=1)
+    st, op = desk_model(h, 14, 24, eps=eps, lam=lam, lamt=lamt, w=w)
     pred = predict_spectrum(st, h=h, epsilon=eps, maslov=(0,),
                             window=(0.12, 0.38), scaling="oscillator",
                             n_res_max=5)
-    spec = OperatorSpec.build(
-        d=1, d0=1, torus_poly={(1,): w},
-        quad_u=[0.5 * eps * lam], quad_v=[0.5 * eps * lamt],
-        couplings=[CouplingTerm(coeff=0.1 * eps / 2.0, k=(1,))])
-    op = build_operator(spec, h=h, epsilon=eps, Nt=14, Nh=24)
-    eigs, _ = diagonalize(op)
     # drop the Hermite truncation edge: top 20% of levels
-    keep = [i for i, (n, m) in enumerate(op.basis_labels())
-            if m[0] < int(0.8 * 24)]
-    eigs_interior = np.sort(np.linalg.eigvalsh(
-        op.matrix[np.ix_(keep, keep)]))
+    eigs_interior = np.linalg.eigvalsh(interior(op).matrix)
     sel = eigs_interior[(eigs_interior > 0.12) & (eigs_interior < 0.38)]
     rep = match_spectrum(sel, pred)
     assert rep.matched

@@ -9,7 +9,7 @@ import pytest
 from resonorm.errors import ConfigError, InvariantError
 from resonorm.gevrey import power_log_delta
 from resonorm.kam import NormalFormState
-from resonorm.oracle import CouplingTerm, OperatorSpec, build_operator, diagonalize
+from resonorm.oracle import build_operator, diagonalize
 from resonorm.scarring import (
     CensusReport,
     build_quasi_table,
@@ -218,8 +218,8 @@ def test_mass_partition_of_unity():
 
 
 def test_mass_integrable_eigenstates_exact():
-    spec = OperatorSpec.build(d=1, torus_poly={(1,): 1.0})
-    op = build_operator(spec, h=0.1, epsilon=0.0, Nt=4, Nh=1)
+    op = build_operator(FourierTaylorSeries.linear_y(PhaseGeometry(d=1), [1.0]),
+                        0.1, 4, 1)
     vals, vecs = diagonalize(op)
     labels = op.basis_labels()
     for i, e in enumerate(vals):
@@ -245,8 +245,8 @@ def test_match_quasimodes_nearest():
 
 def test_weyl_count_pure_torus():
     h, w = 0.005, 1.0
-    spec = OperatorSpec.build(d=1, torus_poly={(1,): w})
-    op = build_operator(spec, h=h, epsilon=0.0, Nt=60, Nh=1)
+    op = build_operator(FourierTaylorSeries.linear_y(PhaseGeometry(d=1), [w]),
+                        h, 60, 1)
     eigs, _ = diagonalize(op)
     band = (0.05, 0.25)
     volume = 2.0 * math.pi * (band[1] - band[0]) / w
