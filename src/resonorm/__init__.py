@@ -49,7 +49,7 @@ from .oracle import (
     diagonalize,
     interior,
     match_spectrum,
-    window_eigenvalues,
+    window_spectrum,
 )
 from .freqsets import ZoneSpec, zone_measure_mc, excluded_set_measure, summability_check
 from .scarring import (
@@ -76,7 +76,7 @@ __all__ = [
     "QuantumNumbers", "SpectrumPrediction", "predict_spectrum",
     "remainder_bound", "action_index_set",
     "ModelOperator", "build_operator",
-    "diagonalize", "interior", "match_spectrum", "window_eigenvalues",
+    "diagonalize", "interior", "match_spectrum", "window_spectrum",
     "ZoneSpec", "zone_measure_mc", "excluded_set_measure",
     "summability_check",
     "build_quasi_table", "separation_check", "window_census",

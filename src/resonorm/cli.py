@@ -39,11 +39,10 @@ from .gevrey import (
 from .kam import NormalFormState, Schedule, iterate
 from .oracle import (
     build_operator,
-    diagonalize,
     interior,
     match_spectrum,
     required_Nt,
-    window_eigenvalues,
+    window_spectrum,
 )
 from .quantize import action_index_set, predict_spectrum
 from .reduction import TaylorData, reduce_hamiltonian, unimodular_completion
@@ -364,11 +363,10 @@ def _oracle_operator(cfg: RunConfig, state: NormalFormState, h, window):
 
 def _interior_filter(op, window):
     """Drop the Hermite truncation edge (top 20% of levels) before the one
-    eigensolve, then keep the eigenpairs in the window."""
+    band eigensolve: the window's spectrum, and the basis labels that its
+    eigenvectors are aligned with."""
     sub = interior(op)
-    vals, vecs = diagonalize(sub)
-    sel = (vals >= window[0]) & (vals <= window[1])
-    return vals[sel], vecs[:, sel], sub.basis_labels()
+    return window_spectrum(sub, window), sub.basis_labels()
 
 
 def cmd_compare(cfg: RunConfig, outdir: Path, seed: int) -> int:
@@ -376,8 +374,9 @@ def cmd_compare(cfg: RunConfig, outdir: Path, seed: int) -> int:
     state = res.state
     pred = _predict(cfg, state)
     q = cfg.quantize(state.geometry.d)
-    op = _oracle_operator(cfg, state, q["h"], q["window"])
-    sel = window_eigenvalues(interior(op), q["window"])
+    window = q["window"]
+    op = _oracle_operator(cfg, state, q["h"], window)
+    sel = window_spectrum(interior(op), window).values
     rep = match_spectrum(sel, pred,
                          gap_factor=cfg.get("oracle", "gap_factor", 4.0, float))
 
@@ -469,7 +468,8 @@ def cmd_scar(cfg: RunConfig, outdir: Path, seed: int) -> int:
     mass_window = cfg.get("scarring", "mass_window", 2.5 * h, float)
 
     op = _oracle_operator(cfg, state, h, window)
-    sel, vsel, labels = _interior_filter(op, window)
+    spec, labels = _interior_filter(op, window)
+    sel = spec.values
 
     # lattice actions reaching the window
     L = cfg.get("scarring", "L", 0.5, float)
@@ -491,13 +491,16 @@ def cmd_scar(cfg: RunConfig, outdir: Path, seed: int) -> int:
     census = window_census(table, delta_exp, sel, lam=lam, R=1.0 / meas_ratio)
 
     matches = match_quasimodes(table, sel)
+    # eigenvectors for the matched eigenvalues only, each index once
+    idx = sorted({i for _, i, _, _ in matches})
+    vecs = dict(zip(idx, spec.vectors(sel[idx]).T))
     threshold = (meas_ratio / (2.0 * lam)) ** 2
     masses = []
-    for m, idx, e, dist in matches:
+    for m, i, e, dist in matches:
         I_m = h * (np.asarray(m, dtype=float) + np.asarray(maslov) / 4.0)
         wmodes = torus_window_modes(op.torus_modes, h, I_m, mass_window)
         masses.append({"m": list(m), "eig": e,
-                       "mass": mass_on_torus(vsel[:, idx], labels, wmodes)})
+                       "mass": mass_on_torus(vecs[i], labels, wmodes)})
     passing = sum(1 for r in masses if r["mass"] >= threshold)
 
     diffeo = local_diffeo_check(state, [(lo_a, hi_a)] * state.geometry.d,

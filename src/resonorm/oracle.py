@@ -25,7 +25,7 @@ Storage.  A `ModelOperator` holds the operator once, as its nonzero
 entries (row, col, value) in row-major order, both triangles, with
 coincident contributions summed at assembly.  Three views read them:
 `interior` keeps the entries of the principal sub-operator below the
-Hermite truncation edge, `window_eigenvalues` scatters them into band
+Hermite truncation edge, `window_spectrum` scatters them into band
 storage, and `ModelOperator.matrix` builds the dense array for
 `diagonalize`.
 
@@ -33,13 +33,14 @@ Eigensolves.  In the torus-major order a row of mode range K reaches
 about K (2 Nt + 1)^(d-1) nh indices off the diagonal (nh Hermite levels
 per torus mode), so the bandwidth is about K / (2 Nt + 1) of the
 dimension: below 1/6, because the CLI asks for Nt >= required_Nt > 3 K.
-`window_eigenvalues` (the compare path) needs eigenvalues only: one
-values-only band solve (LAPACK ?hbevd) gives the whole spectrum, and each
-checked window value is confirmed by inverse iteration on one band LU, so
-`compare` never forms the n x n matrix.  `diagonalize` (the scar path)
-needs the eigenvectors of tight clusters and stays one dense eigh: the
-band solver with vectors (?hbevx) forms Q densely and is slower than the
-dense solve.
+Both oracle commands take one values-only band solve (LAPACK ?hbevd,
+`window_spectrum`), which gives the whole spectrum without forming the
+n x n matrix.  Eigenvectors, which `scar` needs for its matched
+quasimodes only, come from inverse iteration on a band LU shifted next to
+each value (`WindowSpectrum.vectors`, which also confirms compare's spot
+checks); the band solver with vectors (?hbevx) forms Q densely and is
+slower than a dense solve.  `diagonalize`, the dense eigh with checked
+residuals, is the reference that tests and library callers use.
 """
 from __future__ import annotations
 
@@ -53,10 +54,10 @@ from .errors import ConfigError, CoverageError, InvariantError
 
 DIM_CAP_DEFAULT = 4096
 # eigenpairs whose residual diagonalize checks, and window eigenvalues that
-# window_eigenvalues confirms by inverse iteration (all, when fewer)
+# window_spectrum confirms by inverse iteration (all, when fewer)
 SPOT_CHECKS = 10
 RESIDUAL_TOL = 1e-10       # relative to ||A||_2
-SHIFT_OFFSET = 1e-13       # inverse-iteration shift past lambda, of ||A||_2
+SHIFT_OFFSET = 1e-13       # inverse-iteration shift past a cluster, of ||A||_2
 
 
 @dataclass
@@ -243,7 +244,9 @@ def interior(op: ModelOperator) -> ModelOperator:
 
 
 def diagonalize(op: ModelOperator):
-    """The Hermitian eigensolve: ascending eigenvalues and eigenvectors.
+    """The dense Hermitian eigensolve, ascending eigenvalues and
+    eigenvectors: the reference for the band path, used by tests and
+    library callers, not by the CLI.
 
     Residuals ||A v - lambda v|| of SPOT_CHECKS distinct pairs (all of
     them in a smaller matrix), drawn with a fixed seed, are checked against
@@ -263,24 +266,80 @@ def diagonalize(op: ModelOperator):
     return vals, vecs
 
 
-def window_eigenvalues(op: ModelOperator, window) -> np.ndarray:
-    """The ascending eigenvalues of the operator in the closed window
-    [lo, hi], without eigenvectors and without the dense matrix.
+@dataclass
+class WindowSpectrum:
+    """The window of one values-only band eigensolve, with what inverse
+    iteration needs to add eigenvectors for chosen values."""
+
+    values: np.ndarray             # ascending eigenvalues in the window
+    norm: float                    # ||A||_2 = max|lambda| of the spectrum
+    op: ModelOperator
+    band: np.ndarray               # general band storage, room for the LU
+    bw: int
+
+    def vectors(self, lams, rng=None) -> np.ndarray:
+        """Unit eigenvectors for the eigenvalues lams, one column each in
+        the order of lams, by inverse iteration on a band LU.
+
+        Sorted values closer than RESIDUAL_TOL ||A||_2 form a cluster, as in
+        LAPACK ?stein: it shares one LU, factored SHIFT_OFFSET ||A||_2 above
+        its top value, because a value that equals a diagonal entry exactly
+        (the epsilon = 0 models) makes A - lambda I singular.  A cluster's
+        start block, one standard normal row per value drawn in the order of
+        lams, takes two solve steps with a QR orthonormalization before each
+        and after the last.  Each column must pass
+        ||A x - lambda x|| <= RESIDUAL_TOL ||A||_2 at its own lambda (a
+        mat-vec over the entries), or InvariantError is raised; for a
+        Hermitian A that proves lambda lies within that distance of the
+        spectrum.  The second step keeps a start vector with a small
+        component along the eigenvector from failing a true value."""
+        from scipy.linalg import get_lapack_funcs
+
+        lams = np.asarray(lams, dtype=float)
+        op, bw = self.op, self.bw
+        tol = RESIDUAL_TOL * self.norm
+        rng = np.random.default_rng(0) if rng is None else rng
+        # the start vectors, replaced by the eigenvectors cluster by cluster
+        out = rng.standard_normal((lams.size, op.dim)).T.astype(complex)
+        if not lams.size:
+            return out
+        gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (self.band,))
+        order = np.argsort(lams, kind="stable")
+        cuts = np.flatnonzero(np.diff(lams[order]) > tol) + 1
+        for members in np.split(order, cuts):
+            top = float(lams[members[-1]])
+            shifted = self.band.copy()
+            shifted[2 * bw] -= top + SHIFT_OFFSET * self.norm
+            lu, piv, info = gbtrf(shifted, bw, bw)
+            if info != 0:
+                raise InvariantError(
+                    f"band LU at eigenvalue {top!r} failed (info {info})")
+            x = out[:, members]
+            for _ in range(2):
+                x, _ = gbtrs(lu, bw, bw, np.linalg.qr(x)[0], piv)
+            x = np.linalg.qr(x)[0]
+            ax = np.zeros_like(x)
+            np.add.at(ax, op.rows, op.values[:, None] * x[op.cols])
+            res = np.linalg.norm(ax - lams[members] * x, axis=0)
+            for lam, r in zip(lams[members].tolist(), res.tolist()):
+                if not r <= tol:
+                    raise InvariantError(
+                        f"eigenvalue {lam!r} residual {r:.3e} too large")
+            out[:, members] = x
+        return out
+
+
+def window_spectrum(op: ModelOperator, window) -> WindowSpectrum:
+    """The eigenvalues of the operator in the closed window [lo, hi],
+    without the dense matrix; `WindowSpectrum.vectors` adds eigenvectors.
 
     The entries go into band storage, with the bandwidth max |row - col|,
     and one values-only eig_banded call (LAPACK ?hbevd) gives every
     eigenvalue; the extremes give max|lambda| = ||A||_2.  Then
     min(SPOT_CHECKS, window size) window values, drawn with a fixed seed,
-    are confirmed by two inverse-iteration steps on one band LU.  The LU
-    is factored at lambda + SHIFT_OFFSET ||A||_2, because a value that
-    equals a diagonal entry exactly (the epsilon = 0 models) makes
-    A - lambda I singular; the residual, a mat-vec over the entries, is
-    measured at lambda itself.  For a Hermitian A,
-    ||A x - lambda x|| <= RESIDUAL_TOL ||A||_2 with ||x|| = 1 proves lambda
-    lies within that distance of the spectrum.  A second step keeps a start
-    vector with a small component along the eigenvector from failing a
-    true value."""
-    from scipy.linalg import eig_banded, get_lapack_funcs
+    are confirmed by `WindowSpectrum.vectors`, which raises on a value off
+    the spectrum."""
+    from scipy.linalg import eig_banded
 
     rows, cols, n = op.rows, op.cols, op.dim
     bw = int(np.abs(rows - cols).max(initial=0))
@@ -295,28 +354,11 @@ def window_eigenvalues(op: ModelOperator, window) -> np.ndarray:
         raise InvariantError(f"band eigensolve failed: {exc}") from exc
     norm_a = max(abs(vals[0]), abs(vals[-1]), 1e-300)
     sel = vals[(vals >= window[0]) & (vals <= window[1])]
-
-    gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+    spec = WindowSpectrum(values=sel, norm=norm_a, op=op, band=ab, bw=bw)
     rng = np.random.default_rng(0)
-    for lam in sel[rng.choice(sel.size, min(SPOT_CHECKS, sel.size),
-                              replace=False)].tolist():
-        shifted = ab.copy()
-        shifted[2 * bw] -= lam + SHIFT_OFFSET * norm_a
-        lu, piv, info = gbtrf(shifted, bw, bw)
-        if info != 0:
-            raise InvariantError(
-                f"band LU at window eigenvalue {lam!r} failed (info {info})")
-        x = rng.standard_normal((n, 1)).astype(complex)
-        for _ in range(2):
-            x, _ = gbtrs(lu, bw, bw, x / np.linalg.norm(x), piv)
-        x = x[:, 0] / np.linalg.norm(x)
-        ax = np.zeros(n, dtype=complex)
-        np.add.at(ax, rows, op.values * x[cols])
-        res = np.linalg.norm(ax - lam * x)
-        if not res <= RESIDUAL_TOL * norm_a:
-            raise InvariantError(
-                f"window eigenvalue {lam!r} residual {res:.3e} too large")
-    return sel
+    spec.vectors(sel[rng.choice(sel.size, min(SPOT_CHECKS, sel.size),
+                                replace=False)], rng)
+    return spec
 
 
 # ---------------------------------------------------------------------------

@@ -34,22 +34,46 @@ def k0_eps_derivative(state: NormalFormState, y, order: int,
     """d^order/d eps^order of the action function K0(I; eps) at the run's
     epsilon; exact, from the stored eps-polynomial coefficients."""
     eps = state.epsilon if eps is None else eps
-    y = np.asarray(y, dtype=float)
+    y = np.asarray(y, dtype=float).reshape(1, -1)
+    return float(_k0_derivatives(state, y, order, eps,
+                                 _ledger_averages(state))[0])
+
+
+def _ledger_averages(state: NormalFormState) -> list:
+    """(s, angle average) per entry of the remainder ledger."""
+    return [(s, average_over_angles(rs)) for s, rs in state.rterms]
+
+
+def _on_zero_section(avg, Y) -> np.ndarray:
+    """Re avg(y, z = 0) at each row y of Y, for a series of k = 0 rows."""
+    e, d = avg.exps(), Y.shape[1]
+    j, q = e[:, d:2 * d], e[:, 2 * d:]
+    v = (avg.coefs() * np.prod(Y[:, None, :] ** j, axis=2)
+         * np.prod(0.0 ** q, axis=1))
+    return v.sum(axis=1).real
+
+
+def _k0_derivatives(state: NormalFormState, Y, order: int, eps: float,
+                    ledger) -> np.ndarray:
+    """k0_eps_derivative at each row of Y, with the ledger's angle averages
+    computed once by the caller; order 0 is state.k0_polynomial."""
     if order == 0:
-        return state.k0_polynomial(y, eps)
-    total = 0.0
-    for s, c in enumerate(state.eps_coeffs):
-        s1 = s + 1
-        if s1 >= order:
-            total += c * math.perm(s1, order) * eps ** (s1 - order)
-    for s, w in enumerate(state.omega_coeffs):
-        s1 = s + 1
-        if s1 >= order:
-            total += float(np.dot(w, y)) * math.perm(s1, order) * eps ** (s1 - order)
-    for s, rs in state.rterms:
-        if s >= order and s > 0:
+        total = state.epsilon_series(eps) + Y @ state.omega_p(eps)
+    else:
+        total = 0.0
+        for s, c in enumerate(state.eps_coeffs):
+            s1 = s + 1
+            if s1 >= order:
+                total += c * math.perm(s1, order) * eps ** (s1 - order)
+        total = np.full(len(Y), total)
+        for s, w in enumerate(state.omega_coeffs):
+            s1 = s + 1
+            if s1 >= order:
+                total += (Y @ w) * math.perm(s1, order) * eps ** (s1 - order)
+    for s, avg in ledger:
+        if s >= order:
             total += (math.perm(s, order) * eps ** (s - order)
-                      * average_over_angles(rs).evaluate(y=y).real)
+                      * _on_zero_section(avg, Y))
     return total
 
 
@@ -232,46 +256,46 @@ def local_diffeo_check(state: NormalFormState, Dbox, eps_grid, *,
     if len(box) != d:
         raise ConfigError("action box dimension mismatch")
 
+    ledger = _ledger_averages(state)
+
     def eta(I, eps):
-        return np.array([k0_eps_derivative(state, I, j, eps)
-                         for j in range(d)])
+        """eta at each row of I, one column per eps-derivative order."""
+        return np.stack([_k0_derivatives(state, I, j, eps, ledger)
+                         for j in range(d)], axis=1)
 
-    def jac(I, eps):
-        J = np.zeros((d, d))
-        for a in range(d):
-            step = 1e-6 * max(1.0, abs(I[a]))
-            Ip = I.copy(); Ip[a] += step
-            Im = I.copy(); Im[a] -= step
-            J[:, a] = (eta(Ip, eps) - eta(Im, eps)) / (2.0 * step)
-        return J
-
-    axes = [np.linspace(lo, hi, grid_nodes) for lo, hi in box]
+    # central differences: row a of the (point, a) block steps coordinate a
+    grid = np.array(list(itertools.product(*(np.linspace(lo, hi, grid_nodes)
+                                             for lo, hi in box))))
+    step = 1e-6 * np.maximum(1.0, np.abs(grid))
+    diag = np.arange(d)
+    plus = np.repeat(grid[:, None, :], d, axis=1)
+    minus = plus.copy()
+    plus[:, diag, diag] += step
+    minus[:, diag, diag] -= step
     min_sv = math.inf
     failures = []
-    npts = 0
     for eps in eps_grid:
-        for point in itertools.product(*axes):
-            I = np.array(point)
-            sv = np.linalg.svd(jac(I, eps), compute_uv=False)
-            npts += 1
-            if sv[-1] < 1e-12:
-                failures.append((tuple(point), float(eps)))
-            min_sv = min(min_sv, float(sv[-1]))
+        diff = eta(plus.reshape(-1, d), eps) - eta(minus.reshape(-1, d), eps)
+        jac = (diff.reshape(-1, d, d) / (2.0 * step)[:, :, None]) \
+            .transpose(0, 2, 1)
+        smallest = np.linalg.svd(jac, compute_uv=False)[:, -1]
+        failures += [(tuple(grid[i]), float(eps))
+                     for i in np.flatnonzero(smallest < 1e-12)]
+        min_sv = min(min_sv, float(smallest.min()))
+    npts = len(grid) * len(eps_grid)
 
     rng = np.random.default_rng(seed)
     lo = np.array([b[0] for b in box])
     hi = np.array([b[1] for b in box])
-    g1, g2 = math.inf, 0.0
     eps_mid = float(eps_grid[len(eps_grid) // 2])
-    for _ in range(pair_samples):
-        I1 = lo + (hi - lo) * rng.random(d)
-        I2 = lo + (hi - lo) * rng.random(d)
-        de = np.linalg.norm(eta(I1, eps_mid) - eta(I2, eps_mid))
-        dI = np.linalg.norm(I1 - I2)
-        if de < 1e-14 or dI < 1e-14:
-            continue
-        g1 = min(g1, dI / de)
-        g2 = max(g2, dI / de)
+    pairs = lo + (hi - lo) * rng.random((pair_samples, 2, d))
+    etas = eta(pairs.reshape(-1, d), eps_mid).reshape(pair_samples, 2, d)
+    de = np.linalg.norm(etas[:, 0] - etas[:, 1], axis=1)
+    dI = np.linalg.norm(pairs[:, 0] - pairs[:, 1], axis=1)
+    keep = (de >= 1e-14) & (dI >= 1e-14)
+    ratio = dI[keep] / de[keep]
+    g1 = float(ratio.min()) if ratio.size else math.inf
+    g2 = float(ratio.max()) if ratio.size else 0.0
     return DiffeoReport(min_singular=min_sv, G1=g1, G2=g2,
                         grid_points=npts, failures=failures)
 

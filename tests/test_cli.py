@@ -316,7 +316,7 @@ def test_compare_window_not_covered_exits_4(tmp_path):
 
 def test_oracle_solver_failures_exit_5(tmp_path, monkeypatch, capsys):
     import scipy.linalg
-    eig_banded, eigh = scipy.linalg.eig_banded, np.linalg.eigh
+    eig_banded, qr = scipy.linalg.eig_banded, np.linalg.qr
     cfg = tmp_path / "run.ini"
     cfg.write_text(DIRECT_CFG.replace("epsilon = 1e-3", "epsilon = 0.0")
                    .replace("p_file = pert.series", ""))
@@ -330,17 +330,26 @@ def test_oracle_solver_failures_exit_5(tmp_path, monkeypatch, capsys):
     assert run("compare") == 5
     assert "residual" in capsys.readouterr().err
 
-    # a LAPACK failure in either oracle solve is an invariant violation
-    def fails(a, *args, **kwargs):
-        if np.shape(a)[-1] > 1:
-            raise np.linalg.LinAlgError("eigenvalues did not converge")
-        return eigh(a, *args, **kwargs)
+    # a LAPACK failure in the band solve is an invariant violation
+    def fails(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
     monkeypatch.setattr(scipy.linalg, "eig_banded", fails)
-    monkeypatch.setattr(np.linalg, "eigh", fails)
-    assert run("compare") == 5
-    assert "band eigensolve failed" in capsys.readouterr().err
+    for command in ("compare", "scar"):
+        assert run(command) == 5
+        assert "band eigensolve failed" in capsys.readouterr().err
+    monkeypatch.setattr(scipy.linalg, "eig_banded", eig_banded)
+
+    # so is an eigenvector that fails its residual check.  Without spot
+    # checks, scar's vectors for its matched eigenvalues are the only
+    # inverse iteration; the final orthonormalization then returns the
+    # rows of each vector rolled by one, which is no eigenvector
+    import resonorm.oracle
+    monkeypatch.setattr(resonorm.oracle, "SPOT_CHECKS", 0)
+    monkeypatch.setattr(np.linalg, "qr", lambda a: (np.roll(qr(a)[0], 1, 0),
+                                                    None))
+    cfg.write_text(RESONANT_CFG)
     assert run("scar") == 5
-    assert "eigensolve failed" in capsys.readouterr().err
+    assert "residual" in capsys.readouterr().err
 
 
 def test_compare_resonant_clusters(tmp_path):
@@ -429,25 +438,52 @@ def test_oracle_commands_solve_once(tmp_path, monkeypatch, command):
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
     # the prediction diagonalizes the 1 x 1 blocks of M; every larger
     # matrix is an oracle solve, and the only one is on the 19 interior
-    # levels of Nh = 24.  compare needs eigenvalues only: one band solve
-    # on the lower band storage, whose bandwidth is the 19 levels the
-    # e^{ix} coupling shifts by; scar needs eigenvectors: one dense eigh
+    # levels of Nh = 24: one values-only band solve on the lower band
+    # storage, whose bandwidth is the 19 levels the e^{ix} coupling shifts
+    # by.  scar's eigenvectors come from inverse iteration, not a solve
     solves = [c for c in calls if c[1][0] > 1]
     nt = 2 * required_Nt(0.38, 0.05, 1.0, 1) + 1
-    if command == "compare":
-        assert solves == [("eig_banded", (20, nt * 19))]
-    else:
-        assert solves == [("eigh", (nt * 19, nt * 19))]
+    assert solves == [("eig_banded", (20, nt * 19))]
+
+
+def test_scar_computes_each_matched_eigenvector_once(tmp_path, monkeypatch):
+    # every table entry matched twice: scar asks inverse iteration for each
+    # distinct eigenvalue once, and both copies of an entry get its mass
+    import resonorm.cli
+    import resonorm.oracle
+    from resonorm.oracle import WindowSpectrum
+    match, vectors = resonorm.cli.match_quasimodes, WindowSpectrum.vectors
+    asked = []
+
+    def recorded(self, lams, rng=None):
+        asked.append(np.asarray(lams))
+        return vectors(self, lams, rng)
+    monkeypatch.setattr(resonorm.oracle, "SPOT_CHECKS", 0)
+    monkeypatch.setattr(WindowSpectrum, "vectors", recorded)
+    monkeypatch.setattr(resonorm.cli, "match_quasimodes",
+                        lambda table, eigs: 2 * match(table, eigs))
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(RESONANT_CFG)
+    assert main(["scar", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "scar.json").read_text())
+    entries = rep["mass"]["entries"]
+    half = len(entries) // 2
+    assert half > 0 and entries[:half] == entries[half:]
+    asked = [lams for lams in asked if lams.size]      # no spot checks
+    assert len(asked) == 1
+    assert np.array_equal(asked[0], np.unique([e["eig"] for e in entries]))
 
 
 def test_compare_never_forms_the_dense_matrix(tmp_path, monkeypatch):
+    # neither oracle command: scar too runs on the band storage
     def dense(self):
-        raise AssertionError("compare read the dense matrix")
+        raise AssertionError("an oracle command read the dense matrix")
     monkeypatch.setattr(ModelOperator, "matrix", property(dense))
     cfg = tmp_path / "run.ini"
     cfg.write_text(RESONANT_CFG)
-    assert main(["compare", "--config", str(cfg),
-                 "--out", str(tmp_path / "out")]) == 0
+    for command in ("compare", "scar"):
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / command)]) == 0
 
 
 def test_compare_quantizes_off_diagonal_M(tmp_path):

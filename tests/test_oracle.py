@@ -22,7 +22,7 @@ from resonorm.oracle import (
     required_Nt,
     split_clusters,
     weyl_uv_power,
-    window_eigenvalues,
+    window_spectrum,
 )
 from resonorm.quantize import predict_spectrum
 from resonorm.series import FourierTaylorSeries, PhaseGeometry, integrable_part
@@ -269,12 +269,65 @@ def test_window_eigenvalues_match_dense_eigvalsh(make, bandwidth):
     lo = 0.5 * (vals[n // 4] + vals[n // 4 + 1])
     hi = 0.5 * (vals[3 * n // 4] + vals[3 * n // 4 + 1])
     want = vals[(vals >= lo) & (vals <= hi)]
-    got = window_eigenvalues(op, (lo, hi))
+    got = window_spectrum(op, (lo, hi)).values
     assert want.size > SPOT_CHECKS
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-13 * norm_a
-    full = window_eigenvalues(op, (vals[0] - 1.0, vals[-1] + 1.0))
+    full = window_spectrum(op, (vals[0] - 1.0, vals[-1] + 1.0)).values
     assert np.abs(full - vals).max() <= 1e-13 * norm_a
+
+
+def _projector_gap(spec, vals, vecs, lo, hi, gap):
+    """The largest 2-norm distance between the projectors onto the computed
+    and the dense eigenvectors, over groups of window values split at
+    gaps larger than `gap`."""
+    x = spec.vectors(spec.values)
+    w = vecs[:, (vals >= lo) & (vals <= hi)]
+    assert x.shape == w.shape
+    cuts = np.flatnonzero(np.diff(spec.values) > gap) + 1
+    groups = np.split(np.arange(spec.values.size), cuts)
+    return max(np.linalg.norm(x[:, g] @ x[:, g].conj().T
+                              - w[:, g] @ w[:, g].conj().T, 2)
+               for g in groups), max(len(g) for g in groups)
+
+
+@pytest.mark.parametrize("make", [_coupled_d1_interior,
+                                  _wide_band_d2_interior, _torus_only,
+                                  _random_dense])
+def test_window_eigenvectors_match_dense_eigh(make):
+    # up to phase: a lone vector's projector is invariant under the phase.
+    # Values closer than 1e-6 ||A||_2 are compared as one group, because
+    # dense eigh fixes a vector only to about 1e-16 ||A||_2 / gap; _torus_only
+    # has such pairs (gaps down to 7e-10, 6e-11 of ||A||_2)
+    op = make()
+    vals, vecs = np.linalg.eigh(op.matrix)
+    norm_a = np.abs(vals).max()
+    n = vals.size
+    for lo, hi in ((0.5 * (vals[n // 4] + vals[n // 4 + 1]),
+                    0.5 * (vals[3 * n // 4] + vals[3 * n // 4 + 1])),
+                   (vals[0] - 1.0, vals[-1] + 1.0)):
+        spec = window_spectrum(op, (lo, hi))
+        assert spec.norm == pytest.approx(norm_a, rel=1e-13)
+        dist, _ = _projector_gap(spec, vals, vecs, lo, hi, 1e-6 * norm_a)
+        assert dist <= 1e-8
+
+
+def test_degenerate_eigenvalues_share_one_eigenspace():
+    # d0 = 2 with M = I: the interior's resonant part is diagonal with the
+    # level h (m1 + m2 + 1) eps, exactly degenerate in m1 + m2, tensored
+    # with the spectrum of the e^{ix}-coupled torus part
+    h, eps = 0.1, 0.01
+    symbol = _symbol(1, 2, terms=[_y(1, 0, 1.0, 2)]
+                     + _quad(1, 2, [eps / 2] * 2, [eps / 2] * 2),
+                     waves=[(0.05, (1,), None)])
+    op = interior(build_operator(symbol, h, 4, 5))
+    vals, vecs = np.linalg.eigh(op.matrix)
+    window = (vals[0] - 1.0, vals[-1] + 1.0)
+    spec = window_spectrum(op, window)
+    # every value, with its cluster, passes the residual check in vectors
+    dist, largest = _projector_gap(spec, vals, vecs, *window, 1e-8)
+    assert largest == 4             # m1 + m2 = 3 below the cut at 4 levels
+    assert dist <= 1e-10
 
 
 def test_window_eigenvalues_closed_window_and_singular_shift():
@@ -283,11 +336,11 @@ def test_window_eigenvalues_closed_window_and_singular_shift():
     # the shifted LU of the residual check must survive; h = 1/4 makes the
     # eigenvalues h n exact, so lo and hi sit exactly on eigenvalues
     op = build_operator(_symbol(1, terms=[_y(1, 0, 1.0)]), 0.25, 6, 1)
-    assert np.array_equal(window_eigenvalues(op, (0.25, 1.0)),
+    assert np.array_equal(window_spectrum(op, (0.25, 1.0)).values,
                           [0.25, 0.5, 0.75, 1.0])
-    assert np.array_equal(window_eigenvalues(op, (-1.5, 1.5)),
+    assert np.array_equal(window_spectrum(op, (-1.5, 1.5)).values,
                           0.25 * np.arange(-6, 7))
-    empty = window_eigenvalues(op, (0.3, 0.4))
+    empty = window_spectrum(op, (0.3, 0.4)).values
     assert empty.shape == (0,)
 
 
@@ -297,7 +350,7 @@ def test_window_residual_guard_rejects_a_shifted_eigenvalue(monkeypatch):
                                 waves=[(0.2, (1,), None)]), 0.5, 2, 1)
     assert op.dim <= SPOT_CHECKS
     window = (-10.0, 10.0)
-    assert window_eigenvalues(op, window).size == op.dim
+    assert window_spectrum(op, window).values.size == op.dim
     eig_banded = scipy.linalg.eig_banded
     for bad in range(op.dim):
         def shifted(*args, bad=bad, **kwargs):
@@ -306,7 +359,7 @@ def test_window_residual_guard_rejects_a_shifted_eigenvalue(monkeypatch):
             return vals
         monkeypatch.setattr(scipy.linalg, "eig_banded", shifted)
         with pytest.raises(InvariantError, match="residual"):
-            window_eigenvalues(op, window)
+            window_spectrum(op, window)
 
 
 def test_interior_is_the_principal_submatrix():
