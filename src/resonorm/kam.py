@@ -316,17 +316,25 @@ class NormalFormState:
             out = out + rs.scale(self.epsilon ** s if s else 1.0)
         return out
 
-    def k0_polynomial(self, y, eps: float | None = None) -> float:
+    def ledger_averages(self) -> list:
+        """(s, angle average of R_s) for each entry of the remainder
+        ledger."""
+        return [(s, average_over_angles(rs)) for s, rs in self.rterms]
+
+    def k0_polynomial(self, y, eps: float | None = None, ledger=None):
         """Action function of the normal form on the zero section z = 0:
         eps_p(eps) + <omega_p(eps), y> plus the angle-averaged remainder
-        ledger evaluated at (y, z = 0)."""
+        ledger evaluated at (y, z = 0).  A stack of points y (one per row)
+        gives an array of values, a point a float.  `ledger` is
+        ledger_averages(), for a caller that evaluates many points."""
         eps = self.epsilon if eps is None else eps
         y = np.asarray(y, dtype=float)
-        total = self.epsilon_series(eps) + float(np.dot(self.omega_p(eps), y))
-        for s, rs in self.rterms:
+        ledger = self.ledger_averages() if ledger is None else ledger
+        total = self.epsilon_series(eps) + y @ self.omega_p(eps)
+        for s, avg in ledger:
             w = eps ** s if s else 1.0
-            total += w * average_over_angles(rs).evaluate(x=None, y=y, z=None).real
-        return total
+            total = total + w * avg.evaluate(y=y).real
+        return float(total) if np.ndim(total) == 0 else total
 
 
 class StepRejectedError(InvariantError):

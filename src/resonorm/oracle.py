@@ -277,7 +277,7 @@ class WindowSpectrum:
     band: np.ndarray               # general band storage, room for the LU
     bw: int
 
-    def vectors(self, lams, rng=None) -> np.ndarray:
+    def vectors(self, lams) -> np.ndarray:
         """Unit eigenvectors for the eigenvalues lams, one column each in
         the order of lams, by inverse iteration on a band LU.
 
@@ -285,9 +285,14 @@ class WindowSpectrum:
         LAPACK ?stein: it shares one LU, factored SHIFT_OFFSET ||A||_2 above
         its top value, because a value that equals a diagonal entry exactly
         (the epsilon = 0 models) makes A - lambda I singular.  A cluster's
-        start block, one standard normal row per value drawn in the order of
-        lams, takes two solve steps with a QR orthonormalization before each
-        and after the last.  Each column must pass
+        start block, standard normal rows from a fixed seed, one per value
+        in the order of lams, takes two solve steps with a QR
+        orthonormalization before each and after the last.  The QR columns
+        span the cluster's eigenspace but mix its values, so a cluster of
+        more than one value is rotated onto its Ritz vectors (the
+        eigenvectors of x^H A x), assigned to the members in ascending
+        order: that resolves distinct values and stays valid for exact
+        degeneracies.  Each column must pass
         ||A x - lambda x|| <= RESIDUAL_TOL ||A||_2 at its own lambda (a
         mat-vec over the entries), or InvariantError is raised; for a
         Hermitian A that proves lambda lies within that distance of the
@@ -298,9 +303,9 @@ class WindowSpectrum:
         lams = np.asarray(lams, dtype=float)
         op, bw = self.op, self.bw
         tol = RESIDUAL_TOL * self.norm
-        rng = np.random.default_rng(0) if rng is None else rng
         # the start vectors, replaced by the eigenvectors cluster by cluster
-        out = rng.standard_normal((lams.size, op.dim)).T.astype(complex)
+        out = np.random.default_rng(0).standard_normal(
+            (lams.size, op.dim)).T.astype(complex)
         if not lams.size:
             return out
         gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (self.band,))
@@ -320,6 +325,10 @@ class WindowSpectrum:
             x = np.linalg.qr(x)[0]
             ax = np.zeros_like(x)
             np.add.at(ax, op.rows, op.values[:, None] * x[op.cols])
+            if members.size > 1:
+                h = x.conj().T @ ax
+                _, w = np.linalg.eigh(0.5 * (h + h.conj().T))
+                x, ax = x @ w, ax @ w
             res = np.linalg.norm(ax - lams[members] * x, axis=0)
             for lam, r in zip(lams[members].tolist(), res.tolist()):
                 if not r <= tol:
@@ -357,7 +366,7 @@ def window_spectrum(op: ModelOperator, window) -> WindowSpectrum:
     spec = WindowSpectrum(values=sel, norm=norm_a, op=op, band=ab, bw=bw)
     rng = np.random.default_rng(0)
     spec.vectors(sel[rng.choice(sel.size, min(SPOT_CHECKS, sel.size),
-                                replace=False)], rng)
+                                replace=False)])
     return spec
 
 

@@ -22,7 +22,6 @@ from .errors import ConfigError, InvariantError
 from .gevrey import ApproximationFunction
 from .kam import NormalFormState
 from .quantize import resonant_lambdas
-from .series import average_over_angles
 
 
 # ---------------------------------------------------------------------------
@@ -36,44 +35,29 @@ def k0_eps_derivative(state: NormalFormState, y, order: int,
     eps = state.epsilon if eps is None else eps
     y = np.asarray(y, dtype=float).reshape(1, -1)
     return float(_k0_derivatives(state, y, order, eps,
-                                 _ledger_averages(state))[0])
-
-
-def _ledger_averages(state: NormalFormState) -> list:
-    """(s, angle average) per entry of the remainder ledger."""
-    return [(s, average_over_angles(rs)) for s, rs in state.rterms]
-
-
-def _on_zero_section(avg, Y) -> np.ndarray:
-    """Re avg(y, z = 0) at each row y of Y, for a series of k = 0 rows."""
-    e, d = avg.exps(), Y.shape[1]
-    j, q = e[:, d:2 * d], e[:, 2 * d:]
-    v = (avg.coefs() * np.prod(Y[:, None, :] ** j, axis=2)
-         * np.prod(0.0 ** q, axis=1))
-    return v.sum(axis=1).real
+                                 state.ledger_averages())[0])
 
 
 def _k0_derivatives(state: NormalFormState, Y, order: int, eps: float,
                     ledger) -> np.ndarray:
     """k0_eps_derivative at each row of Y, with the ledger's angle averages
-    computed once by the caller; order 0 is state.k0_polynomial."""
+    (state.ledger_averages()) computed once by the caller."""
     if order == 0:
-        total = state.epsilon_series(eps) + Y @ state.omega_p(eps)
-    else:
-        total = 0.0
-        for s, c in enumerate(state.eps_coeffs):
-            s1 = s + 1
-            if s1 >= order:
-                total += c * math.perm(s1, order) * eps ** (s1 - order)
-        total = np.full(len(Y), total)
-        for s, w in enumerate(state.omega_coeffs):
-            s1 = s + 1
-            if s1 >= order:
-                total += (Y @ w) * math.perm(s1, order) * eps ** (s1 - order)
+        return state.k0_polynomial(Y, eps, ledger)
+    total = 0.0
+    for s, c in enumerate(state.eps_coeffs):
+        s1 = s + 1
+        if s1 >= order:
+            total += c * math.perm(s1, order) * eps ** (s1 - order)
+    total = np.full(len(Y), total)
+    for s, w in enumerate(state.omega_coeffs):
+        s1 = s + 1
+        if s1 >= order:
+            total += (Y @ w) * math.perm(s1, order) * eps ** (s1 - order)
     for s, avg in ledger:
         if s >= order:
             total += (math.perm(s, order) * eps ** (s - order)
-                      * _on_zero_section(avg, Y))
+                      * avg.evaluate(y=Y).real)
     return total
 
 
@@ -109,10 +93,11 @@ def build_quasi_table(state: NormalFormState, h: float, maslov, modes, *,
     """Evaluate the action function on I_m = h*(m + maslov/4) for the given
     lattice indices."""
     theta = np.asarray(maslov, dtype=float)
+    ledger = state.ledger_averages()
     entries = []
     for m in modes:
         I_m = h * (np.asarray(m, dtype=float) + theta / 4.0)
-        mu = state.k0_polynomial(I_m) + offset
+        mu = state.k0_polynomial(I_m, ledger=ledger) + offset
         entries.append((tuple(int(v) for v in m), I_m, float(mu)))
     entries.sort(key=lambda t: t[2])
     return QuasiEigenvalueTable(entries=entries, h=h, epsilon=state.epsilon,
@@ -256,7 +241,7 @@ def local_diffeo_check(state: NormalFormState, Dbox, eps_grid, *,
     if len(box) != d:
         raise ConfigError("action box dimension mismatch")
 
-    ledger = _ledger_averages(state)
+    ledger = state.ledger_averages()
 
     def eta(I, eps):
         """eta at each row of I, one column per eps-derivative order."""

@@ -400,16 +400,22 @@ class FourierTaylorSeries:
 
     # -- evaluation ---------------------------------------------------------
 
-    def evaluate(self, x=None, y=None, z=None) -> complex:
+    def evaluate(self, x=None, y=None, z=None):
+        """The series at (x, y, z), None standing for zeros.  A point gives
+        a complex number; points stacked along leading axes (the last axis
+        holds the coordinates) broadcast, and give a complex array of the
+        broadcast shape."""
         g = self.geometry
         x = np.zeros(g.d) if x is None else np.asarray(x, dtype=float)
         y = np.zeros(g.d) if y is None else np.asarray(y, dtype=float)
         z = np.zeros(g.zdim) if z is None else np.asarray(z, dtype=float)
         e, d = self._exps, g.d
         k, j, q = e[:, :d], e[:, d:2 * d], e[:, 2 * d:]
-        v = (self._coefs * np.exp(1j * (k @ x))
-             * np.prod(y ** j, axis=1) * np.prod(z ** q, axis=1))
-        return complex(v.sum())
+        v = (self._coefs * np.exp(1j * (x @ k.T))
+             * np.prod(y[..., None, :] ** j, axis=-1)
+             * np.prod(z[..., None, :] ** q, axis=-1))
+        out = v.sum(axis=-1)
+        return complex(out) if out.ndim == 0 else out
 
     # -- structural helpers -------------------------------------------------
 

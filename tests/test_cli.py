@@ -455,9 +455,9 @@ def test_scar_computes_each_matched_eigenvector_once(tmp_path, monkeypatch):
     match, vectors = resonorm.cli.match_quasimodes, WindowSpectrum.vectors
     asked = []
 
-    def recorded(self, lams, rng=None):
+    def recorded(self, lams):
         asked.append(np.asarray(lams))
-        return vectors(self, lams, rng)
+        return vectors(self, lams)
     monkeypatch.setattr(resonorm.oracle, "SPOT_CHECKS", 0)
     monkeypatch.setattr(WindowSpectrum, "vectors", recorded)
     monkeypatch.setattr(resonorm.cli, "match_quasimodes",

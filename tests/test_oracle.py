@@ -11,6 +11,7 @@ from desk import desk_model
 from resonorm.errors import ConfigError, CoverageError, InvariantError
 from resonorm.kam import NormalFormState
 from resonorm.oracle import (
+    RESIDUAL_TOL,
     SPOT_CHECKS,
     ModelOperator,
     build_operator,
@@ -328,6 +329,40 @@ def test_degenerate_eigenvalues_share_one_eigenspace():
     dist, largest = _projector_gap(spec, vals, vecs, *window, 1e-8)
     assert largest == 4             # m1 + m2 = 3 below the cut at 4 levels
     assert dist <= 1e-10
+
+
+
+def test_near_degenerate_eigenvalues_get_their_own_vectors():
+    # A = Q diag(lam) Q^T with Q two layers of Givens rotations, so A is a
+    # band matrix whose eigenvectors mix neighbouring sites.  Three values
+    # 7e-11 ||A||_2 apart form one cluster that spans more than
+    # RESIDUAL_TOL ||A||_2: the QR basis of its eigenspace mixes them and
+    # fails the residual check, the Ritz vectors separate them.  Dense eigh
+    # fixes each vector only to about 1e-16 / 7e-11, hence 1e-4
+    n = 24
+    lam = np.linspace(-1.0, 1.0, n)
+    lam[11:14] = 0.1 + 7e-11 * np.arange(3)
+    Q = np.eye(n)
+    for first in (0, 1):
+        G = np.eye(n)
+        for i in range(first, n - 1, 2):
+            t = 0.3 + 0.17 * i
+            G[i:i + 2, i:i + 2] = [[math.cos(t), -math.sin(t)],
+                                   [math.sin(t), math.cos(t)]]
+        Q = Q @ G
+    op = _from_dense((Q * lam) @ Q.T)
+    vals, vecs = np.linalg.eigh(op.matrix)
+    norm_a = np.abs(vals).max()
+    gaps = np.diff(vals[11:14]) / norm_a
+    assert (gaps > 1e-13).all() and (gaps < RESIDUAL_TOL).all()
+    assert vals[13] - vals[11] > RESIDUAL_TOL * norm_a
+    spec = window_spectrum(op, (-0.5, 0.5))
+    picks = [13, 8, 11, 12]         # the cluster, out of order, and a loner
+    x = spec.vectors(vals[picks])
+    for col, i in enumerate(picks):
+        # the sine of the angle between the two vectors
+        overlap = abs(np.vdot(vecs[:, i], x[:, col]))
+        assert math.sqrt(max(0.0, 1.0 - overlap ** 2)) <= 1e-4
 
 
 def test_window_eigenvalues_closed_window_and_singular_shift():

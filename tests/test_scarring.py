@@ -66,6 +66,25 @@ def test_k0_eps_derivative_polynomial():
     assert d2 == pytest.approx(-0.4, abs=1e-13)
 
 
+def test_k0_polynomial_stacked_points():
+    # a stack of actions gives the values at each row, the remainder
+    # ledger's angle averages included, whether the caller passes them or not
+    geo = PhaseGeometry(d=2, d0=0)
+    rterm = FourierTaylorSeries.from_terms(geo, [
+        (((0, 0), (2, 0), ()), 0.3), (((0, 0), (1, 1), ()), -0.2),
+        (((1, 0), (1, 0), ()), 0.5), (((-1, 0), (1, 0), ()), 0.5)])
+    st = make_state([1.0, GOLDEN], eps=0.05, rterm=rterm)
+    Y = np.array([[0.5, 1.0], [1.5, -0.3], [2.0, 0.7]])
+    each = [st.k0_polynomial(y) for y in Y]
+    assert all(isinstance(v, float) for v in each)
+    assert np.array_equal(st.k0_polynomial(Y), each)
+    assert np.array_equal(st.k0_polynomial(Y, ledger=st.ledger_averages()),
+                          each)
+    # the angle average drops the e^{+-ix} rows
+    want = Y @ [1.0, GOLDEN] + 0.3 * Y[:, 0] ** 2 - 0.2 * Y[:, 0] * Y[:, 1]
+    assert np.abs(st.k0_polynomial(Y) - want).max() <= 1e-14
+
+
 def test_separation_diophantine_linear():
     # eps = 0, K0 linear with Diophantine frequency: the measured constant is
     # |<w, m - m'>| h / h^(3/2), consistent with the divisor lower bound

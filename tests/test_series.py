@@ -627,3 +627,18 @@ def test_evaluate_consistency():
     lhs = (f * g).evaluate(x, y, z)
     rhs = f.evaluate(x, y, z) * g.evaluate(x, y, z)
     assert abs(lhs - rhs) < 1e-10 * (1 + abs(lhs))
+
+
+def test_evaluate_stacked_points():
+    # rows of stacked points give the values at each point; None and a
+    # single point broadcast against the stack
+    rng = np.random.default_rng(61)
+    f = random_series(G21, rng)
+    x, y, z = rng.normal(size=(5, 2)), rng.normal(size=(5, 2)), rng.normal(size=2)
+    got = f.evaluate(x, y, z)
+    assert got.shape == (5,)
+    for i in range(5):
+        want = f.evaluate(x[i], y[i], z)
+        assert isinstance(want, complex)
+        assert abs(got[i] - want) <= 1e-14 * (1 + abs(want))
+    assert np.array_equal(f.evaluate(y=y[None]), [[f.evaluate(y=v) for v in y]])
