@@ -5,6 +5,27 @@ divisor condition fails: |<w,k>| <= beta.  Zones are
 measured by plain uniform Monte Carlo with binomial confidence intervals;
 the union over modes up to a cutoff carries an analytic majorant from the
 per-mode strip bound  |{w in [0,1]^l : |<w,k>| <= beta}| <= 2*beta/|k|.
+
+The union (the excluded set) takes beta per shell |k| = m from
+`kam.divisor_thresholds`, the first divisor condition of `check_divisors`,
+keeps one mode per +-k pair, and is counted in two passes per chunk of
+the draw.  The screen splits k = (k', k_d) by its last Fourier digit.  For
+every nonzero prefix k' it takes s = <w', k'> and the nearest digit
+c = rint(-s/w_d), and flags the sample when |s + c w_d| <= beta*(k') + e,
+where beta*(k') is the largest beta over that prefix's modes and e bounds
+the rounding error.  It also flags every sample with
+w_d <= 2 (max beta + e).  The exact check then evaluates
+|<w,k>| <= beta_k for every mode on the flagged samples only, as one
+W_f @ K^T product.
+
+The screen misses no hit.  Let |<w,k>| <= beta(k) with w_d > 2 beta*.
+Then |-s/w_d - k_d| <= beta*/w_d < 1/2, so k_d is the nearest digit c and
+the prefix's test flags w.  A mode with k' = 0 hits only where
+|k_d| w_d <= beta, inside the small-w_d lane.  So the flagged samples
+include every hit, and the estimate equals a loop over every mode and
+every sample.  (That product and a per-mode mat-vec may round <w,k>
+differently in the last bit, so the two could disagree only on a sample
+within an ulp of a strip's edge.)
 """
 from __future__ import annotations
 
@@ -17,6 +38,7 @@ from scipy.integrate import quad
 
 from .errors import ConfigError
 from .gevrey import ApproximationFunction
+from .kam import divisor_thresholds
 from .series import knorm
 
 
@@ -28,8 +50,8 @@ class ZoneSpec:
     beta: float
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ConfigError("beta must be non-negative")
+        if not math.isfinite(self.beta) or self.beta < 0:
+            raise ConfigError("beta must be finite and non-negative")
         if knorm(self.k) == 0:
             raise ConfigError("k must be nonzero")
 
@@ -58,9 +80,13 @@ def zone_measure_mc(spec: ZoneSpec, l: int, samples: int, seed: int):
         W = rng.random((n, l))
         hits += int(_zone_indicator(spec, W).sum())
         left -= n
+    return _binomial(hits, samples)
+
+
+def _binomial(hits: int, samples: int):
+    """Hit fraction and its 95% binomial confidence half-width."""
     p = hits / samples
-    ci95 = 1.96 * math.sqrt(max(p * (1.0 - p), 1.0 / samples) / samples)
-    return p, ci95
+    return p, 1.96 * math.sqrt(max(p * (1.0 - p), 1.0 / samples) / samples)
 
 
 def _modes_up_to(d: int, Kmax: int):
@@ -86,30 +112,59 @@ def excluded_set_measure(gamma1: float, delta: ApproximationFunction,
     """MC measure of the union of zones T_k(gamma1/Delta(|k|)) over
     0 < |k| <= Kmax, plus the analytic majorant for comparison.
 
+    Each chunk of the draw is screened per nonzero prefix k' and then
+    checked exactly on the flagged samples only; see the module docstring.
     Returns (estimate, ci95, majorant)."""
-    if gamma1 < 0:
-        raise ConfigError("gamma1 must be non-negative")
-    rng = np.random.default_rng(seed)
+    if not math.isfinite(gamma1) or gamma1 < 0:
+        raise ConfigError("gamma1 must be finite and non-negative")
+    if d > l:
+        raise ConfigError("mode dimension exceeds the cube dimension")
+    if samples < 10_000:
+        raise ConfigError("use at least 1e4 samples")
     # the zones of k and -k are one set; product order lists each pair's
     # negative half before the origin, so keep the modes after it
-    modes = list(_modes_up_to(d, Kmax))
-    modes = modes[len(modes) // 2:]
-    betas = [gamma1 / delta(knorm(k)) for k in modes]
+    ks = np.array(list(_modes_up_to(d, Kmax)), dtype=float).reshape(-1, d)
+    ks = ks[len(ks) // 2:]
+    shell = np.abs(ks).max(axis=1).astype(int)
+    betas = divisor_thresholds(gamma1, delta, Kmax, 0)[shell - 1, 0]
+    ks, betas = ks[betas > 0], betas[betas > 0]   # a zero-width zone is empty
     hits = 0
-    chunk = 100_000
-    left = samples
-    while left > 0:
-        n = min(chunk, left)
-        W = rng.random((n, l))
-        inside = np.zeros(n, dtype=bool)
-        for k, beta in zip(modes, betas):
-            if beta == 0.0:
-                continue
-            inside |= _zone_indicator(ZoneSpec(k=k, beta=beta), W)
-        hits += int(inside.sum())
-        left -= n
-    p = hits / samples
-    ci95 = 1.96 * math.sqrt(max(p * (1.0 - p), 1.0 / samples) / samples)
+    if betas.size:
+        # beta*(k') per prefix: the modes of one prefix are adjacent rows
+        pre = ks[:, :-1]
+        first = np.flatnonzero(np.r_[True, (pre[1:] != pre[:-1]).any(axis=1)])
+        bstar = np.maximum.reduceat(betas, first)
+        live = pre[first].any(axis=1)
+        prefixes, bstar = pre[first][live].T, bstar[live]
+        # |fl(<w,k>) - <w,k>| <= d^2 Kmax u on the unit cube, in any order
+        slack = 4.0 * d * d * Kmax * np.finfo(float).eps
+        near = (bstar + slack)[:, None]
+        lane = 2.0 * (betas.max() + slack)
+        # the draw plus two chunk x prefix arrays stay within 100k x l floats
+        chunk = max(1024, 100_000 * l // (l + 2 * bstar.size))
+        rng = np.random.default_rng(seed)
+        left = samples
+        with np.errstate(divide="ignore", invalid="ignore"):
+            while left > 0:
+                n = min(chunk, left)
+                W = rng.random((n, l))
+                wd = W[:, d - 1]
+                flag = wd <= lane
+                if bstar.size:
+                    # prefix x sample: s = <w', k'>, then s + c w_d
+                    s = np.multiply.outer(prefixes[0], W[:, 0])
+                    for j in range(1, d - 1):
+                        s += np.multiply.outer(prefixes[j], W[:, j])
+                    c = s / wd
+                    np.rint(c, out=c)
+                    c *= wd
+                    s -= c
+                    np.abs(s, out=s)
+                    flag |= (s <= near).any(axis=0)
+                Wf = W[flag, :d]
+                hits += int((np.abs(Wf @ ks.T) <= betas).any(axis=1).sum())
+                left -= n
+    p, ci95 = _binomial(hits, samples)
     return p, ci95, union_majorant(gamma1, delta, Kmax, d)
 
 
@@ -132,16 +187,13 @@ def summability_check(delta: ApproximationFunction, d: int,
     test (the summand must be decreasing by that point).  Lack of decay
     within the cap reports divergence.
     """
-    def term(m):
-        return float(m) ** (d - 1) / delta(float(m))
-
     partial = 0.0
     m = 1
     prev = math.inf
     while m <= m_cap:
         hi = min(m + 49_999, m_cap)
         ms = np.arange(m, hi + 1, dtype=float)
-        vals = ms ** (d - 1) / np.array([delta(v) for v in ms])
+        vals = ms ** (d - 1) / delta.values(ms)
         partial += float(vals.sum())
         last = float(vals[-1])
         decreasing = last < prev and bool(np.all(np.diff(vals) <= 1e-15))

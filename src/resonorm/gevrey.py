@@ -68,6 +68,18 @@ class ApproximationFunction:
     def __call__(self, t: float) -> float:
         return float(self.fn(float(t)))
 
+    def values(self, ts: np.ndarray) -> np.ndarray:
+        """Delta over an array of t: one call of `fn` on the whole array
+        when `fn` is written with numpy ufuncs (as in `power_log_delta` and
+        `subgevrey_exp_delta`), else one scalar call per element."""
+        try:
+            vals = np.asarray(self.fn(ts), dtype=float)
+        except (TypeError, ValueError):
+            vals = None
+        if vals is None or vals.shape != ts.shape:
+            vals = np.array([self(t) for t in ts])
+        return vals
+
     def inverse(self, s: float) -> float:
         """Monotone inverse by bisection: smallest t with Delta(t) >= s."""
         if self(0.0) >= s:
@@ -103,7 +115,9 @@ def power_log_delta(a: float, b: float = 0.0, alpha: float = 2.0,
                     varsigma: float = 0.01) -> ApproximationFunction:
     """Delta(t) = (1+t)^a * log^b(e+t)."""
     def fn(t):
-        return (1.0 + t) ** a * math.log(math.e + t) ** b
+        # b = 0 skips np.log, which costs more than math.log on a scalar t
+        power = (1.0 + t) ** a
+        return power * np.log(np.e + t) ** b if b else power
     return ApproximationFunction(alpha, fn, varsigma, name=f"power_log(a={a},b={b})")
 
 
@@ -111,7 +125,7 @@ def subgevrey_exp_delta(beta: float, alpha: float = 2.0,
                         varsigma: float = 0.01) -> ApproximationFunction:
     """Delta(t) = exp(t^beta); admissible when beta < 1/alpha."""
     def fn(t):
-        return math.exp(t ** beta)
+        return np.exp(t ** beta)
     return ApproximationFunction(alpha, fn, varsigma,
                                  name=f"subgevrey_exp(beta={beta})",
                                  log_fn=lambda t: t ** beta)

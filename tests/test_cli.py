@@ -530,6 +530,23 @@ def test_measure_command_and_determinism(tmp_path):
     assert "union" in text
 
 
+@pytest.mark.parametrize("old, new", [
+    ("d = 2", "d = 3"),
+    ("samples = 50000", "samples = 0"),
+    ("gamma1 = 2e-3", "gamma1 = nan"),
+    ("1 1 0.1", "1 1 nan"),
+])
+def test_measure_bad_input_exits_2(tmp_path, old, new):
+    cfg = tmp_path / "run.ini"
+    text = MEASURE_CFG.replace(old, new)
+    if old.startswith("samples"):
+        text = text.replace("zones = 1 0 0.1 ; 1 1 0.1", "zones =")
+    assert text != MEASURE_CFG
+    cfg.write_text(text)
+    assert main(["measure", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+
+
 def test_gamma_command(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text(MEASURE_CFG + "\n[gamma_table]\nr = 0 1\nn = 0 1\n")

@@ -114,6 +114,74 @@ def test_excluded_set_matches_both_signs_loop():
     assert maj == union_majorant(gamma1, delta, Kmax, d)
 
 
+def _union_by_every_mode(gamma1, delta, Kmax, l, d, samples, seed):
+    """The union estimate by brute force: every mode of both signs over
+    the full draw, one zone indicator each."""
+    W = np.random.default_rng(seed).random((samples, l))
+    inside = np.zeros(samples, dtype=bool)
+    for k in _modes_up_to(d, Kmax):
+        beta = gamma1 / delta(max(map(abs, k)))
+        if beta > 0.0:
+            inside |= _zone_indicator(ZoneSpec(k=k, beta=beta), W)
+    p = int(inside.sum()) / samples
+    return p, 1.96 * math.sqrt(max(p * (1.0 - p), 1.0 / samples) / samples)
+
+
+@pytest.mark.parametrize("gamma1, Kmax, l, d, samples, seed", [
+    (0.05, 4, 1, 1, 50_000, 41),        # d = 1: no prefix, the lane only
+    (2e-3, 8, 2, 2, 200_000, 42),
+    (1e-2, 3, 3, 3, 100_000, 43),
+    (4e-3, 5, 4, 2, 100_000, 44),       # l > d
+    (2e-2, 1, 3, 3, 50_000, 45),        # Kmax = 1
+    (0.0, 4, 2, 2, 20_000, 46),         # gamma1 = 0
+    (0.1, 6, 2, 2, 100_000, 47),        # a wide small-w_d lane
+    (0.1, 3, 3, 3, 50_000, 48),
+])
+def test_excluded_set_screen_matches_every_mode(gamma1, Kmax, l, d, samples,
+                                                seed):
+    delta = power_log_delta(a=3.0, alpha=2.0)
+    want = _union_by_every_mode(gamma1, delta, Kmax, l, d, samples, seed)
+    est, ci, _ = excluded_set_measure(gamma1, delta, Kmax, l, d, samples,
+                                      seed)
+    assert (est, ci) == want
+    assert (est > 0.0) == (gamma1 > 0.0)
+    if gamma1 >= 0.1:
+        # the lane w_d <= 2 max beta holds more than 1 % of the draw here
+        W = np.random.default_rng(seed).random((samples, l))
+        assert np.mean(W[:, d - 1] <= 2.0 * gamma1 / delta(1)) > 0.01
+
+
+@pytest.mark.parametrize("seed, want", [
+    (0, 0.001288), (1, 0.001351), (2, 0.001333), (3, 0.001328)])
+def test_excluded_set_measure_gamma_estimates(seed, want):
+    # the union rows of the measure-gamma benchmark input, as the per-mode
+    # loop computed them before the screen
+    est, _, _ = excluded_set_measure(2e-3, power_log_delta(3.0), Kmax=8, l=2,
+                                     d=2, samples=2_000_000, seed=seed)
+    assert est == want
+
+
+@pytest.mark.parametrize("kw", [
+    dict(d=3, l=2),                     # mode dimension above the cube's
+    dict(samples=0),
+    dict(samples=9_999),
+    dict(gamma1=math.nan),
+    dict(gamma1=math.inf),
+    dict(gamma1=-1e-3),
+])
+def test_excluded_set_rejects_bad_input(kw):
+    args = dict(gamma1=2e-3, delta=power_log_delta(3.0), Kmax=4, l=2, d=2,
+                samples=20_000, seed=1)
+    with pytest.raises(ConfigError):
+        excluded_set_measure(**{**args, **kw})
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -0.1])
+def test_zone_rejects_bad_beta(beta):
+    with pytest.raises(ConfigError):
+        ZoneSpec(k=(1, 0), beta=beta)
+
+
 # ---------------------------------------------------------------------------
 # summability
 # ---------------------------------------------------------------------------

@@ -155,6 +155,19 @@ def test_tabulated_delta_interpolation():
     assert check_admissible(tab, grid_hi=1e5).ok
 
 
+def test_delta_values_match_scalar_calls():
+    ms = np.arange(1.0, 50_001.0)
+    cube = power_log_delta(a=3.0)                  # (1+m)^3 is exact here
+    assert np.array_equal(cube.values(ms), [cube(m) for m in ms])
+    for delta in (power_log_delta(a=2.5, b=1.0), subgevrey_exp_delta(beta=0.3)):
+        np.testing.assert_allclose(delta.values(ms), [delta(m) for m in ms],
+                                   rtol=1e-14)
+    # a scalar-only fn falls back to one call per element
+    scalar = ApproximationFunction(alpha=2.0, fn=lambda t: math.exp(t ** 0.5))
+    assert np.array_equal(scalar.values(ms[:100]),
+                          [math.exp(m ** 0.5) for m in ms[:100]])
+
+
 def test_delta_inverse():
     delta = power_log_delta(a=2.0, alpha=2.0)
     for s in (1.5, 10.0, 400.0):
