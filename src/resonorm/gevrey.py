@@ -133,7 +133,8 @@ def subgevrey_exp_delta(beta: float, alpha: float = 2.0,
 
 def tabulated_delta(ts, vals, alpha: float = 2.0) -> ApproximationFunction:
     """Monotone interpolation of tabulated samples (log-linear in between),
-    extended by the last log-slope beyond the table."""
+    extended by the last log-slope beyond the table, where a value past
+    the float range is +inf."""
     ts = np.asarray(ts, dtype=float)
     vals = np.asarray(vals, dtype=float)
     if np.any(np.diff(ts) <= 0) or np.any(np.diff(vals) <= 0):
@@ -145,7 +146,10 @@ def tabulated_delta(ts, vals, alpha: float = 2.0) -> ApproximationFunction:
             return float(vals[0])
         if t >= ts[-1]:
             slope = (logv[-1] - logv[-2]) / (ts[-1] - ts[-2])
-            return float(math.exp(logv[-1] + slope * (t - ts[-1])))
+            try:
+                return float(math.exp(logv[-1] + slope * (t - ts[-1])))
+            except OverflowError:
+                return math.inf
         return float(math.exp(np.interp(t, ts, logv)))
 
     return ApproximationFunction(alpha, fn, name="tabulated")

@@ -26,21 +26,33 @@ entries (row, col, value) in row-major order, both triangles, with
 coincident contributions summed at assembly.  Three views read them:
 `interior` keeps the entries of the principal sub-operator below the
 Hermite truncation edge, `window_spectrum` scatters them into band
-storage, and `ModelOperator.matrix` builds the dense array for
-`diagonalize`.
+storage in component order, and `ModelOperator.matrix` builds the dense
+array for `diagonalize`.
 
 Eigensolves.  In the torus-major order a row of mode range K reaches
 about K (2 Nt + 1)^(d-1) nh indices off the diagonal (nh Hermite levels
 per torus mode), so the bandwidth is about K / (2 Nt + 1) of the
 dimension: below 1/6, because the CLI asks for Nt >= required_Nt > 3 K.
-Both oracle commands take one values-only band solve (LAPACK ?hbevd,
-`window_spectrum`), which gives the whole spectrum without forming the
-n x n matrix.  Eigenvectors, which `scar` needs for its matched
-quasimodes only, come from inverse iteration on a band LU shifted next to
-each value (`WindowSpectrum.vectors`, which also confirms compare's spot
-checks); the band solver with vectors (?hbevx) forms Q densely and is
-slower than a dense solve.  `diagonalize`, the dense eigh with checked
-residuals, is the reference that tests and library callers use.
+`window_spectrum` first reorders the basis by the connected components
+of the entries, each component keeping its torus-major order.  P A P^T
+has the eigenvalues of A, and the bandwidth can only shrink, since only
+other components' indices leave the gap between two entries.  It shrinks
+when the symbol conserves a Hermite quantum number: e^{i<k,x>} y^j never
+changes the levels, and (eps/2) <z, M z> keeps them when M is diagonal
+with M_uu = M_vv in each resonant direction and keeps the parity of the
+total level otherwise, so each level, or each parity sector, is a block
+of its own (the interior of the benchmark's d = d0 = 1 model, dim 812:
+bandwidth 1 in place of 28).  A symbol that couples levels, such as a
+row e^{ix} u, leaves one component, the identity order and the
+torus-major band.  Both oracle commands take one values-only band solve
+(LAPACK ?hbevd, `window_spectrum`), which gives the whole spectrum
+without forming the n x n matrix.  Eigenvectors, which `scar` needs for
+its matched quasimodes only, come from inverse iteration on a band LU
+shifted next to each value (`WindowSpectrum.vectors`, which also
+confirms compare's spot checks); the band solver with vectors (?hbevx)
+forms Q densely and is slower than a dense solve.  `diagonalize`, the
+dense eigh with checked residuals, is the reference that tests and
+library callers use.
 """
 from __future__ import annotations
 
@@ -276,6 +288,7 @@ class WindowSpectrum:
     op: ModelOperator
     band: np.ndarray               # general band storage, room for the LU
     bw: int
+    perm: np.ndarray               # operator index at each band position
 
     def vectors(self, lams) -> np.ndarray:
         """Unit eigenvectors for the eigenvalues lams, one column each in
@@ -297,11 +310,16 @@ class WindowSpectrum:
         mat-vec over the entries), or InvariantError is raised; for a
         Hermitian A that proves lambda lies within that distance of the
         spectrum.  The second step keeps a start vector with a small
-        component along the eigenvector from failing a true value."""
+        component along the eigenvector from failing a true value.
+
+        Everything but the band solve is in operator order: each solve
+        permutes its right-hand sides into band order and its solutions
+        back."""
         from scipy.linalg import get_lapack_funcs
 
         lams = np.asarray(lams, dtype=float)
-        op, bw = self.op, self.bw
+        op, bw, perm = self.op, self.bw, self.perm
+        at = np.argsort(perm)      # the band position of each index
         tol = RESIDUAL_TOL * self.norm
         # the start vectors, replaced by the eigenvectors cluster by cluster
         out = np.random.default_rng(0).standard_normal(
@@ -321,7 +339,8 @@ class WindowSpectrum:
                     f"band LU at eigenvalue {top!r} failed (info {info})")
             x = out[:, members]
             for _ in range(2):
-                x, _ = gbtrs(lu, bw, bw, np.linalg.qr(x)[0], piv)
+                x, _ = gbtrs(lu, bw, bw, np.linalg.qr(x)[0][perm], piv)
+                x = x[at]
             x = np.linalg.qr(x)[0]
             ax = np.zeros_like(x)
             np.add.at(ax, op.rows, op.values[:, None] * x[op.cols])
@@ -338,19 +357,44 @@ class WindowSpectrum:
         return out
 
 
+def _component_order(n: int, rows, cols) -> np.ndarray:
+    """A stable order of the indices 0..n-1 by connected component of the
+    graph with edges (rows[i], cols[i]), both directions present: each
+    component's indices keep their order, and the components follow their
+    smallest index.  The identity for a connected graph.
+
+    Min-label propagation with pointer jumping: a label is always an index
+    of the same component, and it stops changing once it is the smallest
+    index of the component."""
+    label = np.arange(n)
+    while True:
+        new = label.copy()
+        np.minimum.at(new, rows, label[cols])
+        new = new[new]
+        if np.array_equal(new, label):
+            return np.argsort(label, kind="stable")
+        label = new
+
+
 def window_spectrum(op: ModelOperator, window) -> WindowSpectrum:
     """The eigenvalues of the operator in the closed window [lo, hi],
     without the dense matrix; `WindowSpectrum.vectors` adds eigenvectors.
 
-    The entries go into band storage, with the bandwidth max |row - col|,
-    and one values-only eig_banded call (LAPACK ?hbevd) gives every
-    eigenvalue; the extremes give max|lambda| = ||A||_2.  Then
+    The entries go into band storage in component order
+    (`_component_order`: P A P^T has the eigenvalues of A, and a connected
+    operator keeps its order), with the bandwidth max |row - col| after
+    the reorder, never more than before it, and one values-only
+    eig_banded call (LAPACK ?hbevd) gives every eigenvalue; the extremes
+    give max|lambda| = ||A||_2.  Then
     min(SPOT_CHECKS, window size) window values, drawn with a fixed seed,
     are confirmed by `WindowSpectrum.vectors`, which raises on a value off
     the spectrum."""
     from scipy.linalg import eig_banded
 
-    rows, cols, n = op.rows, op.cols, op.dim
+    n = op.dim
+    perm = _component_order(n, op.rows, op.cols)
+    at = np.argsort(perm)          # the band position of each index
+    rows, cols = at[op.rows], at[op.cols]
     bw = int(np.abs(rows - cols).max(initial=0))
     # LAPACK general band storage, A[i, j] at ab[2 bw + i - j, j]; the top
     # bw rows are room for the LU's fill-in.  Rows 2 bw .. 3 bw, the
@@ -363,7 +407,8 @@ def window_spectrum(op: ModelOperator, window) -> WindowSpectrum:
         raise InvariantError(f"band eigensolve failed: {exc}") from exc
     norm_a = max(abs(vals[0]), abs(vals[-1]), 1e-300)
     sel = vals[(vals >= window[0]) & (vals <= window[1])]
-    spec = WindowSpectrum(values=sel, norm=norm_a, op=op, band=ab, bw=bw)
+    spec = WindowSpectrum(values=sel, norm=norm_a, op=op, band=ab, bw=bw,
+                          perm=perm)
     rng = np.random.default_rng(0)
     spec.vectors(sel[rng.choice(sel.size, min(SPOT_CHECKS, sel.size),
                                 replace=False)])

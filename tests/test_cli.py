@@ -439,11 +439,14 @@ def test_oracle_commands_solve_once(tmp_path, monkeypatch, command):
     # the prediction diagonalizes the 1 x 1 blocks of M; every larger
     # matrix is an oracle solve, and the only one is on the 19 interior
     # levels of Nh = 24: one values-only band solve on the lower band
-    # storage, whose bandwidth is the 19 levels the e^{ix} coupling shifts
-    # by.  scar's eigenvectors come from inverse iteration, not a solve
+    # storage.  With M = I the resonant part is diagonal in the Hermite
+    # level and e^{ix} keeps it, so each level is one tridiagonal
+    # component over the nt torus modes, and in component order the
+    # bandwidth is 1.  scar's eigenvectors come from inverse iteration,
+    # not a solve
     solves = [c for c in calls if c[1][0] > 1]
     nt = 2 * required_Nt(0.38, 0.05, 1.0, 1) + 1
-    assert solves == [("eig_banded", (20, nt * 19))]
+    assert solves == [("eig_banded", (2, nt * 19))]
 
 
 def test_scar_computes_each_matched_eigenvector_once(tmp_path, monkeypatch):

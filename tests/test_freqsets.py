@@ -16,7 +16,11 @@ from resonorm.freqsets import (
     union_majorant,
     zone_measure_mc,
 )
-from resonorm.gevrey import ApproximationFunction, power_log_delta
+from resonorm.gevrey import (
+    ApproximationFunction,
+    power_log_delta,
+    tabulated_delta,
+)
 
 
 def test_strip_measure_exact():
@@ -201,6 +205,21 @@ def test_summability_subexponential():
     res = summability_check(delta, d=2, tol=1e-12)
     assert res.converges
     assert res.tail_bound < 1e-6 * res.partial
+
+
+def test_summability_tabulated_delta_past_the_table():
+    # the tail integral reaches t where the table's last log-slope
+    # overflows a float: Delta is +inf there, so the summand is 0
+    ts = np.geomspace(0.01, 1e6, 200)
+    res = summability_check(tabulated_delta(ts, [(1 + t) ** 3 for t in ts]),
+                            2)
+    assert res.converges
+    assert math.isfinite(res.estimate)
+    # sum m/(1+m)^3 = zeta(2) - zeta(3), to the error of interpolating
+    # log Delta linearly in t between nodes 1.1 apart: below
+    # 3 (0.1)^2 / 8, about 0.4 %, in each Delta
+    want = math.pi ** 2 / 6.0 - 1.2020569031595942
+    assert abs(res.estimate - want) <= 5e-3 * want
 
 
 def test_summability_divergent():

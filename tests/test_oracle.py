@@ -278,6 +278,102 @@ def test_window_eigenvalues_match_dense_eigvalsh(make, bandwidth):
     assert np.abs(full - vals).max() <= 1e-13 * norm_a
 
 
+@pytest.mark.parametrize("make, bandwidth", [
+    (_coupled_d1_interior, 9),      # connected: the torus-major band
+    (_wide_band_d2_interior, 14),   # the parity of n_2 + m is conserved
+    (_torus_only, 1),               # e^{2ix}: even and odd n
+    (_random_dense, 28),            # connected
+])
+def test_component_order_never_widens_the_band(make, bandwidth):
+    op = make()
+    spec = window_spectrum(op, (0.0, 0.0))
+    assert spec.bw == bandwidth
+    assert spec.bw <= np.abs(op.rows - op.cols).max()
+
+
+@pytest.mark.parametrize("make", [_coupled_d1_interior, _random_dense])
+def test_connected_operator_keeps_its_order_and_band(make):
+    # one component: the identity order, and the values of eig_banded on
+    # the band of the unpermuted entries, bit for bit
+    from scipy.linalg import eig_banded
+    op = make()
+    bw = int(np.abs(op.rows - op.cols).max())
+    lower = op.rows >= op.cols
+    ab = np.zeros((bw + 1, op.dim), dtype=complex)
+    ab[(op.rows - op.cols)[lower], op.cols[lower]] = op.values[lower]
+    want = eig_banded(ab, lower=True, eigvals_only=True)
+    spec = window_spectrum(op, (want[0] - 1.0, want[-1] + 1.0))
+    assert np.array_equal(spec.perm, np.arange(op.dim))
+    assert spec.bw == bw
+    assert np.array_equal(spec.values, want)
+
+
+def _interleaved_blocks():
+    """A Hermitian operator of five blocks whose indices a random
+    permutation interleaves, and the blocks' index sets: a real and a
+    complex random block, a real tridiagonal block, and [[1/2, 1/4],
+    [1/4, 1/2]] beside the 1 x 1 block [3/4], so that the eigenvalue 3/4
+    is exactly degenerate across two components."""
+    rng = np.random.default_rng(3)
+    real = rng.normal(size=(7, 7))
+    cplx = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    tri = (np.diag(rng.normal(size=8)) + np.diag(rng.normal(size=7), 1)
+           + np.diag(rng.normal(size=7), -1))
+    blocks = [real + real.T, cplx + cplx.conj().T, tri + tri.T,
+              np.array([[0.5, 0.25], [0.25, 0.5]]), np.array([[0.75]])]
+    n = sum(len(b) for b in blocks)
+    where = rng.permutation(n)
+    A = np.zeros((n, n), dtype=complex)
+    sets, at = [], 0
+    for b in blocks:
+        idx = where[at:at + len(b)]
+        A[np.ix_(idx, idx)] = b
+        sets.append(sorted(idx.tolist()))
+        at += len(b)
+    return _from_dense(A), sets
+
+
+def test_interleaved_blocks_solve_in_component_order():
+    op, sets = _interleaved_blocks()
+    A = op.matrix
+    vals, vecs = np.linalg.eigh(A)
+    norm_a = np.abs(vals).max()
+    assert np.count_nonzero(np.abs(vals - 0.75) < 1e-14) == 2
+    window = (vals[0] - 1.0, vals[-1] + 1.0)
+    spec = window_spectrum(op, window)
+    # each block is one run of the order, its indices ascending, and the
+    # blocks follow their smallest index
+    sets = sorted(sets)
+    runs = np.split(spec.perm, np.cumsum([len(s) for s in sets])[:-1])
+    assert [r.tolist() for r in runs] == sets
+    assert spec.bw == max(len(s) for s in sets) - 1
+    assert spec.bw < np.abs(op.rows - op.cols).max()
+    assert np.abs(spec.values - vals).max() <= 1e-13 * norm_a
+    dist, largest = _projector_gap(spec, vals, vecs, *window, 1e-6 * norm_a)
+    assert largest == 2             # 3/4 in two components, one cluster
+    assert dist <= 1e-8
+    lo = 0.5 * (vals[5] + vals[6])
+    hi = 0.5 * (vals[-6] + vals[-5])
+    inner = window_spectrum(op, (lo, hi)).values
+    assert np.abs(inner - vals[6:-5]).max() <= 1e-13 * norm_a
+
+
+def test_interleaved_blocks_residual_guard(monkeypatch):
+    import scipy.linalg
+    op, _ = _interleaved_blocks()
+    window = (-100.0, 100.0)
+    eig_banded = scipy.linalg.eig_banded
+    for bad in range(op.dim):
+        def shifted(*args, bad=bad, **kwargs):
+            vals = eig_banded(*args, **kwargs).copy()
+            vals[bad] += 1e-6
+            return vals
+        monkeypatch.setattr(scipy.linalg, "eig_banded", shifted)
+        with pytest.raises(InvariantError, match="residual"):
+            spec = window_spectrum(op, window)
+            spec.vectors(spec.values)
+
+
 def _projector_gap(spec, vals, vecs, lo, hi, gap):
     """The largest 2-norm distance between the projectors onto the computed
     and the dense eigenvectors, over groups of window values split at
