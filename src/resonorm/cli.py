@@ -376,7 +376,7 @@ def cmd_compare(cfg: RunConfig, outdir: Path, seed: int) -> int:
     q = cfg.quantize(state.geometry.d)
     window = q["window"]
     op = _oracle_operator(cfg, state, q["h"], window)
-    sel = window_spectrum(interior(op), window).values
+    sel = _interior_filter(op, window)[0].values
     rep = match_spectrum(sel, pred,
                          gap_factor=cfg.get("oracle", "gap_factor", 4.0, float))
 

@@ -100,11 +100,9 @@ def union_majorant(gamma1: float, delta: ApproximationFunction, Kmax: int,
     """Analytic bound on the union measure: per shell |k| = m there are
     (2m+1)^d - (2m-1)^d modes, each zone of measure <= 2*beta_m/m with
     beta_m = gamma1/Delta(m)."""
-    total = 0.0
-    for m in range(1, Kmax + 1):
-        shell = (2 * m + 1) ** d - (2 * m - 1) ** d
-        total += shell * 2.0 * (gamma1 / delta(m)) / m
-    return total
+    m = np.arange(1, Kmax + 1)
+    beta = divisor_thresholds(gamma1, delta, Kmax, 0)[:, 0]
+    return float(np.sum(((2 * m + 1) ** d - (2 * m - 1) ** d) * 2.0 * beta / m))
 
 
 def excluded_set_measure(gamma1: float, delta: ApproximationFunction,
@@ -201,7 +199,7 @@ def summability_check(delta: ApproximationFunction, d: int,
         m = hi + 1
         if decreasing and last < tol * max(partial, 1e-300):
             M_stop = hi
-            f = lambda t: t ** (d - 1) / delta(t)
+            f = lambda t: t ** (d - 1) * np.exp(-delta.log(t))
             tail_hi, _ = quad(f, M_stop, np.inf, limit=400)
             tail_lo, _ = quad(f, M_stop + 1, np.inf, limit=400)
             if not (math.isfinite(tail_hi) and tail_hi >= 0):

@@ -1,11 +1,15 @@
 """Approximation-function machinery and the majorant Gevrey norm.
 
-An admissible approximation function Delta controls small divisors through
-|<k, w>| > gamma / Delta(|k|).  Admissibility means: continuous, strictly
-increasing, Delta(0) >= 1, unbounded, with log Delta(t) / t^(1/alpha)
-decreasing to zero and the integral of log Delta(t) / t^(1+1/alpha) finite.
-These are verified by sampling on a geometric grid plus adaptive quadrature
-with a geometric-window tail bound.
+An approximation function Delta controls small divisors through
+|<k, w>| > gamma / Delta(|k|).  It is defined by its logarithm, as every
+estimate on it is written in log Delta: the extremal function
+Gamma_{r,n}(eta) = sup_t (1+t)^r Delta(t)^n exp(-eta t^(1/alpha)) and the
+integral bound on it.  Delta is admissible when log Delta is continuous
+and strictly increasing, log Delta(0) >= 0, log Delta is unbounded,
+log Delta(t) / t^(1/alpha) decreases to zero, and the integral of
+log Delta(t) / t^(1+1/alpha) from varsigma to infinity is finite.  These
+are verified by sampling log Delta on a geometric grid plus adaptive
+quadrature with a geometric-window tail bound.
 
 The norm on truncated series is a coefficient majorant,
 
@@ -49,49 +53,45 @@ class GevreyWeights:
 
 @dataclass(frozen=True)
 class ApproximationFunction:
-    """A divisor-control function Delta with its Gevrey index.
+    """A divisor-control function Delta with its Gevrey index, defined by
+    its logarithm.
 
-    `fn` maps t >= 0 to Delta(t).  `log_fn`, when given, evaluates
-    log Delta(t) directly so fast-growing families do not overflow the
-    float range.  `varsigma` is the lower cutoff of the admissibility
-    integral.  Construction does not validate; call `validate()` (or
-    `check_admissible`) to run the sampled checks, so degenerate stubs
+    `log` maps t >= 0, a scalar or an array, to log Delta(t); it is written
+    with numpy ufuncs, and +inf is allowed where Delta leaves the float
+    range.  Every evaluation of Delta is exp(log).  `varsigma` is the lower
+    cutoff of the admissibility integral.  Construction does not validate;
+    call `check_admissible` to run the sampled checks, so degenerate stubs
     remain constructible for tests.
     """
 
     alpha: float
-    fn: Callable[[float], float]
+    log: Callable
     varsigma: float = 0.01
     name: str = "custom"
-    log_fn: Callable[[float], float] | None = None
+
+    def values(self, t) -> np.ndarray:
+        """Delta(t) = exp(log Delta(t)) elementwise, +inf past the float
+        range."""
+        with np.errstate(over="ignore"):
+            return np.exp(self.log(np.asarray(t, dtype=float)))
 
     def __call__(self, t: float) -> float:
-        return float(self.fn(float(t)))
-
-    def values(self, ts: np.ndarray) -> np.ndarray:
-        """Delta over an array of t: one call of `fn` on the whole array
-        when `fn` is written with numpy ufuncs (as in `power_log_delta` and
-        `subgevrey_exp_delta`), else one scalar call per element."""
-        try:
-            vals = np.asarray(self.fn(ts), dtype=float)
-        except (TypeError, ValueError):
-            vals = None
-        if vals is None or vals.shape != ts.shape:
-            vals = np.array([self(t) for t in ts])
-        return vals
+        return float(self.values(t))
 
     def inverse(self, s: float) -> float:
-        """Monotone inverse by bisection: smallest t with Delta(t) >= s."""
-        if self(0.0) >= s:
+        """Monotone inverse by bisection on log Delta: smallest t with
+        Delta(t) >= s."""
+        target = math.log(s)
+        if self.log(0.0) >= target:
             return 0.0
         lo, hi = 0.0, 1.0
-        while self(hi) < s:
+        while self.log(hi) < target:
             lo, hi = hi, hi * 2.0
             if hi > 1e12:
                 raise DivergenceError(f"Delta never reaches {s}")
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if self(mid) < s:
+            if self.log(mid) < target:
                 lo = mid
             else:
                 hi = mid
@@ -114,45 +114,33 @@ class AdmissibilityReport:
 def power_log_delta(a: float, b: float = 0.0, alpha: float = 2.0,
                     varsigma: float = 0.01) -> ApproximationFunction:
     """Delta(t) = (1+t)^a * log^b(e+t)."""
-    def fn(t):
-        # b = 0 skips np.log, which costs more than math.log on a scalar t
-        power = (1.0 + t) ** a
-        return power * np.log(np.e + t) ** b if b else power
-    return ApproximationFunction(alpha, fn, varsigma, name=f"power_log(a={a},b={b})")
+    return ApproximationFunction(
+        alpha, lambda t: a * np.log1p(t) + b * np.log(np.log(np.e + t)),
+        varsigma, name=f"power_log(a={a},b={b})")
 
 
 def subgevrey_exp_delta(beta: float, alpha: float = 2.0,
                         varsigma: float = 0.01) -> ApproximationFunction:
     """Delta(t) = exp(t^beta); admissible when beta < 1/alpha."""
-    def fn(t):
-        return np.exp(t ** beta)
-    return ApproximationFunction(alpha, fn, varsigma,
-                                 name=f"subgevrey_exp(beta={beta})",
-                                 log_fn=lambda t: t ** beta)
+    return ApproximationFunction(alpha, lambda t: t ** beta, varsigma,
+                                 name=f"subgevrey_exp(beta={beta})")
 
 
 def tabulated_delta(ts, vals, alpha: float = 2.0) -> ApproximationFunction:
-    """Monotone interpolation of tabulated samples (log-linear in between),
-    extended by the last log-slope beyond the table, where a value past
-    the float range is +inf."""
+    """Monotone interpolation of tabulated samples, linear in log Delta,
+    extended by the last log-slope beyond the table (so Delta is +inf
+    where that leaves the float range)."""
     ts = np.asarray(ts, dtype=float)
     vals = np.asarray(vals, dtype=float)
     if np.any(np.diff(ts) <= 0) or np.any(np.diff(vals) <= 0):
         raise ValueError("samples must be strictly increasing")
     logv = np.log(vals)
+    slope = (logv[-1] - logv[-2]) / (ts[-1] - ts[-2])
 
-    def fn(t):
-        if t <= ts[0]:
-            return float(vals[0])
-        if t >= ts[-1]:
-            slope = (logv[-1] - logv[-2]) / (ts[-1] - ts[-2])
-            try:
-                return float(math.exp(logv[-1] + slope * (t - ts[-1])))
-            except OverflowError:
-                return math.inf
-        return float(math.exp(np.interp(t, ts, logv)))
+    def log(t):
+        return np.interp(t, ts, logv) + slope * np.maximum(t - ts[-1], 0.0)
 
-    return ApproximationFunction(alpha, fn, name="tabulated")
+    return ApproximationFunction(alpha, log, name="tabulated")
 
 
 def _geometric_grid(lo: float, hi: float, nodes_per_decade: int) -> np.ndarray:
@@ -161,34 +149,19 @@ def _geometric_grid(lo: float, hi: float, nodes_per_decade: int) -> np.ndarray:
     return np.geomspace(lo, hi, n)
 
 
-def _log_delta(delta: ApproximationFunction, t: float) -> float:
-    """log Delta(t), with float overflow treated as +inf."""
-    if delta.log_fn is not None:
-        return float(delta.log_fn(float(t)))
-    try:
-        v = delta(t)
-    except OverflowError:
-        return math.inf
-    if v <= 0.0:
-        raise InvariantError(f"Delta({t}) = {v} is not positive")
-    if math.isinf(v):
-        return math.inf
-    return math.log(v)
-
-
 def check_admissible(delta: ApproximationFunction, grid_hi: float = 1e6,
                      nodes_per_decade: int = 64,
                      quad_rtol: float = 1e-9) -> AdmissibilityReport:
     """Sampled admissibility checks; see module docstring for the conditions."""
     failures = []
     ts = _geometric_grid(delta.varsigma, grid_hi, nodes_per_decade)
-    logs = np.array([_log_delta(delta, t) for t in ts])
+    logs = delta.log(ts)
     finite = np.isfinite(logs)
     if not finite.all():
         failures.append("Delta overflows the float range on the grid")
         ts, logs = ts[finite], logs[finite]
 
-    if _log_delta(delta, 0.0) < -1e-12:
+    if delta.log(0.0) < -1e-12:
         failures.append("Delta(0) < 1")
     if logs.size >= 2 and np.any(np.diff(logs) < 0):
         failures.append("not increasing on the sampled grid")
@@ -213,7 +186,7 @@ def check_admissible(delta: ApproximationFunction, grid_hi: float = 1e6,
     expo = 1.0 + 1.0 / delta.alpha
 
     def integrand(t):
-        return min(_log_delta(delta, t), 1e12) / t ** expo
+        return min(delta.log(t), 1e12) / t ** expo
 
     total = 0.0
     window_lo = delta.varsigma
@@ -250,13 +223,13 @@ def check_admissible(delta: ApproximationFunction, grid_hi: float = 1e6,
 # ---------------------------------------------------------------------------
 
 def _log_objective(delta: ApproximationFunction, r: int, n: int, eta: float):
+    """log of (1+t)^r Delta(t)^n exp(-eta t^(1/alpha)), on scalars or
+    arrays; n = 0 leaves log Delta out, so an infinite one gives no 0 * inf."""
     inv_alpha = 1.0 / delta.alpha
 
     def f(t):
-        ld = _log_delta(delta, t) if n else 0.0
-        if math.isinf(ld):
-            return math.inf
-        return r * math.log1p(t) + n * ld - eta * t ** inv_alpha
+        ld = n * delta.log(t) if n else 0.0
+        return r * np.log1p(t) + ld - eta * t ** inv_alpha
 
     return f
 
@@ -277,7 +250,7 @@ def gamma_extremal(r: int, n: int, eta: float,
     f = _log_objective(delta, r, n, eta)
 
     grid = np.concatenate(([0.0], np.geomspace(1e-8, 1e14, 1200)))
-    vals = np.array([f(t) for t in grid])
+    vals = f(grid)
     imax = int(np.argmax(vals))
     if imax >= len(grid) - 2 or math.isinf(vals[imax]):
         # still climbing at the far end of a huge grid: inadmissible Delta
@@ -332,7 +305,7 @@ def lemma_ba_bound(delta: ApproximationFunction, kappa: float, T: float,
     logk = math.log(kappa)
 
     def ig_a(t):
-        return max(_log_delta(delta, t), 0.0) / t ** expo
+        return max(delta.log(t), 0.0) / t ** expo
 
     def ig_c(t):
         return math.log1p(t) / t ** expo

@@ -104,11 +104,9 @@ def divisor_thresholds(gamma: float, delta: ApproximationFunction, K: int,
     m - 1: gamma/Delta(m), gamma^(2 d0)/Delta(m)^(2 d0) and
     gamma^(4 d0^2)/Delta(m)^(4 d0^2), the last two 0 without a resonant
     block."""
-    return np.array([
-        (gamma / dk,
-         (gamma ** (2 * d0)) / dk ** (2 * d0) if d0 else 0.0,
-         (gamma ** (4 * d0 * d0)) / dk ** (4 * d0 * d0) if d0 else 0.0)
-        for dk in (delta(m) for m in range(1, K + 1))]).reshape(K, 3)
+    p = np.array([1, 2 * d0, 4 * d0 * d0])
+    dk = delta.values(np.arange(1, K + 1))[:, None]
+    return gamma ** p / dk ** p * (p > 0)
 
 
 def check_divisors(omega, M, Kplus: int, gamma: float,

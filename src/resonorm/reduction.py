@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, DivisorError, InvariantError
 from .gevrey import ApproximationFunction
-from .kam import DivisorTable
+from .kam import DivisorTable, divisor_thresholds
 from .series import (
     FourierTaylorSeries,
     PhaseGeometry,
@@ -489,8 +489,8 @@ def reduce_hamiltonian(h0_taylor: TaylorData, P0: FourierTaylorSeries | None,
             kw = kp @ omega_star
             # one threshold gamma / Delta(m) per shell |k'| = m
             kn = np.abs(kp).max(axis=1)
-            th = np.full(len(kw), 1e-12) if delta is None else gamma / np.array(
-                [delta(m) for m in range(1, kn.max() + 1)])[kn - 1]
+            th = np.full(len(kw), 1e-12) if delta is None else \
+                divisor_thresholds(gamma, delta, kn.max(), 0)[kn - 1, 0]
             low = np.abs(kw) <= th
             if low.any():
                 k, i = np.unique(kp[low], axis=0, return_index=True)

@@ -200,8 +200,7 @@ def test_summability_known_series():
 
 
 def test_summability_subexponential():
-    delta = ApproximationFunction(alpha=2.0, fn=lambda t: math.exp(math.sqrt(t)),
-                                  log_fn=lambda t: math.sqrt(t))
+    delta = ApproximationFunction(alpha=2.0, log=np.sqrt)
     res = summability_check(delta, d=2, tol=1e-12)
     assert res.converges
     assert res.tail_bound < 1e-6 * res.partial

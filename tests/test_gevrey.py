@@ -10,6 +10,7 @@ from resonorm.errors import DivergenceError
 from resonorm.gevrey import (
     ApproximationFunction,
     GevreyWeights,
+    _log_objective,
     check_admissible,
     gamma_extremal,
     lemma_ba_bound,
@@ -47,7 +48,7 @@ def dense_grid_sup(r, n, eta, delta, thi=1e10):
 
 def test_gamma_degenerate_delta_is_one():
     # Delta == 1 stub: integrand is decreasing, sup attained at t = 0
-    stub = ApproximationFunction(alpha=2.0, fn=lambda t: 1.0, name="unit-stub")
+    stub = ApproximationFunction(alpha=2.0, log=lambda t: 0.0 * t, name="unit-stub")
     assert abs(gamma_extremal(0, 1, 0.7, stub) - 1.0) < 1e-10
 
 
@@ -77,7 +78,7 @@ def test_gamma_monotonicity():
 
 def test_gamma_divergence_reported():
     # Delta growing like e^t beats any stretched-exponential damping
-    bad = ApproximationFunction(alpha=2.0, fn=lambda t: math.exp(t), name="bad")
+    bad = ApproximationFunction(alpha=2.0, log=lambda t: t, name="bad")
     with pytest.raises(DivergenceError):
         gamma_extremal(0, 1, 0.5, bad)
 
@@ -135,13 +136,14 @@ def test_admissible_families():
 
 def test_inadmissible_exponential():
     # exp(t) has log Delta / t^(1/2) increasing: fails
-    bad = ApproximationFunction(alpha=2.0, fn=lambda t: math.exp(t))
+    bad = ApproximationFunction(alpha=2.0, log=lambda t: t)
     rep = check_admissible(bad, grid_hi=1e4)
     assert not rep.ok
 
 
 def test_inadmissible_bounded():
-    flat = ApproximationFunction(alpha=2.0, fn=lambda t: 1.0 + 1e-8 * math.tanh(t))
+    flat = ApproximationFunction(alpha=2.0,
+                                 log=lambda t: np.log1p(1e-8 * np.tanh(t)))
     rep = check_admissible(flat, grid_hi=1e4)
     assert not rep.ok
 
@@ -157,15 +159,43 @@ def test_tabulated_delta_interpolation():
 
 def test_delta_values_match_scalar_calls():
     ms = np.arange(1.0, 50_001.0)
-    cube = power_log_delta(a=3.0)                  # (1+m)^3 is exact here
+    cube = power_log_delta(a=3.0)             # one exp(log) path for both
     assert np.array_equal(cube.values(ms), [cube(m) for m in ms])
     for delta in (power_log_delta(a=2.5, b=1.0), subgevrey_exp_delta(beta=0.3)):
         np.testing.assert_allclose(delta.values(ms), [delta(m) for m in ms],
                                    rtol=1e-14)
-    # a scalar-only fn falls back to one call per element
-    scalar = ApproximationFunction(alpha=2.0, fn=lambda t: math.exp(t ** 0.5))
-    assert np.array_equal(scalar.values(ms[:100]),
-                          [math.exp(m ** 0.5) for m in ms[:100]])
+
+
+def test_log_values_and_call_agree():
+    # past 1e6 the table's last log-slope leaves the float range at 1e12:
+    # log Delta stays finite there while Delta is +inf
+    nodes = np.geomspace(0.01, 1e6, 200)
+    ts = np.array([0.0, 0.5, 3.0, 1e3, 1e6, 1e8, 1e12])
+    for delta in (power_log_delta(a=2.0), power_log_delta(a=2.5, b=1.0),
+                  subgevrey_exp_delta(beta=0.3),
+                  tabulated_delta(nodes, (1 + nodes) ** 3)):
+        logs = delta.log(ts)
+        assert np.isfinite(logs).all(), delta.name
+        vals = delta.values(ts)
+        with np.errstate(over="ignore"):
+            assert np.array_equal(vals, np.exp(logs)), delta.name
+        np.testing.assert_allclose([delta.log(t) for t in ts.tolist()], logs,
+                                   rtol=1e-14)
+        np.testing.assert_allclose([delta(t) for t in ts.tolist()], vals,
+                                   rtol=1e-14)
+        np.testing.assert_allclose([delta.values(t) for t in ts.tolist()],
+                                   vals, rtol=1e-14)
+    assert vals[-1] == math.inf and vals[-2] < math.inf
+
+
+def test_gamma_objective_without_delta_ignores_infinite_log():
+    # log Delta = +inf past t = 1e3; with n = 0 it must not enter as 0 * inf
+    capped = ApproximationFunction(
+        alpha=2.0, log=lambda t: np.where(t < 1e3, 2.0 * np.log1p(t), np.inf))
+    grid = np.concatenate(([0.0], np.geomspace(1e-8, 1e14, 1200)))
+    assert not np.isnan(_log_objective(capped, 1, 0, 1.0)(grid)).any()
+    # sup (1+t) e^{-sqrt(t)} = 1, as in test_gamma_against_dense_grid_oracle
+    assert abs(gamma_extremal(1, 0, 1.0, capped) - 1.0) < 1e-8
 
 
 def test_delta_inverse():
