@@ -28,11 +28,12 @@ from .errors import (
     InvariantError,
     ResonormError,
 )
-from .freqsets import ZoneSpec, excluded_set_measure, summability_check, zone_measure_mc
+from .freqsets import ZoneSpec, excluded_set_measure, summability_check, zones_measure_mc
 from .gevrey import (
     ApproximationFunction,
+    ba_integrals,
+    extremal_bound,
     gamma_extremal,
-    lemma_ba_bound,
     power_log_delta,
     subgevrey_exp_delta,
 )
@@ -411,15 +412,15 @@ def cmd_measure(cfg: RunConfig, outdir: Path, seed: int) -> int:
     l = cfg.get("measure", "l", 2, int)
     d = cfg.get("measure", "d", 2, int)
     samples = cfg.get("measure", "samples", 100_000, int)
-    rows = []
+    specs = []
     zones = cfg.get("measure", "zones", "", str)
     for row in (r for r in zones.split(";") if r.strip()):
         vals = _floats(row)
-        k = tuple(int(v) for v in vals[:-1])
-        beta = vals[-1]
-        est, ci = zone_measure_mc(ZoneSpec(k=k, beta=beta), l, samples, seed)
-        exact = _exact_zone_measure(k, beta)
-        rows.append(("/".join(str(v) for v in k), beta, est, ci,
+        specs.append(ZoneSpec(k=tuple(int(v) for v in vals[:-1]), beta=vals[-1]))
+    rows = []
+    for spec, (est, ci) in zip(specs, zones_measure_mc(specs, l, samples, seed)):
+        exact = _exact_zone_measure(spec.k, spec.beta)
+        rows.append(("/".join(str(v) for v in spec.k), spec.beta, est, ci,
                      exact if exact is not None else math.nan, math.nan))
     gamma1 = cfg.get("measure", "gamma1", 1e-3, float)
     Kmax = cfg.get("measure", "Kmax", 6, int)
@@ -538,12 +539,13 @@ def cmd_gamma(cfg: RunConfig, outdir: Path, seed: int) -> int:
     ns = _ints(cfg.get("gamma_table", "n", "0 1"))
     kappa = cfg.get("gamma_table", "kappa", 2.0, float)
     T = cfg.get("gamma_table", "T", 1.0, float)
+    a, c = ba_integrals(delta, kappa, T)      # one pair for every row
     rows = []
     for r in rs:
         for n in ns:
-            a, c, eta, bound = lemma_ba_bound(delta, kappa, T, n, r)
+            eta = n * a + r * c
             val = gamma_extremal(r, n, eta, delta) if eta > 0 else 1.0
-            rows.append((r, n, eta, val, bound))
+            rows.append((r, n, eta, val, extremal_bound(delta, T, eta)))
     write_csv(outdir / "gamma.csv",
               ["r", "n", "eta", "gamma_extremal", "integral_bound"], rows)
     return 0

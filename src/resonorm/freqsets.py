@@ -34,11 +34,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConfigError
 from .gevrey import ApproximationFunction
 from .kam import divisor_thresholds
+from .quadrature import qagi
 from .series import knorm
 
 
@@ -67,20 +67,30 @@ def zone_measure_mc(spec: ZoneSpec, l: int, samples: int, seed: int):
     Returns (estimate, ci95): the mean of the indicator and the 95%
     binomial confidence half-width.  Deterministic for a fixed seed.
     """
+    return zones_measure_mc([spec], l, samples, seed)[0]
+
+
+def zones_measure_mc(specs, l: int, samples: int, seed: int):
+    """`zone_measure_mc` for several zones from one draw: each chunk of
+    the seeded stream is drawn once and tested with every zone's own
+    indicator, so each (estimate, ci95) equals that of its own call."""
     if samples < 10_000:
         raise ConfigError("use at least 1e4 samples")
-    if len(spec.k) > l:
+    if any(len(spec.k) > l for spec in specs):
         raise ConfigError("mode dimension exceeds the cube dimension")
+    if not specs:
+        return []
     rng = np.random.default_rng(seed)
-    hits = 0
+    hits = [0] * len(specs)
     chunk = 200_000
     left = samples
     while left > 0:
         n = min(chunk, left)
         W = rng.random((n, l))
-        hits += int(_zone_indicator(spec, W).sum())
+        for i, spec in enumerate(specs):
+            hits[i] += int(_zone_indicator(spec, W).sum())
         left -= n
-    return _binomial(hits, samples)
+    return [_binomial(h, samples) for h in hits]
 
 
 def _binomial(hits: int, samples: int):
@@ -182,8 +192,9 @@ def summability_check(delta: ApproximationFunction, d: int,
 
     Terms are accumulated until the current term falls below tol times the
     partial sum; the tail is then bracketed by the integral comparison
-    test (the summand must be decreasing by that point).  Lack of decay
-    within the cap reports divergence.
+    test (the summand must be decreasing by that point), each integral by
+    QAGI.  Lack of decay within the cap, or a tail integral that QAGI does
+    not report as converged, reports divergence.
     """
     partial = 0.0
     m = 1
@@ -200,9 +211,11 @@ def summability_check(delta: ApproximationFunction, d: int,
         if decreasing and last < tol * max(partial, 1e-300):
             M_stop = hi
             f = lambda t: t ** (d - 1) * np.exp(-delta.log(t))
-            tail_hi, _ = quad(f, M_stop, np.inf, limit=400)
-            tail_lo, _ = quad(f, M_stop + 1, np.inf, limit=400)
-            if not (math.isfinite(tail_hi) and tail_hi >= 0):
+            tail_hi, _, ier_hi = qagi(f, M_stop, epsabs=1.49e-8,
+                                      epsrel=1.49e-8, limit=400)
+            tail_lo, _, ier_lo = qagi(f, M_stop + 1, epsabs=1.49e-8,
+                                      epsrel=1.49e-8, limit=400)
+            if ier_hi or ier_lo or not (math.isfinite(tail_hi) and tail_hi >= 0):
                 break
             return SummabilityResult(
                 converges=True, partial=partial, tail_bound=tail_hi,

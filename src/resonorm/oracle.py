@@ -61,6 +61,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg
 
 from .errors import ConfigError, CoverageError, InvariantError
 
@@ -315,8 +316,6 @@ class WindowSpectrum:
         Everything but the band solve is in operator order: each solve
         permutes its right-hand sides into band order and its solutions
         back."""
-        from scipy.linalg import get_lapack_funcs
-
         lams = np.asarray(lams, dtype=float)
         op, bw, perm = self.op, self.bw, self.perm
         at = np.argsort(perm)      # the band position of each index
@@ -326,7 +325,8 @@ class WindowSpectrum:
             (lams.size, op.dim)).T.astype(complex)
         if not lams.size:
             return out
-        gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (self.band,))
+        gbtrf, gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"),
+                                                     (self.band,))
         order = np.argsort(lams, kind="stable")
         cuts = np.flatnonzero(np.diff(lams[order]) > tol) + 1
         for members in np.split(order, cuts):
@@ -389,8 +389,6 @@ def window_spectrum(op: ModelOperator, window) -> WindowSpectrum:
     min(SPOT_CHECKS, window size) window values, drawn with a fixed seed,
     are confirmed by `WindowSpectrum.vectors`, which raises on a value off
     the spectrum."""
-    from scipy.linalg import eig_banded
-
     n = op.dim
     perm = _component_order(n, op.rows, op.cols)
     at = np.argsort(perm)          # the band position of each index
@@ -402,7 +400,8 @@ def window_spectrum(op: ModelOperator, window) -> WindowSpectrum:
     ab = np.zeros((3 * bw + 1, n), dtype=complex)
     ab[2 * bw + rows - cols, cols] = op.values
     try:
-        vals = eig_banded(ab[2 * bw:], lower=True, eigvals_only=True)
+        vals = scipy.linalg.eig_banded(ab[2 * bw:], lower=True,
+                                       eigvals_only=True)
     except np.linalg.LinAlgError as exc:
         raise InvariantError(f"band eigensolve failed: {exc}") from exc
     norm_a = max(abs(vals[0]), abs(vals[-1]), 1e-300)

@@ -4,6 +4,8 @@ import importlib
 import importlib.util
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 
 from resonorm.cli import RunConfig, main
 from resonorm.errors import DivisorError
-from resonorm.gevrey import power_log_delta
+from resonorm.gevrey import lemma_ba_bound, power_log_delta
 from resonorm.kam import check_divisors
 from resonorm.oracle import ModelOperator, required_Nt
 from resonorm.quantize import remainder_bound
@@ -584,6 +586,37 @@ def test_no_module_state():
                     or isinstance(value, (list, dict, set))):
                 found.append((name, attr, type(value).__name__))
     assert not found
+
+
+def test_import_path():
+    # the CLI's imports load scipy.linalg and no other public scipy
+    # subpackage (scipy.version comes with every scipy import)
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import resonorm.cli; "
+            "print(' '.join(m for m in sys.modules if m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout.split()
+    public = {m.split(".")[1] for m in out if not m.split(".")[1].startswith("_")}
+    assert public - {"version"} == {"linalg"}
+
+
+def test_gamma_table_equals_lemma_ba_bound(tmp_path):
+    # the command evaluates the two integrals once for the whole table
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(MEASURE_CFG + "\n[gamma_table]\nr = 0 1 2 3\nn = 0 1 2\n"
+                   "kappa = 1.5\nT = 2.0\n")
+    out = tmp_path / "out"
+    assert main(["gamma", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = (out / "gamma.csv").read_text().strip().splitlines()[1:]
+    delta = RunConfig(cfg).delta()
+    want = []
+    for r in range(4):
+        for n in range(3):
+            _, _, eta, bound = lemma_ba_bound(delta, 1.5, 2.0, n, r)
+            want.append((r, n, eta, bound))
+    got = [(int(c[0]), int(c[1]), float(c[2]), float(c[4]))
+           for c in (row.split(",") for row in rows)]
+    assert got == want
 
 
 def test_tracer_targets_resolve(monkeypatch):

@@ -15,6 +15,7 @@ from resonorm.freqsets import (
     summability_check,
     union_majorant,
     zone_measure_mc,
+    zones_measure_mc,
 )
 from resonorm.gevrey import (
     ApproximationFunction,
@@ -48,6 +49,18 @@ def test_seed_determinism():
     a = zone_measure_mc(spec, l=2, samples=50_000, seed=23)
     b = zone_measure_mc(spec, l=2, samples=50_000, seed=23)
     assert a == b
+
+
+def test_zones_from_one_draw_equal_their_own_calls():
+    # three chunks, the last one partial; modes shorter than l included
+    specs = [ZoneSpec(k=(1,), beta=0.1), ZoneSpec(k=(1, -1), beta=0.05),
+             ZoneSpec(k=(2, 1, 1), beta=0.2)]
+    together = zones_measure_mc(specs, l=3, samples=450_000, seed=29)
+    assert together == [zone_measure_mc(s, l=3, samples=450_000, seed=29)
+                        for s in specs]
+    assert zones_measure_mc([], l=3, samples=450_000, seed=29) == []
+    with pytest.raises(ConfigError):
+        zones_measure_mc(specs, l=2, samples=450_000, seed=29)
 
 
 def test_zone_indicator_matches_per_sample_loop():
@@ -225,6 +238,14 @@ def test_summability_divergent():
     delta = power_log_delta(a=1.0, alpha=2.0)      # m/(1+m) does not decay
     res = summability_check(delta, d=2, tol=1e-9, m_cap=20_000)
     assert not res.converges
+
+
+def test_summability_divergent_tail():
+    # sum 1/(1+m) diverges, yet its terms fall below tol times the partial
+    # sum within the first chunk; QAGI flags the tail integral of 1/(1+t)
+    res = summability_check(power_log_delta(a=1.0), d=1, tol=1e-3)
+    assert not res.converges
+    assert res.estimate == math.inf
 
 
 def test_majorant_formula():

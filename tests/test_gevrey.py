@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from scipy.integrate import quad
+
 from resonorm.errors import DivergenceError
 from resonorm.gevrey import (
     ApproximationFunction,
@@ -19,6 +21,7 @@ from resonorm.gevrey import (
     subgevrey_exp_delta,
     tabulated_delta,
 )
+from resonorm.quadrature import qagi
 from resonorm.series import FourierTaylorSeries, PhaseGeometry, poisson_bracket
 
 from test_series import random_series
@@ -122,6 +125,45 @@ def test_bound_dominates_extremal():
                 a, c, eta, bound = lemma_ba_bound(delta, 2.0, T, n, r)
                 val = gamma_extremal(r, n, eta, delta)
                 assert val <= bound * (1 + 1e-8), (delta.name, n, r, T)
+
+
+def test_bound_rejects_divergent_integral():
+    # log Delta = t: the a integrand t^(-1/2) is not integrable on [1, inf);
+    # QAGI's result (-2) and error (6e-13) look fine, its ier 5 does not
+    bad = ApproximationFunction(alpha=2.0, log=lambda t: t)
+    with pytest.raises(DivergenceError, match="ier a=5"):
+        lemma_ba_bound(bad, 2.0, 1.0, n=1, r=0)
+
+
+# ---------------------------------------------------------------------------
+# QAGI port
+# ---------------------------------------------------------------------------
+
+def _quad_cases():
+    """(integrand, lower limit, epsrel): the a and c integrals of the
+    integral bound, and the summability tail integrand at d = 1, 2."""
+    for a, b, alpha in ((3, 0, 2), (2, 0, 2), (3, 2, 1.5), (1, 1, 3), (2, 1, 2)):
+        delta = power_log_delta(a, b, alpha)
+        expo = 1.0 + 1.0 / alpha
+        for T in (1.0, 2.0, 4.0, 10.0):
+            yield (lambda t, delta=delta, expo=expo:
+                   max(delta.log(t), 0.0) / t ** expo), T, 1e-10
+            yield (lambda t, expo=expo: math.log1p(t) / t ** expo), T, 1e-10
+    cube = power_log_delta(a=3.0)
+    for d in (1, 2):
+        for M in (50_000, 50_001):
+            yield (lambda t, d=d: t ** (d - 1) * np.exp(-cube.log(t))), M, 1.49e-8
+
+
+def test_qagi_equals_quad_bit_for_bit():
+    cases = list(_quad_cases())
+    assert len(cases) == 44
+    for f, lo, epsrel in cases:
+        result, abserr, ier = qagi(f, lo, epsabs=1.49e-8, epsrel=epsrel,
+                                   limit=400)
+        assert (result, abserr) == quad(f, lo, np.inf, epsabs=1.49e-8,
+                                        epsrel=epsrel, limit=400), lo
+        assert ier == 0
 
 
 # ---------------------------------------------------------------------------
