@@ -123,9 +123,12 @@ class RunConfig:
         raise ConfigError(f"unknown Delta family {family!r}")
 
     def schedule(self) -> Schedule:
+        K = self.get("kam", "K", 8, int)
+        if K < 1:
+            raise ConfigError(f"[kam] K = {K} must be >= 1")
         return Schedule(rho=self.get("gevrey", "rho", 1.0, float),
                         sigma=self.get("gevrey", "sigma", 1.0, float),
-                        K=self.get("kam", "K", 8, int),
+                        K=K,
                         gamma=self.get("kam", "gamma", 0.05, float),
                         target=self.get("kam", "target", 1e-14, float))
 
@@ -140,15 +143,19 @@ class RunConfig:
                 "scaling": self.get("quantize", "scaling", "oscillator"),
                 "n_res_max": self.get("quantize", "n_res_max", 6, int)}
 
-    def p0_series(self):
-        if not self.has("p0"):
-            return None
-        fname = self.get("p0", "file")
-        p = (self.path.parent / fname) if not Path(fname).is_absolute() \
-            else Path(fname)
+    def series_file(self, section: str, key: str) -> FourierTaylorSeries:
+        """The series in the file that [section] key names, relative to the
+        config's directory."""
+        p = self.path.parent / self.get(section, key)
         if not p.exists():
-            raise ConfigError(f"perturbation series file not found: {p}")
-        return from_text(p.read_text())
+            raise ConfigError(f"series file not found: {p}")
+        try:
+            return from_text(p.read_text())
+        except ValueError as exc:
+            raise ConfigError(f"bad series file {p}: {exc}") from exc
+
+    def p0_series(self):
+        return self.series_file("p0", "file") if self.has("p0") else None
 
     def taylor(self) -> TaylorData:
         grad = np.array(_floats(self.get("h0", "gradient")))
@@ -179,10 +186,7 @@ class RunConfig:
             geo = PhaseGeometry(d=omega.size, d0=d0)
             P = FourierTaylorSeries.zero(geo)
             if "p_file" in self.cp["direct"]:
-                p = self.path.parent / self.get("direct", "p_file")
-                if not p.exists():
-                    raise ConfigError(f"series file not found: {p}")
-                P = from_text(p.read_text()).scale(eps)
+                P = self.series_file("direct", "p_file").scale(eps)
             return NormalFormState.initial(geo, omega, M, eps, P)
         raise ConfigError("config needs either [h0]+[module] or [direct]")
 
@@ -351,7 +355,7 @@ def _oracle_operator(cfg: RunConfig, state: NormalFormState, h, window):
     Nt = cfg.get("oracle", "Nt", 0, int)
     omega = state.omega_p()
     need = required_Nt(window[1], h, float(np.min(np.abs(omega))),
-                       int(symbol.knorms().max(initial=0)))
+                       symbol.kmax)
     if Nt == 0:
         Nt = need
     if Nt < need:
@@ -539,6 +543,13 @@ def cmd_gamma(cfg: RunConfig, outdir: Path, seed: int) -> int:
     ns = _ints(cfg.get("gamma_table", "n", "0 1"))
     kappa = cfg.get("gamma_table", "kappa", 2.0, float)
     T = cfg.get("gamma_table", "T", 1.0, float)
+    if min(rs + ns, default=0) < 0:
+        raise ConfigError("[gamma_table] r and n must be non-negative")
+    if not 1.0 < kappa <= 2.0:
+        raise ConfigError(f"[gamma_table] kappa = {kappa} must lie in (1, 2]")
+    if not T >= delta.varsigma:
+        raise ConfigError(f"[gamma_table] T = {T} must be >= varsigma = "
+                          f"{delta.varsigma}")
     a, c = ba_integrals(delta, kappa, T)      # one pair for every row
     rows = []
     for r in rs:

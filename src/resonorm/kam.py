@@ -199,8 +199,7 @@ def _solve_modes(omega, M, eps_quad: float, R: FourierTaylorSeries,
         sol = np.linalg.solve(A, -rhs_scale * C002[quad].reshape(-1, n * n, 1))
         F002[quad] = sol.reshape(-1, n, n)
     return GeneratingSeries.from_arrays(
-        geo, int(np.abs(ks).max(initial=0)), 2,
-        *ansatz_arrays(geo, ks, F000, F010, F001, F002))
+        geo, *ansatz_arrays(geo, ks, F000, F010, F001, F002))
 
 
 def solve_homological(omega, M, R: FourierTaylorSeries, epsilon: float,

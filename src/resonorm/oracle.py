@@ -188,7 +188,7 @@ def build_operator(symbol, h: float, Nt: int, Nh: int, *,
         raise ConfigError("h must be positive")
     if d0 and Nh < 2:
         raise ConfigError("need at least two Hermite levels per resonant dof")
-    krange = int(symbol.knorms().max(initial=0))
+    krange = symbol.kmax
     if krange > Nt:
         raise CoverageError(
             f"torus cutoff Nt={Nt} cannot represent mode shift {krange}; "

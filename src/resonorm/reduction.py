@@ -240,7 +240,7 @@ def resonant_average(P0bar: FourierTaylorSeries, d0: int) -> FourierTaylorSeries
     sel = ~e[:, :d].any(axis=1) & ~e[:, l:].any(axis=1)
     m = e[sel, d:l] if d0 else np.zeros((int(sel.sum()), 1), dtype=np.int64)
     return FourierTaylorSeries.from_arrays(
-        PhaseGeometry(d=max(d0, 1), d0=0), int(np.abs(m).max(initial=0)), 0,
+        PhaseGeometry(d=max(d0, 1), d0=0),
         np.concatenate([m, 0 * m], axis=1), P0bar.coefs()[sel], prune=True)
 
 
@@ -378,7 +378,7 @@ def apply_unimodular_change(P0: FourierTaylorSeries, K0: np.ndarray,
     rows = np.zeros((l + 1, geo.width), dtype=np.int64)
     rows[1:, l:2 * l] = np.eye(l, dtype=np.int64)
     lin = [FourierTaylorSeries.from_arrays(
-        geo, 0, 1, rows, np.concatenate(([y0[i]], K0[i])).astype(complex))
+        geo, rows, np.concatenate(([y0[i]], K0[i])).astype(complex))
         for i in range(l)]
     js, group = np.unique(e[:, l:2 * l], axis=0, return_inverse=True)
     exps, coefs = [np.empty((0, geo.width), np.int64)], [np.empty(0, complex)]
@@ -393,9 +393,7 @@ def apply_unimodular_change(P0: FourierTaylorSeries, K0: np.ndarray,
              np.tile(poly.exps()[:, l:], (int(mine.sum()), 1))], axis=1))
         coefs.append(np.outer(c[mine], poly.coefs()).ravel())
     return FourierTaylorSeries.from_arrays(
-        geo, int(np.abs(kbar).max(initial=0)),
-        int(e[:, l:2 * l].sum(axis=1).max(initial=0)),
-        np.concatenate(exps), np.concatenate(coefs), prune=True)
+        geo, np.concatenate(exps), np.concatenate(coefs), prune=True)
 
 
 def _mass(c: np.ndarray):
@@ -467,7 +465,7 @@ def reduce_hamiltonian(h0_taylor: TaylorData, P0: FourierTaylorSeries | None,
     j = np.concatenate([np.eye(l, dtype=np.int64)[i].sum(axis=1) for i in idx])
     weights = [t.ravel() / math.factorial(t.ndim) for t in tensors]
     H = FourierTaylorSeries.from_arrays(
-        geo_l, 0, len(tensors), np.concatenate([0 * j, j], axis=1),
+        geo_l, np.concatenate([0 * j, j], axis=1),
         np.concatenate(weights).astype(complex), prune=True)
 
     if epsilon < 0:
@@ -503,8 +501,7 @@ def reduce_hamiltonian(h0_taylor: TaylorData, P0: FourierTaylorSeries | None,
                                          zeros.astype(bool)))
             a = epsilon * c[gen]
             F1 = FourierTaylorSeries.from_arrays(
-                geo_l, P0bar.kmax, 0, e[gen], -a.imag / kw + 1j * (a.real / kw),
-                prune=True)
+                geo_l, e[gen], -a.imag / kw + 1j * (a.real / kw), prune=True)
             H, _ = lie_transform_auto(H, F1, 1.0, tol=AVERAGING_LIE_TOL)
 
     # critical point of the resonant average
@@ -526,8 +523,7 @@ def reduce_hamiltonian(h0_taylor: TaylorData, P0: FourierTaylorSeries | None,
     if d0 and np.any(phi0 != 0.0):
         e = H.exps()
         H = FourierTaylorSeries.from_arrays(
-            geo_l, H.kmax, H.degmax, e,
-            _product(H.coefs(), np.exp(1j * (e[:, d:l] @ phi0))),
+            geo_l, e, _product(H.coefs(), np.exp(1j * (e[:, d:l] @ phi0))),
             prune=True)
 
     # re-express on the reduced geometry: x = theta', y = Y', u = Y'',
@@ -550,7 +546,7 @@ def reduce_hamiltonian(h0_taylor: TaylorData, P0: FourierTaylorSeries | None,
     t, r = np.nonzero(use)
     weight = np.array([1, 1j, -1, -1j])[q.sum(axis=1) % 4][r] * mag[t, r]
     Hred = FourierTaylorSeries.from_arrays(
-        geo_red, H.kmax, degmax,
+        geo_red,
         np.concatenate([e[t, :d], e[t, l:l + d], e[t, l + d:], q[r]], axis=1),
         c[t] * weight, prune=True)
 
@@ -564,8 +560,7 @@ def reduce_hamiltonian(h0_taylor: TaylorData, P0: FourierTaylorSeries | None,
         powers = np.array([mu ** (n - 1)
                            for n in range(int(action_deg.max(initial=0)) + 1)])
         Hred = FourierTaylorSeries.from_arrays(
-            geo_red, Hred.kmax, Hred.degmax, e,
-            Hred.coefs() * powers[action_deg], prune=True)
+            geo_red, e, Hred.coefs() * powers[action_deg], prune=True)
 
     # normal-form split
     U0 = Gamma22

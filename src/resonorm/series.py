@@ -16,10 +16,13 @@ every constructor and operation that can yield them unsorted or repeated
 (the dict and array constructors, +, * and conjugate); the bracket merges
 its int64 codes itself.  Operations drop coefficients with |c| <=
 PRUNE_EPS silently: an epsilon floor, not a truncation, so nothing else
-is cut and nothing is logged.  Both constructors check their rows
-against the capacity bounds with one helper, `_check_bounds`.  `terms()`
-decodes the rows into ((k, j, q), c) tuples for callers that walk a
-series term by term.
+is cut and nothing is logged.  Both constructors reject negative powers
+with one helper, `_check_powers`.  A series is its rows: its Fourier
+radius `kmax` and degree `degmax` are read from them, the largest |k| and
+the largest |j| + |q| stored (0 for the zero series), so equal series
+have equal bounds.  Only `from_text` checks rows against bounds, those
+its file header declares.  `terms()` decodes the rows into ((k, j, q), c)
+tuples for callers that walk a series term by term.
 
 The generator ansatz (modes carrying 1, y_i, z_a and z_a z_b) has one
 codec, `ansatz_blocks` and its inverse `ansatz_arrays`.  The k = 0
@@ -114,7 +117,7 @@ def _canonical(exps, coefs, *, prune):
     return exps[first][keep], summed[keep]
 
 
-def _make(geometry, kmax, degmax, exps, coefs, prune=False):
+def _make(geometry, exps, coefs, prune=False):
     """Series from rows already in canonical order, without validation.
     With prune, |c| <= PRUNE_EPS goes; without, the coefficients are taken
     to be nonzero already."""
@@ -123,25 +126,14 @@ def _make(geometry, kmax, degmax, exps, coefs, prune=False):
         if not keep.all():
             exps, coefs = exps[keep], coefs[keep]
     s = FourierTaylorSeries.__new__(FourierTaylorSeries)
-    s._store(geometry, kmax, degmax, exps, coefs)
+    s._store(geometry, exps, coefs)
     return s
 
 
-def _check_bounds(g: PhaseGeometry, kmax: int, degmax: int, exps):
-    """Raise ValueError on the first exponent row beyond kmax or degmax or
-    with a negative power."""
-    kn = np.abs(exps[:, :g.d]).max(axis=1, initial=0)
-    negative = (exps[:, g.d:] < 0).any(axis=1)
-    deg = exps[:, g.d:].sum(axis=1)
-    bad = (kn > kmax) | negative | (deg > degmax)
-    if bad.any():
-        i = int(np.argmax(bad))
-        if kn[i] > kmax:
-            raise ValueError(f"mode {tuple(exps[i, :g.d].tolist())} "
-                             f"exceeds kmax={kmax}")
-        if negative[i]:
-            raise ValueError("polynomial powers must be non-negative")
-        raise ValueError(f"degree {int(deg[i])} exceeds degmax={degmax}")
+def _check_powers(g: PhaseGeometry, exps):
+    """Raise ValueError if an exponent row has a negative power."""
+    if (exps[:, g.d:] < 0).any():
+        raise ValueError("polynomial powers must be non-negative")
 
 
 class FourierTaylorSeries:
@@ -151,30 +143,24 @@ class FourierTaylorSeries:
     Parameters
     ----------
     geometry : PhaseGeometry
-    kmax : int
-        Capacity bound on the Fourier radius, sup-norm on k.
-    degmax : int
-        Capacity bound on the total polynomial degree |j| + |q|.
     coeffs : mapping from (k, j, q) tuples to complex, optional
     """
 
-    __slots__ = ("geometry", "kmax", "degmax", "_exps", "_coefs")
+    __slots__ = ("geometry", "_exps", "_coefs")
 
-    def __init__(self, geometry: PhaseGeometry, kmax: int, degmax: int,
-                 coeffs=None, *, prune: bool = True):
+    def __init__(self, geometry: PhaseGeometry, coeffs=None, *,
+                 prune: bool = True):
         keys = list(coeffs) if coeffs else []
         values = [coeffs[key] for key in keys]
         exps = self._check_keys(geometry, keys)
-        _check_bounds(geometry, int(kmax), int(degmax), exps)
+        _check_powers(geometry, exps)
         coefs = np.array(values, dtype=complex).reshape(len(keys))
-        self._store(geometry, kmax, degmax,
-                    *_canonical(exps, coefs, prune=prune))
+        self._store(geometry, *_canonical(exps, coefs, prune=prune))
 
-    def _store(self, geometry, kmax, degmax, exps, coefs):
+    def _store(self, geometry, exps, coefs):
         exps.flags.writeable = False
         coefs.flags.writeable = False
-        for name, value in (("geometry", geometry), ("kmax", int(kmax)),
-                            ("degmax", int(degmax)), ("_exps", exps),
+        for name, value in (("geometry", geometry), ("_exps", exps),
                             ("_coefs", coefs)):
             object.__setattr__(self, name, value)
 
@@ -203,74 +189,79 @@ class FourierTaylorSeries:
 
     @classmethod
     def zero(cls, geometry: PhaseGeometry):
-        return cls(geometry, 0, 0, {})
+        return cls(geometry, {})
 
     @classmethod
-    def from_terms(cls, geometry: PhaseGeometry, terms, kmax=None, degmax=None):
-        """Build from an iterable of ((k, j, q), coeff); bounds inferred if omitted."""
-        items = [((tuple(k), tuple(j), tuple(q)), complex(c))
-                 for (k, j, q), c in terms]
-        if kmax is None:
-            kmax = max((knorm(k) for (k, _, _), _ in items), default=0)
-        if degmax is None:
-            degmax = max((sum(j) + sum(q) for (_, j, q), _ in items), default=0)
+    def from_terms(cls, geometry: PhaseGeometry, terms):
+        """Build from an iterable of ((k, j, q), coeff); repeated keys add."""
         agg = {}
-        for key, c in items:
-            agg[key] = agg.get(key, 0j) + c
-        return cls(geometry, kmax, degmax, agg)
+        for (k, j, q), c in terms:
+            key = (tuple(k), tuple(j), tuple(q))
+            agg[key] = agg.get(key, 0j) + complex(c)
+        return cls(geometry, agg)
 
     @classmethod
-    def _k0(cls, geo: PhaseGeometry, degmax: int, c, by, bz, C):
+    def _k0(cls, geo: PhaseGeometry, c, by, bz, C):
         """The k = 0 ansatz series c + <by, y> + <bz, z> + <z, C z> for a
-        symmetric C, each block broadcast to its shape; capacity (0, degmax)."""
+        symmetric C, each block broadcast to its shape."""
         n = geo.zdim
         blocks = [np.broadcast_to(np.asarray(v, dtype=complex), (1, *shape))
                   for v, shape in zip((c, by, bz, C),
                                       ((), (geo.d,), (n,), (n, n)))]
         exps, coefs = ansatz_arrays(geo, np.zeros((1, geo.d), np.int64),
                                     *blocks)
-        return cls.from_arrays(geo, 0, degmax, exps, coefs, prune=True)
+        return cls.from_arrays(geo, exps, coefs, prune=True)
 
     @classmethod
     def constant(cls, geometry: PhaseGeometry, value):
-        return cls._k0(geometry, 0, value, 0, 0, 0)
+        return cls._k0(geometry, value, 0, 0, 0)
 
     @classmethod
     def linear_y(cls, geometry: PhaseGeometry, omega):
         """<omega, y> as a series."""
-        return cls._k0(geometry, 1, 0, omega, 0, 0)
+        return cls._k0(geometry, 0, omega, 0, 0)
 
     @classmethod
     def linear_z(cls, geometry: PhaseGeometry, b):
         """<b, z> as a series."""
-        return cls._k0(geometry, 1, 0, 0, b, 0)
+        return cls._k0(geometry, 0, 0, b, 0)
 
     @classmethod
     def quadratic_z(cls, geometry: PhaseGeometry, Q, prefactor=1.0):
         """prefactor * <z, Q z> for a symmetric matrix Q."""
-        return cls._k0(geometry, 2, 0, 0, 0,
+        return cls._k0(geometry, 0, 0, 0,
                        prefactor * np.asarray(Q, dtype=float))
 
     @classmethod
     def fourier_mode(cls, geometry: PhaseGeometry, k, coeff=1.0):
         zk = (0,) * geometry.d
         zq = (0,) * geometry.zdim
-        return cls(geometry, knorm(k), 0, {(tuple(k), zk, zq): complex(coeff)})
+        return cls(geometry, {(tuple(k), zk, zq): complex(coeff)})
 
     @classmethod
-    def from_arrays(cls, geometry: PhaseGeometry, kmax: int, degmax: int,
-                    exps, coefs, *, prune: bool = False):
+    def from_arrays(cls, geometry: PhaseGeometry, exps, coefs, *,
+                    prune: bool = False):
         """Build from an exponent matrix (rows in any order) and its
         coefficient vector, brought to canonical form by _canonical and then
-        checked against the bounds as in the dict constructor.  With prune,
+        checked for negative powers as in the dict constructor.  With prune,
         |c| <= PRUNE_EPS goes too."""
         exps, coefs = _canonical(exps, coefs, prune=prune)
-        _check_bounds(geometry, int(kmax), int(degmax), exps)
+        _check_powers(geometry, exps)
         s = cls.__new__(cls)
-        s._store(geometry, kmax, degmax, exps, coefs)
+        s._store(geometry, exps, coefs)
         return s
 
     # -- basic access -------------------------------------------------------
+
+    @property
+    def kmax(self) -> int:
+        """Fourier radius: the largest |k| stored, 0 for the zero series."""
+        return int(self.knorms().max(initial=0))
+
+    @property
+    def degmax(self) -> int:
+        """The largest |j| + |q| stored, 0 for the zero series."""
+        return int(self.degrees().max(initial=0))
 
     def knorms(self) -> np.ndarray:
         """|k| of every stored term, in storage order."""
@@ -336,14 +327,12 @@ class FourierTaylorSeries:
         if not isinstance(other, FourierTaylorSeries):
             return NotImplemented
         return (self.geometry == other.geometry
-                and (self.kmax, self.degmax) == (other.kmax, other.degmax)
                 and np.array_equal(self._exps, other._exps)
                 and np.array_equal(self._coefs, other._coefs))
 
     def __hash__(self):
         # + 0.0 turns -0.0 parts into 0.0, which array_equal treats as equal
-        return hash((self.geometry, self.kmax, self.degmax,
-                     self._exps.astype(np.int64, copy=False).tobytes(),
+        return hash((self.geometry, self._exps.astype(np.int64, copy=False).tobytes(),
                      (self._coefs + 0.0).tobytes()))
 
     # -- arithmetic ---------------------------------------------------------
@@ -357,8 +346,7 @@ class FourierTaylorSeries:
         if isinstance(other, (int, float, complex)):
             other = FourierTaylorSeries.constant(self.geometry, other)
         self._require_same_geometry(other)
-        return _make(self.geometry, max(self.kmax, other.kmax),
-                     max(self.degmax, other.degmax),
+        return _make(self.geometry,
                      *_canonical(np.concatenate((self._exps, other._exps)),
                                  np.concatenate((self._coefs, other._coefs)),
                                  prune=True))
@@ -377,16 +365,14 @@ class FourierTaylorSeries:
         c = complex(c)
         if c == 0:
             return FourierTaylorSeries.zero(self.geometry)
-        return _make(self.geometry, self.kmax, self.degmax, self._exps,
-                     self._coefs * c, prune=True)
+        return _make(self.geometry, self._exps, self._coefs * c, prune=True)
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
             return self.scale(other)
         self._require_same_geometry(other)
         ia, ib = np.divmod(np.arange(len(self) * len(other)), len(other))
-        return _make(self.geometry, self.kmax + other.kmax,
-                     self.degmax + other.degmax,
+        return _make(self.geometry,
                      *_canonical(self._exps[ia] + other._exps[ib],
                                  self._coefs[ia] * other._coefs[ib],
                                  prune=True))
@@ -394,7 +380,7 @@ class FourierTaylorSeries:
     __rmul__ = __mul__
 
     def conjugate(self):
-        return _make(self.geometry, self.kmax, self.degmax,
+        return _make(self.geometry,
                      *_canonical(self._reflected(), self._coefs.conj(),
                                  prune=True))
 
@@ -424,10 +410,8 @@ class FourierTaylorSeries:
         (storage order, as `knorms` and `degrees` give it); exact, no
         pruning."""
         mask = np.asarray(mask, dtype=bool)
-        return (_make(self.geometry, self.kmax, self.degmax,
-                      self._exps[mask], self._coefs[mask]),
-                _make(self.geometry, self.kmax, self.degmax,
-                      self._exps[~mask], self._coefs[~mask]))
+        return (_make(self.geometry, self._exps[mask], self._coefs[mask]),
+                _make(self.geometry, self._exps[~mask], self._coefs[~mask]))
 
 
 class GeneratingSeries(FourierTaylorSeries):
@@ -509,12 +493,10 @@ def ansatz_arrays(geo: PhaseGeometry, ks, c, by, bz, C):
 def integrable_part(geo: PhaseGeometry, const, omega, M,
                     eps) -> FourierTaylorSeries:
     """The integrable part N = const + <omega, y> + (eps/2) <z, M z> of a
-    normal form, for a symmetric M; without a resonant block M is not read
-    and the capacity is (0, 1) instead of (0, 2)."""
-    if not geo.d0:
-        return FourierTaylorSeries._k0(geo, 1, const, omega, 0, 0)
-    return FourierTaylorSeries._k0(geo, 2, const, omega, 0,
-                                   eps / 2.0 * np.asarray(M, dtype=float))
+    normal form, for a symmetric M; without a resonant block M is not
+    read."""
+    C = eps / 2.0 * np.asarray(M, dtype=float) if geo.d0 else 0
+    return FourierTaylorSeries._k0(geo, const, omega, 0, C)
 
 
 def ansatz_rows(s: FourierTaylorSeries) -> np.ndarray:
@@ -542,9 +524,9 @@ def cutoff(P: FourierTaylorSeries, Kplus: int):
 
 
 def average_over_angles(P: FourierTaylorSeries) -> FourierTaylorSeries:
-    """Projection onto the k = 0 Fourier modes; capacity (0, degmax of P)."""
+    """Projection onto the k = 0 Fourier modes."""
     keep = P.knorms() == 0
-    return _make(P.geometry, 0, P.degmax, P._exps[keep], P._coefs[keep])
+    return _make(P.geometry, P._exps[keep], P._coefs[keep])
 
 
 # -- Poisson bracket ---------------------------------------------------------
@@ -573,17 +555,13 @@ def poisson_bracket(f: FourierTaylorSeries,
                     g: FourierTaylorSeries) -> FourierTaylorSeries:
     """Canonical bracket of two series under the module convention.
 
-    The result is exact for the two polynomials; its capacity bounds are
-    (kmax_f + kmax_g, degmax_f + degmax_g - 1), the -1 because at most one
-    action/resonant derivative is taken per term while an angle derivative
-    keeps the degree.
+    The result is exact for the two polynomials.
     """
     f._require_same_geometry(g)
     geo = f.geometry
-    kmax, degmax = f.kmax + g.kmax, max(0, f.degmax + g.degmax - 1)
     n1, n2 = len(f), len(g)
     if not n1 or not n2:
-        return _make(geo, kmax, degmax, np.empty((0, geo.width), np.int64),
+        return _make(geo, np.empty((0, geo.width), np.int64),
                      np.empty(0, complex))
     e1, e2 = f._exps, g._exps
 
@@ -631,7 +609,7 @@ def poisson_bracket(f: FourierTaylorSeries,
             pending_codes, pending_coefs = [], []
             npending = 0
     exps = codes[:, None] // strides % np.array(radix) + (lo1 + lo2)
-    return _make(geo, kmax, degmax, exps, coefs, prune=True)
+    return _make(geo, exps, coefs, prune=True)
 
 
 def lie_transform_auto(H, F, epsilon=1.0, *, tol=1e-16,
@@ -657,7 +635,8 @@ def lie_transform_auto(H, F, epsilon=1.0, *, tol=1e-16,
 
 def to_text(s: FourierTaylorSeries) -> str:
     """Line-oriented text form; floats printed with repr for exact round-trip.
-    Rows come out in storage order, which is sorted (k, j, q) order."""
+    The header gives d, d0 and the series' kmax and degmax; rows come out in
+    storage order, which is sorted (k, j, q) order."""
     g = s.geometry
     d = g.d
     lines = [f"# d d0 kmax degmax", f"{g.d} {g.d0} {s.kmax} {s.degmax}"]
@@ -671,6 +650,8 @@ def to_text(s: FourierTaylorSeries) -> str:
 
 
 def from_text(text: str) -> FourierTaylorSeries:
+    """Inverse of to_text.  Raises ValueError on malformed text and on a row
+    beyond the kmax or degmax its header declares."""
     lines = [ln for ln in text.splitlines()
              if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
@@ -686,4 +667,10 @@ def from_text(text: str) -> FourierTaylorSeries:
         q = () if q_part == "-" else tuple(int(v) for v in q_part.split())
         re_s, im_s = c_part.split()
         coeffs[(k, j, q)] = complex(float(re_s), float(im_s))
-    return FourierTaylorSeries(geo, kmax, degmax, coeffs, prune=False)
+    s = FourierTaylorSeries(geo, coeffs, prune=False)
+    if s.kmax > kmax:
+        k = s.exps()[int(np.argmax(s.knorms())), :d]
+        raise ValueError(f"mode {tuple(k.tolist())} exceeds kmax={kmax}")
+    if s.degmax > degmax:
+        raise ValueError(f"degree {s.degmax} exceeds degmax={degmax}")
+    return s

@@ -143,7 +143,7 @@ def apply_unimodular_change(P0: FourierTaylorSeries, K0: np.ndarray,
             if K0[i, a] != 0:
                 j = tuple(1 if b == a else 0 for b in range(l))
                 terms[(zk, j, zq)] = complex(K0[i, a])
-        lin_forms.append(FourierTaylorSeries(geo, 0, 1, terms, prune=False))
+        lin_forms.append(FourierTaylorSeries(geo, terms, prune=False))
 
     out = FourierTaylorSeries.zero(geo)
     for (k, j, q), c in P0.terms():
@@ -175,7 +175,7 @@ def _quadratic_y(geo: PhaseGeometry, Q: np.ndarray,
             j[a] += 1
             j[b] += 1
             terms[(zk, tuple(j), zq)] = complex(prefactor * c)
-    return FourierTaylorSeries(geo, 0, 2, terms, prune=False)
+    return FourierTaylorSeries(geo, terms, prune=False)
 
 
 def reduce_hamiltonian(h0_taylor: TaylorData, P0: FourierTaylorSeries | None,
@@ -239,7 +239,7 @@ def reduce_hamiltonian(h0_taylor: TaylorData, P0: FourierTaylorSeries | None,
                     j[c] += 1
                     key = (zk, tuple(j), ())
                     cub_terms[key] = cub_terms.get(key, 0j) + Tb[a, b, c] / 6.0
-        H = H + FourierTaylorSeries(geo_l, 0, 3, cub_terms)
+        H = H + FourierTaylorSeries(geo_l, cub_terms)
 
     if epsilon < 0:
         raise ConfigError("epsilon must be non-negative")
@@ -272,7 +272,7 @@ def reduce_hamiltonian(h0_taylor: TaylorData, P0: FourierTaylorSeries | None,
                 raise DivisorError(f"vanishing divisor at k' = {kp}")
             gen_terms[(k, j, q)] = -epsilon * c / (1j * div)
         if gen_terms:
-            F1 = FourierTaylorSeries(geo_l, P0bar.kmax, 0, gen_terms)
+            F1 = FourierTaylorSeries(geo_l, gen_terms)
             H, _ = lie_transform_auto(H, F1, 1.0, tol=lie_tol)
 
     # critical point of the resonant average
@@ -299,7 +299,7 @@ def reduce_hamiltonian(h0_taylor: TaylorData, P0: FourierTaylorSeries | None,
         for (k, j, q), c in H.terms():
             phase = np.exp(1j * float(np.dot(k[d:], phi0)))
             shifted[(k, j, q)] = c * phase
-        H = FourierTaylorSeries(geo_l, H.kmax, H.degmax, shifted)
+        H = FourierTaylorSeries(geo_l, shifted)
 
     # re-express on the reduced geometry: x = theta', y = Y', u = Y'', v = theta''
     geo_red = PhaseGeometry(d=d, d0=d0)
@@ -321,7 +321,7 @@ def reduce_hamiltonian(h0_taylor: TaylorData, P0: FourierTaylorSeries | None,
             q_full = tuple(js) + tuple(qv)
             key = (tuple(kp), tuple(jp), q_full)
             out_terms[key] = out_terms.get(key, 0j) + c * w
-    Hred = FourierTaylorSeries(geo_red, H.kmax, degmax, out_terms)
+    Hred = FourierTaylorSeries(geo_red, out_terms)
 
     # conformal action scaling: (y, u) -> mu*(y, u), H -> H / mu
     b = scaling_exponent
@@ -332,7 +332,7 @@ def reduce_hamiltonian(h0_taylor: TaylorData, P0: FourierTaylorSeries | None,
         for (k, j, q), c in Hred.terms():
             action_deg = sum(j) + sum(q[:d0])
             scaled[(k, j, q)] = c * mu ** (action_deg - 1)
-        Hred = FourierTaylorSeries(geo_red, Hred.kmax, Hred.degmax, scaled)
+        Hred = FourierTaylorSeries(geo_red, scaled)
 
     # normal-form split
     U0 = Gamma22

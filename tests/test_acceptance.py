@@ -93,7 +93,7 @@ def test_criterion_2_homological_residual():
             elif shape == 3:
                 q = tuple(rng.multinomial(2, [0.5, 0.5]))
             terms[(k, j, q)] = complex(rng.normal(), rng.normal())
-        R = FourierTaylorSeries(geo, 3, 2, terms)
+        R = FourierTaylorSeries(geo, terms)
         R = (R + R.conjugate()).scale(0.5)
         if R.is_zero():
             continue

@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -225,6 +226,49 @@ def test_reduce_writes_cross_quad_mass_as_a_float(tmp_path):
     out = tmp_path / "out"
     assert main(["reduce", "--config", str(cfg), "--out", str(out)]) == 0
     assert '"cross_quad_mass": 0.0,' in (out / "reduced.json").read_text()
+
+
+def _header_is_tight(text):
+    """The d d0 kmax degmax header against the largest |k| and the largest
+    |j| + |q| of the rows below it."""
+    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
+    d, d0, kmax, degmax = map(int, lines[0].split())
+    kn, deg = [0], [0]
+    for ln in lines[1:]:
+        k, j, q, _ = ln.split("|")
+        kn.append(max(abs(int(v)) for v in k.split()))
+        deg.append(sum(int(v) for v in (j + q).replace("-", "").split()))
+    return len(lines) > 1 and (kmax, degmax) == (max(kn), max(deg))
+
+
+def test_reduce_writes_tight_series_headers(tmp_path):
+    write_modes_series(tmp_path / "p0.series", [(0, 0, 1), (1, 0, 1)])
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(REDUCE3_CFG)
+    out = tmp_path / "out"
+    assert main(["reduce", "--config", str(cfg), "--out", str(out)]) == 0
+    for name in ("p1.series", "rterm.series"):
+        assert _header_is_tight((out / name).read_text()), name
+
+
+@pytest.mark.parametrize("command", ["reduce", "iterate"])
+@pytest.mark.parametrize("text, message", [
+    ("garbage\n", "invalid literal"),
+    ("1 0 0 1\n1 | 0 | - | 0.5 0.0\n", r"mode \(1,\) exceeds kmax=0"),
+], ids=["garbage", "header-too-small"])
+def test_malformed_series_file_exits_2(tmp_path, capsys, command, text,
+                                       message):
+    # [p0] file and [direct] p_file go through the same reader
+    config, name = {"reduce": (REDUCE_CFG, "p0.series"),
+                    "iterate": (DIRECT_CFG, "pert.series")}[command]
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(config)
+    (tmp_path / name).write_text(text)
+    assert main([command, "--config", str(cfg), "--out",
+                 str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"bad series file {tmp_path / name}" in err
+    assert re.search(message, err)
 
 
 def test_reduce_y0_of_wrong_length_exits_2(tmp_path, capsys):
@@ -552,6 +596,27 @@ def test_measure_bad_input_exits_2(tmp_path, old, new):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("command, line, message", [
+    ("iterate", "K = 0", r"\[kam\] K = 0 must be >= 1"),
+    ("gamma", "kappa = 3.0", r"kappa = 3.0 must lie in \(1, 2\]"),
+    ("gamma", "T = 0.001", "T = 0.001 must be >= varsigma"),
+    ("gamma", "r = -1 0", "r and n must be non-negative"),
+])
+def test_out_of_range_numbers_exit_2(tmp_path, capsys, command, line,
+                                     message):
+    cfg = tmp_path / "run.ini"
+    if command == "gamma":
+        text = MEASURE_CFG + f"\n[gamma_table]\n{line}\n"
+    else:
+        write_pendulum_series(tmp_path / "pert.series")
+        text = DIRECT_CFG.replace("K = 8", line)
+        assert text != DIRECT_CFG
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert re.search(message, capsys.readouterr().err)
+
+
 def test_gamma_command(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text(MEASURE_CFG + "\n[gamma_table]\nr = 0 1\nn = 0 1\n")
@@ -600,6 +665,16 @@ def test_import_path():
     assert public - {"version"} == {"linalg"}
 
 
+def test_tracer_installs():
+    # a traced benchmark run wraps every (module, attribute) of the tracer's
+    # TARGETS by name; install them in a fresh process, as such a run does
+    root = Path(__file__).resolve().parents[1]
+    code = (f"import sys; sys.path[:0] = [{str(root / 'src')!r}, "
+            f"{str(root / 'perfbench')!r}]; import resonorm.cli; "
+            "import spans; spans.Tracer('t').install()")
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
 def test_gamma_table_equals_lemma_ba_bound(tmp_path):
     # the command evaluates the two integrals once for the whole table
     cfg = tmp_path / "run.ini"
@@ -640,7 +715,7 @@ def test_tracer_targets_resolve(monkeypatch):
     order = {attr: attrs
              for _, attr, _, attrs in spans.TARGETS}["lie_transform_auto"]
     G = PhaseGeometry(d=1, d0=0)
-    H = FourierTaylorSeries(G, 0, 2, {((0,), (2,), ()): 0.5})
+    H = FourierTaylorSeries(G, {((0,), (2,), ()): 0.5})
     F = FourierTaylorSeries.fourier_mode(G, (1,), 0.1j)
     result = lie_transform_auto(H, F, 1.0)
     assert result[1] == 3
@@ -649,6 +724,6 @@ def test_tracer_targets_resolve(monkeypatch):
     tracer = spans.Tracer("test")
     monkeypatch.setattr(FourierTaylorSeries, "__init__", tracer.wrap(
         "series.construct", FourierTaylorSeries.__init__))
-    s = FourierTaylorSeries(G, 1, 1, {((1,), (1,), ()): 2.0})
+    s = FourierTaylorSeries(G, {((1,), (1,), ()): 2.0})
     assert s.terms() == [(((1,), (1,), ()), 2.0 + 0j)]
     assert [span[0] for span in tracer.spans] == ["series.construct"]

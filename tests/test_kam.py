@@ -255,7 +255,7 @@ def test_solve_randomized_residuals():
             elif shape == 3:
                 q = tuple(rng.multinomial(2, [0.5, 0.5]))
             terms[(k, j, q)] = complex(rng.normal(), rng.normal())
-        R = FourierTaylorSeries(geo, 3, 2, terms)
+        R = FourierTaylorSeries(geo, terms)
         R = (R + R.conjugate()).scale(0.5)
         eps = 10.0 ** rng.uniform(-4, -1)
         F = solve_homological(omega, M, R, eps, 0.01, DELTA)
@@ -343,7 +343,7 @@ def random_ansatz_series(rng, geo, kbox=2, modes=6):
                for a in range(n) for b in range(a, n)]
     ks = {(0,) * d} | {tuple(rng.integers(-kbox, kbox + 1, size=d).tolist())
                        for _ in range(modes)}
-    return FourierTaylorSeries(geo, kbox, 2, {
+    return FourierTaylorSeries(geo, {
         (k, j, q): complex(rng.normal(), rng.normal())
         for k in ks for j, q in shapes if rng.random() < 0.8})
 
@@ -444,7 +444,7 @@ def test_step_reconstruction_invariants():
     # eps-series reconstructions match the running absolute values
     eps = 1e-2
     P = (cos_series(G1, (1,)) + _ycos_series(G1, (2,), 0.8)).scale(eps)
-    flat = FourierTaylorSeries(G1, 0, 2, {((0,), (2,), ()): 0.5})
+    flat = FourierTaylorSeries(G1, {((0,), (2,), ()): 0.5})
     st = NormalFormState.initial(G1, [GOLDEN], None, eps, P, rterm=flat)
     st1 = kam_step(st, 8, 0.05, DELTA)
     st2 = kam_step(st1, 16, 0.05, DELTA)
@@ -463,7 +463,7 @@ def test_step_resonant_block_symmetry():
     geo = G11
     M = np.diag([1.0, 1.5])
     P = (cos_series(geo, (1,))
-         + FourierTaylorSeries(geo, 1, 2, {
+         + FourierTaylorSeries(geo, {
              ((1,), (0,), (1, 0)): 0.2, ((-1,), (0,), (1, 0)): 0.2,
              ((1,), (0,), (0, 2)): 0.1, ((-1,), (0,), (0, 2)): 0.1,
              ((0,), (0,), (2, 0)): 0.05})).scale(eps)
@@ -488,7 +488,7 @@ def test_step_killed_modes_are_gone():
 def test_step_reversibility():
     eps = 1e-2
     P = (cos_series(G1, (1,)) + cos_series(G1, (2,), 0.5)).scale(eps)
-    flat = FourierTaylorSeries(G1, 0, 2, {((0,), (2,), ()): 0.5})
+    flat = FourierTaylorSeries(G1, {((0,), (2,), ()): 0.5})
     st = NormalFormState.initial(G1, [GOLDEN], None, eps, P, rterm=flat)
     st1 = kam_step(st, 8, 0.05, DELTA)
     F = st1.flows[-1]

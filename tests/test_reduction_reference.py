@@ -1,5 +1,5 @@
 """The array reduction against the term-by-term reference in
-reduction_reference.py: the same supports and capacity bounds,
+reduction_reference.py: the same supports (so the same kmax and degmax),
 coefficients within 1e-14 relative, the same critical points (phi, value
 and Hessian within 1e-12) and the same failed seeds."""
 import math
@@ -203,6 +203,7 @@ def test_averaging_lie_series_is_not_cut(monkeypatch):
     assert F1.kmax == 1 and order <= H.degrees().max() + 1
     assert np.abs(moved.coefs()[moved.knorms() > 4]).sum() > 5e-12
     assert got.P1.knorms().max() == 5
+    assert got.P1.kmax == 5
     assert_reductions_match(
         got, ref.reduce_hamiltonian(taylor, P0, mod, y0, 1e-2, **kw))
 

@@ -189,7 +189,7 @@ def test_diffeo_with_twist():
     # the ledger takes the absolute series e * I^2
     geo = PhaseGeometry(d=1, d0=0)
     eps = 0.05
-    rterm = FourierTaylorSeries(geo, 0, 2, {((0,), (2,), ()): eps})
+    rterm = FourierTaylorSeries(geo, {((0,), (2,), ()): eps})
     st = NormalFormState.initial(geo, [1.0], None, eps,
                                  FourierTaylorSeries.zero(geo), rterm=rterm)
     rep = local_diffeo_check(st, [(1.0, 2.0)], [0.05], grid_nodes=12,

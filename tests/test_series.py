@@ -98,7 +98,7 @@ def random_series(geo, rng, nterms=6, kmax=2, degmax=3, real=False):
             continue
         c = complex(rng.normal(), rng.normal())
         terms[(k, j, q)] = terms.get((k, j, q), 0j) + c
-    s = FourierTaylorSeries(geo, kmax, degmax, terms)
+    s = FourierTaylorSeries(geo, terms)
     if real:
         s = (s + s.conjugate()).scale(0.5)
     return s
@@ -135,8 +135,8 @@ def test_bracket_self_is_zero():
 def test_bracket_canonical_pair():
     # {u1^2, v1} = 2 u1 with d0 = 1
     geo = G11
-    u2 = FourierTaylorSeries(geo, 0, 2, {((0,), (0,), (2, 0)): 1.0})
-    v1 = FourierTaylorSeries(geo, 0, 1, {((0,), (0,), (0, 1)): 1.0})
+    u2 = FourierTaylorSeries(geo, {((0,), (0,), (2, 0)): 1.0})
+    v1 = FourierTaylorSeries(geo, {((0,), (0,), (0, 1)): 1.0})
     br = poisson_bracket(u2, v1)
     assert abs(br.coeff((0,), (0,), (1, 0)) - 2.0) < 1e-14
     assert len(br) == 1
@@ -200,7 +200,7 @@ def _distinct_series(geo, rng, nterms, integer=False):
                                        int(rng.integers(-3, 4)))
         else:
             terms[(k, j, q)] = complex(rng.normal(), rng.normal())
-    return FourierTaylorSeries(geo, kmax, geo.d + geo.zdim, terms)
+    return FourierTaylorSeries(geo, terms)
 
 
 def _oracle_cases():
@@ -254,7 +254,7 @@ def test_bracket_matches_independent_oracle(monkeypatch):
 
 def test_bracket_code_width_guard():
     geo = PhaseGeometry(d=3, d0=2)
-    big = FourierTaylorSeries(geo, 200, 700, {
+    big = FourierTaylorSeries(geo, {
         ((200, -200, 200), (100, 100, 100), (100, 100, 100, 100)): 1.0,
         ((-200, 200, -200), (0, 0, 0), (0, 0, 0, 0)): 1.0,
     })
@@ -370,7 +370,7 @@ def test_cutoff_keeps_linear_z():
 
 
 def test_cutoff_rejects_high_degree():
-    P = FourierTaylorSeries(G1, 1, 3, {((1,), (3,), ()): 1.0})
+    P = FourierTaylorSeries(G1, {((1,), (3,), ()): 1.0})
     R, tail = cutoff(P, 2)
     assert R.is_zero()
     assert tail == P
@@ -411,7 +411,7 @@ def test_average_over_angles():
 # ---------------------------------------------------------------------------
 
 def test_generating_series_validation():
-    ok = GeneratingSeries(G11, 2, 2, {
+    ok = GeneratingSeries(G11, {
         ((1,), (0,), (0, 0)): 1.0,
         ((1,), (1,), (0, 0)): 0.5,
         ((1,), (0,), (1, 1)): 0.25,
@@ -419,14 +419,14 @@ def test_generating_series_validation():
     })
     assert len(ok) == 4
     with pytest.raises(InvariantError):
-        GeneratingSeries(G11, 2, 2, {((0,), (1,), (0, 0)): 1.0})
+        GeneratingSeries(G11, {((0,), (1,), (0, 0)): 1.0})
     with pytest.raises(InvariantError):
-        GeneratingSeries(G11, 2, 3, {((1,), (1,), (0, 1)): 1.0})
+        GeneratingSeries(G11, {((1,), (1,), (0, 1)): 1.0})
     for q in ((0, 0), (1, 1), (2, 0)):          # k = 0 keeps only z_a
         with pytest.raises(InvariantError):
-            GeneratingSeries(G11, 2, 2, {((0,), (0,), q): 1.0})
+            GeneratingSeries(G11, {((0,), (0,), q): 1.0})
     with pytest.raises(InvariantError):          # however it is built
-        GeneratingSeries.from_arrays(G11, 0, 2, np.array([[0, 0, 1, 1]]),
+        GeneratingSeries.from_arrays(G11, np.array([[0, 0, 1, 1]]),
                                      np.array([1.0 + 0j]))
 
 
@@ -437,7 +437,7 @@ def test_ansatz_index_is_the_shape_rule():
         d, n = geo.d, geo.zdim
         jqs = [jq for jq in itertools.product(range(3), repeat=d + n)
                if sum(jq) <= 3]
-        s = FourierTaylorSeries(geo, 0, 3, {
+        s = FourierTaylorSeries(geo, {
             ((0,) * d, jq[:d], jq[d:]): 1.0 for jq in jqs})
         shape = ansatz_index(s)
         table = ansatz_monomials(geo)
@@ -467,45 +467,66 @@ def test_text_round_trip_byte_exact_in_sorted_order():
 
 def test_construction_validation_and_prune():
     with pytest.raises(ValueError, match="index dims 2,1,2"):
-        FourierTaylorSeries(G11, 2, 2, {((0, 0), (0,), (0, 0)): 1.0})
-    with pytest.raises(ValueError, match=r"mode \(3,\) exceeds kmax=2"):
-        FourierTaylorSeries(G11, 2, 2, {((3,), (0,), (0, 0)): 1.0})
+        FourierTaylorSeries(G11, {((0, 0), (0,), (0, 0)): 1.0})
     with pytest.raises(ValueError, match="non-negative"):
-        FourierTaylorSeries(G11, 2, 2, {((0,), (-1,), (0, 0)): 1.0})
-    with pytest.raises(ValueError, match="degree 3 exceeds degmax=2"):
-        FourierTaylorSeries(G11, 2, 2, {((0,), (1,), (1, 1)): 1.0})
+        FourierTaylorSeries(G11, {((0,), (-1,), (0, 0)): 1.0})
     # the array constructor checks its rows the same way, after the zeros
     # are dropped
     one = np.ones(2, dtype=complex)
-    for row, match in (([3, 0, 0, 0], r"mode \(3,\) exceeds kmax=2"),
-                       ([0, -1, 0, 0], "non-negative"),
-                       ([0, 0, 0, -1], "non-negative"),
-                       ([0, 1, 1, 1], "degree 3 exceeds degmax=2")):
+    for row in ([0, -1, 0, 0], [0, 0, 0, -1]):
         for prune in (False, True):
-            with pytest.raises(ValueError, match=match):
+            with pytest.raises(ValueError, match="non-negative"):
                 FourierTaylorSeries.from_arrays(
-                    G11, 2, 2, np.array([[1, 0, 1, 0], row]), one,
-                    prune=prune)
+                    G11, np.array([[1, 0, 1, 0], row]), one, prune=prune)
         s = FourierTaylorSeries.from_arrays(
-            G11, 2, 2, np.array([[1, 0, 1, 0], row]), np.array([1.0, 0.0]))
+            G11, np.array([[1, 0, 1, 0], row]), np.array([1.0, 0.0]))
         assert len(s) == 1
-    s = FourierTaylorSeries(G1, 1, 1, {((1,), (0,), ()): 1e-16,
-                                       ((0,), (1,), ()): 2.0,
-                                       ((-1,), (0,), ()): 0.0})
+    s = FourierTaylorSeries(G1, {((1,), (0,), ()): 1e-16,
+                                 ((0,), (1,), ()): 2.0,
+                                 ((-1,), (0,), ()): 0.0})
     assert s.terms() == [(((0,), (1,), ()), 2.0 + 0j)]
 
 
-def test_equality_sees_capacity_and_hash_ignores_zero_signs():
-    # the capacity bounds are part of the value: every header prints them
-    assert FourierTaylorSeries.zero(G1) != FourierTaylorSeries(G1, 3, 3, {})
-    assert FourierTaylorSeries.zero(G1) == FourierTaylorSeries(G1, 0, 0, {})
-    assert len({FourierTaylorSeries.zero(G1),
-                FourierTaylorSeries(G1, 3, 3, {})}) == 2
+def test_bounds_are_read_from_the_rows():
+    s = FourierTaylorSeries(G11, {((3,), (0,), (0, 0)): 1.0,
+                                  ((-1,), (1,), (1, 1)): 1.0})
+    assert (s.kmax, s.degmax) == (3, 3)
+    assert (FourierTaylorSeries.zero(G11).kmax,
+            FourierTaylorSeries.zero(G11).degmax) == (0, 0)
+    assert to_text(s).splitlines()[1] == "1 1 3 3"
+
+
+def test_from_text_rejects_rows_beyond_its_header():
+    rows = "1 | 0 | 1 0 | 1.0 0.0\n"
+    assert len(from_text("1 1 1 1\n" + rows)) == 1
+    for head, row, match in (
+            ("1 1 2 2", "3 | 0 | 0 0", r"mode \(3,\) exceeds kmax=2"),
+            ("1 1 2 2", "-3 | 0 | 0 0", r"mode \(-3,\) exceeds kmax=2"),
+            ("1 1 2 2", "0 | 1 | 1 1", "degree 3 exceeds degmax=2"),
+            ("1 1 2 2", "0 | -1 | 0 0", "non-negative"),
+            ("1 1 0 1", "1 | 0 | 1 0", r"mode \(1,\) exceeds kmax=0")):
+        with pytest.raises(ValueError, match=match):
+            from_text(f"{head}\n{rows}{row} | 1.0 0.0\n")
+
+
+def test_equality_is_by_rows_and_hash_ignores_zero_signs():
+    # a series is its rows: equal rows are equal series, with equal hashes
+    # and equal text, whichever path built them
+    zero = FourierTaylorSeries.zero(G1)
+    assert zero == FourierTaylorSeries(G1, {}) and len({
+        zero, FourierTaylorSeries(G1, {})}) == 1
+    assert to_text(zero) == to_text(FourierTaylorSeries(G1, {}))
+    rng = np.random.default_rng(103)
+    f, g = random_series(G21, rng), random_series(G21, rng)
+    br = poisson_bracket(f, g)
+    rows = FourierTaylorSeries(G21, dict(br.terms()))
+    assert len(br) and br == rows and hash(br) == hash(rows)
+    assert to_text(br) == to_text(rows)
     # parts that differ only in the sign of a zero are equal, hash equal
     key = ((1,), (0,), (0, 0))
     for a, b in ((complex(0.0, 1.0), complex(-0.0, 1.0)),
                  (complex(2.0, 0.0), complex(2.0, -0.0))):
-        f, g = (FourierTaylorSeries(G11, 1, 0, {key: c}) for c in (a, b))
+        f, g = (FourierTaylorSeries(G11, {key: c}) for c in (a, b))
         assert f.coefs().tobytes() != g.coefs().tobytes()
         assert f == g and hash(f) == hash(g) and len({f, g}) == 1
     rng = np.random.default_rng(101)
@@ -515,7 +536,7 @@ def test_equality_sees_capacity_and_hash_ignores_zero_signs():
 
 
 def _same_bits(a, b):
-    """Same geometry, capacity bounds, exponent rows and coefficient bits."""
+    """Same geometry, kmax and degmax, exponent rows and coefficient bits."""
     return (a.geometry == b.geometry and (a.kmax, a.degmax) == (b.kmax, b.degmax)
             and a.exps().tobytes() == b.exps().tobytes()
             and a.coefs().tobytes() == b.coefs().tobytes())
@@ -535,17 +556,17 @@ def test_factories_match_dict_built_series():
         Q, pre = X + X.T, float(rng.normal())
         pairs = [
             (FourierTaylorSeries.constant(geo, -1.25),
-             FourierTaylorSeries(geo, 0, 0, {(zk, zk, zq): -1.25})),
+             FourierTaylorSeries(geo, {(zk, zk, zq): -1.25})),
             (FourierTaylorSeries.linear_y(geo, omega),
-             FourierTaylorSeries(geo, 0, 1, {
+             FourierTaylorSeries(geo, {
                  (zk, tuple(unit[i, :d]), zq): w
                  for i, w in enumerate(omega)})),
             (FourierTaylorSeries.linear_z(geo, b),
-             FourierTaylorSeries(geo, 0, 1, {
+             FourierTaylorSeries(geo, {
                  (zk, zk, tuple(unit[d + a, d:])): v
                  for a, v in enumerate(b)})),
             (FourierTaylorSeries.quadratic_z(geo, Q, prefactor=pre),
-             FourierTaylorSeries(geo, 0, 2, {
+             FourierTaylorSeries(geo, {
                  (zk, zk, tuple(unit[d + a, d:] + unit[d + c, d:])):
                      pre * (Q[a, c] if a == c else Q[a, c] + Q[c, a])
                  for a in range(n) for c in range(a, n)})),
@@ -563,23 +584,23 @@ def test_equal_rows_add_in_order_of_appearance():
     bits = lambda c: np.complex128(c).tobytes()
     row, other = [1, 0, 1, 0], [0, 1, 0, 0]
     s = FourierTaylorSeries.from_arrays(
-        geo, 1, 2, np.array([row] * 10 + [other] + [row] * 6),
+        geo, np.array([row] * 10 + [other] + [row] * 6),
         np.array(vals[:10] + [3.0] + vals[10:]))
     assert bits(s.coeff((1,), (0,), (1, 0))) == bits(sum(vals, 0j))
 
     # the product: mode k of f meets -k of g at k = 0, in f's order; g's
     # coefficients are 1, so each product is f's coefficient exactly
     f = FourierTaylorSeries.from_arrays(
-        geo, 16, 0, np.array([[k, 0, 0, 0] for k in range(16)]),
+        geo, np.array([[k, 0, 0, 0] for k in range(16)]),
         np.array(vals))
     g = FourierTaylorSeries.from_arrays(
-        geo, 16, 0, np.array([[-k, 0, 0, 0] for k in range(16)]),
+        geo, np.array([[-k, 0, 0, 0] for k in range(16)]),
         np.ones(16, dtype=complex))
     assert bits((f * g).coeff((0,))) == bits(sum(f.coefs().tolist(), 0j))
 
     # the sum of two equal rows, signed zeros included
     for za, zb in itertools.product((0.0, -0.0), repeat=2):
-        f, g = (FourierTaylorSeries(geo, 1, 0, {((1,), (0,), (0, 0)): c})
+        f, g = (FourierTaylorSeries(geo, {((1,), (0,), (0, 0)): c})
                 for c in (complex(za, 1.0), complex(zb, 2.0)))
         assert bits((f + g).coefs()[0]) == bits(complex(za, 1.0)
                                                 + complex(zb, 2.0))
