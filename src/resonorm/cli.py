@@ -72,9 +72,16 @@ def _ints(s: str) -> list:
     return [int(v) for v in s.replace(",", " ").split()]
 
 
+def _rows(s: str, parse=_floats) -> list:
+    """Semicolon-separated rows, each parsed by `parse`."""
+    return [parse(r) for r in s.split(";") if r.strip()]
+
+
 def _matrix(s: str) -> np.ndarray:
-    rows = [r for r in s.split(";") if r.strip()]
-    return np.array([_floats(r) for r in rows])
+    rows = _rows(s)
+    if len({len(r) for r in rows}) > 1:
+        raise ValueError("ragged matrix rows")
+    return np.array(rows)
 
 
 class RunConfig:
@@ -112,6 +119,8 @@ class RunConfig:
     def delta(self) -> ApproximationFunction:
         family = self.get("gevrey", "family", "power_log")
         alpha = self.get("gevrey", "alpha", 2.0, float)
+        if not alpha > 1.0:
+            raise ConfigError(f"[gevrey] alpha = {alpha} must exceed 1")
         varsigma = self.get("gevrey", "varsigma", 0.01, float)
         if family == "power_log":
             return power_log_delta(self.get("gevrey", "a", 2.0, float),
@@ -126,20 +135,27 @@ class RunConfig:
         K = self.get("kam", "K", 8, int)
         if K < 1:
             raise ConfigError(f"[kam] K = {K} must be >= 1")
+        gamma = self.get("kam", "gamma", 0.05, float)
+        if not 0.0 < gamma < math.inf:
+            raise ConfigError(f"[kam] gamma = {gamma} must be finite and > 0")
         return Schedule(rho=self.get("gevrey", "rho", 1.0, float),
                         sigma=self.get("gevrey", "sigma", 1.0, float),
-                        K=K,
-                        gamma=self.get("kam", "gamma", 0.05, float),
+                        K=K, gamma=gamma,
                         target=self.get("kam", "target", 1e-14, float))
 
     def quantize(self, d: int) -> dict:
         """The [quantize] keys, defaulted, as predict_spectrum's keyword
         arguments; maslov defaults to d zeros."""
-        window = _floats(self.get("quantize", "window", "0.0 0.5"))
-        return {"h": self.get("quantize", "h", 0.05, float),
-                "window": (window[0], window[1]),
-                "maslov": _ints(self.get("quantize", "maslov",
-                                         " ".join("0" * d))),
+        h = self.get("quantize", "h", 0.05, float)
+        if not 0.0 < h < math.inf:
+            raise ConfigError(f"[quantize] h = {h} must be finite and > 0")
+        window = self.get("quantize", "window", [0.0, 0.5], _floats)
+        if len(window) != 2:
+            raise ConfigError(f"[quantize] window = {window} must be two "
+                              "numbers")
+        return {"h": h,
+                "window": tuple(window),
+                "maslov": self.get("quantize", "maslov", [0] * d, _ints),
                 "scaling": self.get("quantize", "scaling", "oscillator"),
                 "n_res_max": self.get("quantize", "n_res_max", 6, int)}
 
@@ -158,19 +174,19 @@ class RunConfig:
         return self.series_file("p0", "file") if self.has("p0") else None
 
     def taylor(self) -> TaylorData:
-        grad = np.array(_floats(self.get("h0", "gradient")))
-        hess = _matrix(self.get("h0", "hessian"))
+        grad = np.array(self.get("h0", "gradient", cast=_floats))
+        hess = self.get("h0", "hessian", cast=_matrix)
         cubic = None
         if self.has("h0") and "cubic" in self.cp["h0"]:
             l = grad.size
-            cubic = np.array(_floats(self.get("h0", "cubic"))).reshape(l, l, l)
+            cubic = self.get("h0", "cubic",
+                             cast=lambda s: np.reshape(_floats(s), (l, l, l)))
         return TaylorData(value=self.get("h0", "value", 0.0, float),
                           gradient=grad, hessian=hess, cubic=cubic)
 
     def module(self):
-        rows = [r for r in self.get("module", "generators").split(";")
-                if r.strip()]
-        return unimodular_completion([_ints(r) for r in rows])
+        return unimodular_completion(
+            self.get("module", "generators", cast=lambda s: _rows(s, _ints)))
 
     def state(self) -> NormalFormState:
         """Build the initial state, through the reduction when the config
@@ -179,9 +195,9 @@ class RunConfig:
             red = self._run_reduce()
             return NormalFormState.from_reduced(red)
         if self.has("direct"):
-            omega = np.array(_floats(self.get("direct", "omega")))
+            omega = np.array(self.get("direct", "omega", cast=_floats))
             d0 = self.get("direct", "d0", 0, int)
-            M = _matrix(self.get("direct", "M")) if d0 else None
+            M = self.get("direct", "M", cast=_matrix) if d0 else None
             eps = self.get("direct", "epsilon", 0.0, float)
             geo = PhaseGeometry(d=omega.size, d0=d0)
             P = FourierTaylorSeries.zero(geo)
@@ -194,7 +210,7 @@ class RunConfig:
         module = self.module()
         return reduce_hamiltonian(
             self.taylor(), self.p0_series(), module,
-            np.array(_floats(self.get("h0", "y0", " ".join("0" * module.l)))),
+            np.array(self.get("h0", "y0", [0.0] * module.l, _floats)),
             self.get("kam", "epsilon", 0.0, float),
             delta=self.delta(),
             gamma=self.schedule().gamma,
@@ -416,11 +432,8 @@ def cmd_measure(cfg: RunConfig, outdir: Path, seed: int) -> int:
     l = cfg.get("measure", "l", 2, int)
     d = cfg.get("measure", "d", 2, int)
     samples = cfg.get("measure", "samples", 100_000, int)
-    specs = []
-    zones = cfg.get("measure", "zones", "", str)
-    for row in (r for r in zones.split(";") if r.strip()):
-        vals = _floats(row)
-        specs.append(ZoneSpec(k=tuple(int(v) for v in vals[:-1]), beta=vals[-1]))
+    specs = [ZoneSpec(k=tuple(int(v) for v in vals[:-1]), beta=vals[-1])
+             for vals in cfg.get("measure", "zones", [], _rows)]
     rows = []
     for spec, (est, ci) in zip(specs, zones_measure_mc(specs, l, samples, seed)):
         exact = _exact_zone_measure(spec.k, spec.beta)
@@ -539,8 +552,8 @@ def cmd_scar(cfg: RunConfig, outdir: Path, seed: int) -> int:
 
 def cmd_gamma(cfg: RunConfig, outdir: Path, seed: int) -> int:
     delta = cfg.delta()
-    rs = _ints(cfg.get("gamma_table", "r", "0 1 2"))
-    ns = _ints(cfg.get("gamma_table", "n", "0 1"))
+    rs = cfg.get("gamma_table", "r", [0, 1, 2], _ints)
+    ns = cfg.get("gamma_table", "n", [0, 1], _ints)
     kappa = cfg.get("gamma_table", "kappa", 2.0, float)
     T = cfg.get("gamma_table", "T", 1.0, float)
     if min(rs + ns, default=0) < 0:

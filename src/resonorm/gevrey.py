@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DivergenceError, InvariantError
+from .errors import DivergenceError
 from .quadrature import qagi
 from .series import FourierTaylorSeries
 
@@ -111,11 +111,6 @@ class AdmissibilityReport:
     failures: list = field(default_factory=list)
     integral: float = math.nan
     tail_bound: float = math.nan
-
-    def require(self):
-        if not self.ok:
-            raise InvariantError("Delta not admissible: " + "; ".join(self.failures))
-        return self
 
 
 def power_log_delta(a: float, b: float = 0.0, alpha: float = 2.0,

@@ -10,15 +10,17 @@ per-step normal-form increments are stored divided by eps^s so that
     M_p        = M + sum_s M_s eps^s
 
 are reconstructible as polynomials in eps; those polynomials are what the
-quantization consumes and differentiates.  The remainder ledger collects,
-per step, the angle-free content outside the normal-form ansatz (divided
-by eps^s) and is transported whole through every later transformation;
-it never re-enters the perturbation channel, which is what lets the
-perturbation norm contract quadratically.
+quantization consumes and differentiates, and `_eps_poly` is the one
+routine that evaluates them and their eps-derivatives.  The remainder
+ledger collects, per step, the angle-free content outside the normal-form
+ansatz (divided by eps^s) and is transported whole through every later
+transformation; it never re-enters the perturbation channel, which is what
+lets the perturbation norm contract quadratically.
 
-Each step: low-mode cutoff -> homological solve -> time-1 flow of the
-generator applied to every part -> absorb the averaged cutoff into
-(constant, frequency, resonant matrix) -> split off new flat content.
+Each step: low-mode cutoff -> homological solve (in absolute units, against
+N_eps = <omega, y> + (eps/2) <z, M z>) -> time-1 flow of the generator
+applied to every part -> absorb the averaged cutoff into (constant,
+frequency, resonant matrix) -> split off new flat content.
 """
 from __future__ import annotations
 
@@ -148,14 +150,13 @@ def _real_vector(v, what: str):
 # homological solve
 # ---------------------------------------------------------------------------
 
-def _solve_modes(omega, M, eps_quad: float, R: FourierTaylorSeries,
-                 rhs_scale: float, gamma: float,
+def _solve_modes(omega, M, eps: float, R: FourierTaylorSeries, gamma: float,
                  delta: ApproximationFunction) -> GeneratingSeries:
-    """Inversion of {N, F} = -rhs_scale * (R~ + <b, z>) on every mode of R
-    at once.  The constant and linear-y blocks divide by i<k,omega>; the
-    linear-z and quadratic-z blocks take one stacked solve each against
-    i<k,omega> + eps_quad MJ and its Kronecker sum.  At k = 0 only the
-    linear-z block is solved."""
+    """Inversion of {N_eps, F} = -(R~ + <b, z>) on every mode of R at once.
+    The constant and linear-y blocks divide by i<k,omega>; the linear-z and
+    quadratic-z blocks take one stacked solve each against
+    i<k,omega> + eps MJ and its Kronecker sum.  At k = 0 only the linear-z
+    block is solved."""
     geo = R.geometry
     d0, n = geo.d0, geo.zdim
     ks, c000, c010, b001, C002 = ansatz_blocks(R)
@@ -177,8 +178,8 @@ def _solve_modes(omega, M, eps_quad: float, R: FourierTaylorSeries,
     nz = kn > 0
     ikw = 1j * kw
     F000, F010 = np.zeros_like(c000), np.zeros_like(c010)
-    F000[nz] = -rhs_scale * c000[nz] / ikw[nz]
-    F010[nz] = -rhs_scale * c010[nz] / ikw[nz, None]
+    F000[nz] = -c000[nz] / ikw[nz]
+    F010[nz] = -c010[nz] / ikw[nz, None]
     F001, F002 = np.zeros_like(b001), np.zeros_like(C002)
     if d0:
         M = np.asarray(M, dtype=float)
@@ -189,32 +190,31 @@ def _solve_modes(omega, M, eps_quad: float, R: FourierTaylorSeries,
             raise ConfigError(
                 f"resonant matrix is singular (det = {np.linalg.det(M):.3e}); "
                 "cannot remove the k = 0 linear-z term")
-        A = ikw[lin, None, None] * np.eye(n) + eps_quad * MJ
-        F001[lin] = np.linalg.solve(A, -rhs_scale * b001[lin, :, None])[..., 0]
+        A = ikw[lin, None, None] * np.eye(n) + eps * MJ
+        F001[lin] = np.linalg.solve(A, -b001[lin, :, None])[..., 0]
         quad = nz & C002.any(axis=(1, 2))
         A = (ikw[quad, None, None] * np.eye(n * n)
-             + eps_quad * (np.kron(np.eye(n), MJ) + np.kron(MJ, np.eye(n))))
+             + eps * (np.kron(np.eye(n), MJ) + np.kron(MJ, np.eye(n))))
         # C is symmetric, so its row-major and column-major vec agree, and
         # the solution's transpose has the same quadratic form
-        sol = np.linalg.solve(A, -rhs_scale * C002[quad].reshape(-1, n * n, 1))
+        sol = np.linalg.solve(A, -C002[quad].reshape(-1, n * n, 1))
         F002[quad] = sol.reshape(-1, n, n)
     return GeneratingSeries.from_arrays(
         geo, *ansatz_arrays(geo, ks, F000, F010, F001, F002))
 
 
-def solve_homological(omega, M, R: FourierTaylorSeries, epsilon: float,
-                      gamma: float, delta: ApproximationFunction, *,
-                      eps_quad: float | None = None) -> GeneratingSeries:
-    """Solve {N, F} + eps*(R~ + <P001, z>) = 0 with N = <omega,y> +
-    (eps_quad/2)<z, M z> on the cutoff ansatz; eps_quad defaults to eps.
+def solve_homological(omega, M, eps: float, R: FourierTaylorSeries,
+                      gamma: float,
+                      delta: ApproximationFunction) -> GeneratingSeries:
+    """Solve {N_eps, F} + R~ + <P001, z> = 0 with N_eps = <omega,y> +
+    (eps/2)<z, M z> on the cutoff ansatz; R is in absolute units, so a
+    caller that wants eps*R passes R.scale(eps).
 
     The returned generator is verified by substitution: the coefficient-l1
     residual of the defining equation must not exceed RESIDUAL_TOL * |R|.
     """
-    if eps_quad is None:
-        eps_quad = epsilon
-    F = _solve_modes(omega, M, eps_quad, R, epsilon, gamma, delta)
-    res = homological_residual(omega, M, R, epsilon, F, eps_quad=eps_quad)
+    F = _solve_modes(omega, M, eps, R, gamma, delta)
+    res = homological_residual(omega, M, eps, R, F)
     bound = RESIDUAL_TOL * max(R.norm_l1(), 1e-300)
     if res > bound and not R.is_zero():
         raise InvariantError(
@@ -222,22 +222,15 @@ def solve_homological(omega, M, R: FourierTaylorSeries, epsilon: float,
     return F
 
 
-def homological_residual(omega, M, R, epsilon, F, *,
-                         eps_quad: float | None = None) -> float:
-    """l1 size of {N,F} + eps*(R~ + <P001,z>) after the solve.
-
-    eps_quad overrides the coefficient of the quadratic part of N when the
-    right-hand-side scale differs from it (the step works on an absolute
-    cutoff with scale 1 while N keeps the physical epsilon)."""
+def homological_residual(omega, M, eps: float, R: FourierTaylorSeries,
+                         F: FourierTaylorSeries) -> float:
+    """l1 size of {N_eps, F} + R~ + <P001, z> after the solve."""
     geo = R.geometry
-    if eps_quad is None:
-        eps_quad = epsilon
-    N = integrable_part(geo, 0.0, omega, M, eps_quad)
+    N = integrable_part(geo, 0.0, omega, M, eps)
     avg = average_over_angles(R)
     b001 = ansatz_blocks(avg)[3].sum(axis=0)      # avg has k = 0 at most
     rhs = (R - avg) + FourierTaylorSeries.linear_z(geo, _real_vector(b001, "P001"))
-    res = poisson_bracket(N, F) + rhs.scale(epsilon)
-    return res.norm_l1()
+    return (poisson_bracket(N, F) + rhs).norm_l1()
 
 
 # ---------------------------------------------------------------------------
@@ -284,22 +277,16 @@ class NormalFormState:
 
     def epsilon_series(self, eps: float | None = None) -> float:
         eps = self.epsilon if eps is None else eps
-        return float(sum(c * eps ** (s + 1)
-                         for s, c in enumerate(self.eps_coeffs)))
+        return float(_eps_poly(0.0, enumerate(self.eps_coeffs, 1), eps))
 
     def omega_p(self, eps: float | None = None) -> np.ndarray:
         eps = self.epsilon if eps is None else eps
-        out = self.omega0.copy()
-        for s, w in enumerate(self.omega_coeffs):
-            out = out + w * eps ** (s + 1)
-        return out
+        return _eps_poly(self.omega0.copy(), enumerate(self.omega_coeffs, 1),
+                         eps)
 
     def M_p(self, eps: float | None = None) -> np.ndarray:
         eps = self.epsilon if eps is None else eps
-        out = self.M0.copy()
-        for s, m in enumerate(self.M_coeffs):
-            out = out + m * eps ** (s + 1)
-        return out
+        return _eps_poly(self.M0.copy(), enumerate(self.M_coeffs, 1), eps)
 
     def integrable_series(self) -> FourierTaylorSeries:
         """<omega_p, y> + (eps/2) <z, M_p z>, the bracket-active part of N."""
@@ -308,30 +295,43 @@ class NormalFormState:
 
     def rterm_total(self) -> FourierTaylorSeries:
         """Transported flat remainder in absolute units."""
-        out = FourierTaylorSeries.zero(self.geometry)
-        for s, rs in self.rterms:
-            out = out + rs.scale(self.epsilon ** s if s else 1.0)
-        return out
+        return _eps_poly(FourierTaylorSeries.zero(self.geometry), self.rterms,
+                         self.epsilon)
 
     def ledger_averages(self) -> list:
         """(s, angle average of R_s) for each entry of the remainder
         ledger."""
         return [(s, average_over_angles(rs)) for s, rs in self.rterms]
 
-    def k0_polynomial(self, y, eps: float | None = None, ledger=None):
-        """Action function of the normal form on the zero section z = 0:
-        eps_p(eps) + <omega_p(eps), y> plus the angle-averaged remainder
-        ledger evaluated at (y, z = 0).  A stack of points y (one per row)
-        gives an array of values, a point a float.  `ledger` is
-        ledger_averages(), for a caller that evaluates many points."""
+    def k0_polynomial(self, y, eps: float | None = None, ledger=None,
+                      order: int = 0):
+        """Action function of the normal form on the zero section z = 0,
+        or its order-th eps-derivative: eps_p(eps) + <omega_p(eps), y> plus
+        the angle-averaged remainder ledger evaluated at (y, z = 0).  A
+        stack of points y (one per row) gives an array of values, a point a
+        float.  `ledger` is ledger_averages(), for a caller that evaluates
+        many points."""
         eps = self.epsilon if eps is None else eps
         y = np.asarray(y, dtype=float)
         ledger = self.ledger_averages() if ledger is None else ledger
-        total = self.epsilon_series(eps) + y @ self.omega_p(eps)
-        for s, avg in ledger:
-            w = eps ** s if s else 1.0
-            total = total + w * avg.evaluate(y=y).real
+        omega = self.omega0 if order == 0 else np.zeros_like(self.omega0)
+        total = (_eps_poly(0.0, enumerate(self.eps_coeffs, 1), eps, order)
+                 + y @ _eps_poly(omega, enumerate(self.omega_coeffs, 1), eps,
+                                 order))
+        total = _eps_poly(total, ((s, avg.evaluate(y=y).real)
+                                  for s, avg in ledger), eps, order)
         return float(total) if np.ndim(total) == 0 else total
+
+
+def _eps_poly(start, terms, eps: float, order: int = 0):
+    """start + sum of c * d^order/d eps^order (eps^s) over the (s, c) of
+    terms, added in order; a term with s < order contributes nothing.
+    The c may be numbers, arrays or series."""
+    out = start
+    for s, c in terms:
+        if s >= order:
+            out = out + c * (math.perm(s, order) * eps ** (s - order))
+    return out
 
 
 class StepRejectedError(InvariantError):
@@ -383,7 +383,7 @@ def kam_step(state: NormalFormState, Kplus: int, gamma: float,
     R, _tail = cutoff(state.P, Kplus)
     _, *k0 = ansatz_blocks(average_over_angles(R))
     c000, c010, _, C002 = (blk.sum(axis=0) for blk in k0)   # k = 0 at most
-    F = solve_homological(omega_now, M_now, R, 1.0, gamma, delta, eps_quad=eps)
+    F = solve_homological(omega_now, M_now, eps, R, gamma, delta)
 
     # absorb the averaged cutoff into the integrable part
     d_omega = _real_vector(c010, "frequency update")

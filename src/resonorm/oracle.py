@@ -429,7 +429,6 @@ class Cluster:
 @dataclass
 class ClusterReport:
     clusters: list
-    predicted_clusters: list
     matched: list                  # (cluster index, predicted index)
     max_center_error: float
     max_width_error: float
@@ -468,18 +467,9 @@ def match_spectrum(eigs, prediction, *,
     pred_e = prediction.energies()
     ids = prediction.cluster_ids()
 
-    lam_u, lam_v = prediction.lambdas_u, prediction.lambdas_v
-    eps, h = prediction.epsilon, prediction.h
-    if lam_u.size and eps != 0.0:
-        if prediction.scaling == "component":
-            intra = 0.5 * abs(eps) * float(
-                min(lam_u.min(), lam_v.min()) if lam_v.size else lam_u.min())
-        else:
-            intra = abs(eps) * h * float(
-                np.sqrt(np.maximum(lam_u * lam_v, 0.0)).min())
-        gap = gap_factor * intra
-    else:
-        gap = 0.5 * h
+    h = prediction.h
+    intra = prediction.intra_step()
+    gap = 0.5 * h if intra is None else gap_factor * intra
     clusters = split_clusters(eigs, gap)
 
     pred_clusters = []
@@ -515,7 +505,7 @@ def match_spectrum(eigs, prediction, *,
         return float(np.median(gaps)) if gaps else math.nan
 
     return ClusterReport(
-        clusters=clusters, predicted_clusters=pred_clusters, matched=matched,
+        clusters=clusters, matched=matched,
         max_center_error=float(c_err), max_width_error=float(w_err),
         intra_spacing_oracle=med_spacing([clusters[i] for i, _ in matched]),
         intra_spacing_predicted=med_spacing([pred_clusters[j]

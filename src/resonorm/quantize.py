@@ -59,11 +59,21 @@ class SpectrumPrediction:
     lambdas_v: np.ndarray
     remainder: float
     scaling: str
-    base_shift: float              # eps_p(h, eps)
-    off_block_mass: float = 0.0
 
     def energies(self) -> np.ndarray:
         return np.array([e for _, e in self.entries])
+
+    def intra_step(self) -> float | None:
+        """Smallest step between the resonant levels of one cluster; None
+        without a resonant part."""
+        lam_u, lam_v, eps = self.lambdas_u, self.lambdas_v, self.epsilon
+        if not lam_u.size or eps == 0.0:
+            return None
+        if self.scaling == "component":
+            return 0.5 * abs(eps) * float(
+                min(lam_u.min(), lam_v.min()) if lam_v.size else lam_u.min())
+        return abs(eps) * self.h * float(
+            np.sqrt(np.maximum(lam_u * lam_v, 0.0)).min())
 
     def cluster_ids(self) -> np.ndarray:
         """Entries grouped by their torus quantum numbers."""
@@ -75,22 +85,44 @@ class SpectrumPrediction:
 
 
 def resonant_lambdas(M: np.ndarray, d0: int):
-    """Ascending eigenvalues of the two diagonal blocks of M.
-
-    M must be symmetric; the mass of its off-diagonal blocks is returned so
-    callers can judge how separable the resonant directions still are.
-    """
+    """Ascending eigenvalues of the two diagonal blocks of M, which must be
+    symmetric."""
     if d0 == 0:
-        return np.zeros(0), np.zeros(0), 0.0
+        return np.zeros(0), np.zeros(0)
     M = np.asarray(M, dtype=float)
     if not np.allclose(M, M.T, atol=SYMMETRY_TOL * max(1.0, np.abs(M).max())):
         raise ConfigError("resonant matrix must be symmetric")
-    U = M[:d0, :d0]
-    V = M[d0:, d0:]
-    off = float(np.abs(M[:d0, d0:]).max()) if d0 else 0.0
-    lam_u = np.linalg.eigvalsh(U)
-    lam_v = np.linalg.eigvalsh(V)
-    return lam_u, lam_v, off
+    return np.linalg.eigvalsh(M[:d0, :d0]), np.linalg.eigvalsh(M[d0:, d0:])
+
+
+def resonant_levels(lam_u, lam_v, eps: float, h: float, scaling: str,
+                    n_res_max: int) -> list:
+    """The resonant level offsets within a cluster, (n_u, n_v, energy) for
+    every oscillator number up to n_res_max, ascending in energy; one
+    all-zero level ((), (), 0.0) without resonant directions."""
+    if scaling not in RESONANT_SCALINGS:
+        raise ConfigError(f"unknown resonant scaling {scaling!r}")
+    d0 = len(lam_u)
+    if d0 == 0:
+        return [((), (), 0.0)]
+    if scaling == "component":
+        levels = []
+        for nu in itertools.product(range(n_res_max + 1), repeat=d0):
+            for nv in itertools.product(range(n_res_max + 1), repeat=d0):
+                e = 0.5 * eps * (sum(lam_u[j] * (nu[j] + 0.5) for j in range(d0))
+                                 + sum(lam_v[j] * (nv[j] + 0.5) for j in range(d0)))
+                levels.append((nu, nv, e))
+    else:
+        freq = np.sqrt(np.maximum(lam_u * lam_v, 0.0))
+        if np.any(lam_u * lam_v < 0):
+            raise ConfigError("mixed-signature resonant blocks have no "
+                              "oscillator spectrum")
+        levels = []
+        for nu in itertools.product(range(n_res_max + 1), repeat=d0):
+            e = eps * h * sum(freq[j] * (nu[j] + 0.5) for j in range(d0))
+            levels.append((nu, (0,) * d0, e))
+    levels.sort(key=lambda t: t[2])
+    return levels
 
 
 def remainder_bound(h: float, epsilon: float, alpha: float, *,
@@ -124,8 +156,6 @@ def predict_spectrum(state: NormalFormState, h: float, epsilon: float | None,
     the Gevrey index of the divisor function, which sets the remainder
     bound.
     """
-    if scaling not in RESONANT_SCALINGS:
-        raise ConfigError(f"unknown resonant scaling {scaling!r}")
     eps = state.epsilon if epsilon is None else epsilon
     geo = state.geometry
     d, d0 = geo.d, geo.d0
@@ -140,28 +170,8 @@ def predict_spectrum(state: NormalFormState, h: float, epsilon: float | None,
     if np.any(omega == 0.0):
         raise ConfigError("zero frequency component: unbounded enumeration")
     base = state.epsilon_series(eps)
-    lam_u, lam_v, off = resonant_lambdas(state.M_p(eps), d0)
-
-    # resonant level offsets within a cluster
-    if d0 == 0:
-        res_levels = [((), (), 0.0)]
-    elif scaling == "component":
-        res_levels = []
-        for nu in itertools.product(range(n_res_max + 1), repeat=d0):
-            for nv in itertools.product(range(n_res_max + 1), repeat=d0):
-                e = 0.5 * eps * (sum(lam_u[j] * (nu[j] + 0.5) for j in range(d0))
-                                 + sum(lam_v[j] * (nv[j] + 0.5) for j in range(d0)))
-                res_levels.append((nu, nv, e))
-    else:
-        freq = np.sqrt(np.maximum(lam_u * lam_v, 0.0))
-        if np.any(lam_u * lam_v < 0):
-            raise ConfigError("mixed-signature resonant blocks have no "
-                              "oscillator spectrum")
-        res_levels = []
-        for nu in itertools.product(range(n_res_max + 1), repeat=d0):
-            e = eps * h * sum(freq[j] * (nu[j] + 0.5) for j in range(d0))
-            res_levels.append((nu, (0,) * d0, e))
-    res_levels.sort(key=lambda t: t[2])
+    lam_u, lam_v = resonant_lambdas(state.M_p(eps), d0)
+    res_levels = resonant_levels(lam_u, lam_v, eps, h, scaling, n_res_max)
     res_min = res_levels[0][2]
     res_max_off = res_levels[-1][2]
 
@@ -196,7 +206,7 @@ def predict_spectrum(state: NormalFormState, h: float, epsilon: float | None,
         entries=entries, h=h, epsilon=eps, maslov=maslov,
         lambdas_u=lam_u, lambdas_v=lam_v,
         remainder=remainder_bound(h, eps, alpha),
-        scaling=scaling, base_shift=base, off_block_mass=off)
+        scaling=scaling)
 
 
 # ---------------------------------------------------------------------------

@@ -21,59 +21,20 @@ import numpy as np
 from .errors import ConfigError, InvariantError
 from .gevrey import ApproximationFunction
 from .kam import NormalFormState
-from .quantize import resonant_lambdas
+from .quantize import resonant_lambdas, resonant_levels
 
 
 # ---------------------------------------------------------------------------
 # quasi-eigenvalues
 # ---------------------------------------------------------------------------
 
-def k0_eps_derivative(state: NormalFormState, y, order: int,
-                      eps: float | None = None) -> float:
-    """d^order/d eps^order of the action function K0(I; eps) at the run's
-    epsilon; exact, from the stored eps-polynomial coefficients."""
-    eps = state.epsilon if eps is None else eps
-    y = np.asarray(y, dtype=float).reshape(1, -1)
-    return float(_k0_derivatives(state, y, order, eps,
-                                 state.ledger_averages())[0])
-
-
-def _k0_derivatives(state: NormalFormState, Y, order: int, eps: float,
-                    ledger) -> np.ndarray:
-    """k0_eps_derivative at each row of Y, with the ledger's angle averages
-    (state.ledger_averages()) computed once by the caller."""
-    if order == 0:
-        return state.k0_polynomial(Y, eps, ledger)
-    total = 0.0
-    for s, c in enumerate(state.eps_coeffs):
-        s1 = s + 1
-        if s1 >= order:
-            total += c * math.perm(s1, order) * eps ** (s1 - order)
-    total = np.full(len(Y), total)
-    for s, w in enumerate(state.omega_coeffs):
-        s1 = s + 1
-        if s1 >= order:
-            total += (Y @ w) * math.perm(s1, order) * eps ** (s1 - order)
-    for s, avg in ledger:
-        if s >= order:
-            total += (math.perm(s, order) * eps ** (s - order)
-                      * avg.evaluate(y=Y).real)
-    return total
-
-
 def resonant_ground_energy(state: NormalFormState, h: float,
                            scaling: str = "oscillator") -> float:
     """Zero-point energy of the resonant block under the selected scaling
-    convention; zero when there are no resonant directions."""
-    d0 = state.geometry.d0
-    if d0 == 0:
-        return 0.0
-    lam_u, lam_v, _ = resonant_lambdas(state.M_p(), d0)
-    eps = state.epsilon
-    if scaling == "component":
-        return 0.25 * eps * float(lam_u.sum() + lam_v.sum())
-    freq = np.sqrt(np.maximum(lam_u * lam_v, 0.0))
-    return 0.5 * eps * h * float(freq.sum())
+    convention: the all-zero level of quantize.resonant_levels."""
+    lam_u, lam_v = resonant_lambdas(state.M_p(), state.geometry.d0)
+    return float(resonant_levels(lam_u, lam_v, state.epsilon, h, scaling,
+                                 0)[0][2])
 
 
 @dataclass
@@ -139,7 +100,6 @@ class SeparationReport:
     violations: list               # (m, m', |mu diff|)
     measured_C2: float
     qualifying_pairs: int
-    action_gap: float              # h * Delta^{-1}(C1 h^{-1/2})
 
 
 def separation_check(table: QuasiEigenvalueTable, C1: float,
@@ -165,7 +125,7 @@ def separation_check(table: QuasiEigenvalueTable, C1: float,
             violations.append((m1, m2, dmu))
     return SeparationReport(violations=violations,
                             measured_C2=measured if pairs else math.nan,
-                            qualifying_pairs=pairs, action_gap=gap)
+                            qualifying_pairs=pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +138,6 @@ class CensusReport:
     mtilde: list
     fraction: float
     lam: float
-    occupancy_bound: float         # lam * R
     disjoint: bool
 
 
@@ -208,8 +167,7 @@ def window_census(table: QuasiEigenvalueTable, delta_exp: float,
     mtilde = [m for m, c in counts.items() if c < bound]
     fraction = len(mtilde) / len(counts) if counts else math.nan
     return CensusReport(counts=counts, mtilde=mtilde, fraction=fraction,
-                        lam=lam, occupancy_bound=bound,
-                        disjoint=True)
+                        lam=lam, disjoint=True)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +179,6 @@ class DiffeoReport:
     min_singular: float
     G1: float
     G2: float
-    grid_points: int
     failures: list
 
 
@@ -245,7 +202,7 @@ def local_diffeo_check(state: NormalFormState, Dbox, eps_grid, *,
 
     def eta(I, eps):
         """eta at each row of I, one column per eps-derivative order."""
-        return np.stack([_k0_derivatives(state, I, j, eps, ledger)
+        return np.stack([state.k0_polynomial(I, eps, ledger, order=j)
                          for j in range(d)], axis=1)
 
     # central differences: row a of the (point, a) block steps coordinate a
@@ -267,7 +224,6 @@ def local_diffeo_check(state: NormalFormState, Dbox, eps_grid, *,
         failures += [(tuple(grid[i]), float(eps))
                      for i in np.flatnonzero(smallest < 1e-12)]
         min_sv = min(min_sv, float(smallest.min()))
-    npts = len(grid) * len(eps_grid)
 
     rng = np.random.default_rng(seed)
     lo = np.array([b[0] for b in box])
@@ -281,8 +237,7 @@ def local_diffeo_check(state: NormalFormState, Dbox, eps_grid, *,
     ratio = dI[keep] / de[keep]
     g1 = float(ratio.min()) if ratio.size else math.inf
     g2 = float(ratio.max()) if ratio.size else 0.0
-    return DiffeoReport(min_singular=min_sv, G1=g1, G2=g2,
-                        grid_points=npts, failures=failures)
+    return DiffeoReport(min_singular=min_sv, G1=g1, G2=g2, failures=failures)
 
 
 # ---------------------------------------------------------------------------

@@ -98,8 +98,9 @@ def test_criterion_2_homological_residual():
         if R.is_zero():
             continue
         eps = 10.0 ** rng.uniform(-4, -1)
-        F = solve_homological(omega, M, R, eps, 0.01, DELTA)
-        ratio = homological_residual(omega, M, R, eps, F) / R.norm_l1()
+        F = solve_homological(omega, M, eps, R.scale(eps), 0.01, DELTA)
+        ratio = (homological_residual(omega, M, eps, R.scale(eps), F)
+                 / R.norm_l1())
         worst_ratio = max(worst_ratio, ratio)
     assert worst_ratio <= 1e-10
     _report(2, f"worst residual / |R| = {worst_ratio:.2e} over 100 solves")

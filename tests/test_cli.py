@@ -596,21 +596,44 @@ def test_measure_bad_input_exits_2(tmp_path, old, new):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+OUT_OF_RANGE_CFG = {"reduce": REDUCE_CFG, "iterate": DIRECT_CFG,
+                    "spectrum": DIRECT_CFG, "scar": RESONANT_CFG,
+                    "measure": MEASURE_CFG,
+                    "gamma": MEASURE_CFG + "\n[gamma_table]\n"}
+
+
 @pytest.mark.parametrize("command, line, message", [
     ("iterate", "K = 0", r"\[kam\] K = 0 must be >= 1"),
     ("gamma", "kappa = 3.0", r"kappa = 3.0 must lie in \(1, 2\]"),
     ("gamma", "T = 0.001", "T = 0.001 must be >= varsigma"),
     ("gamma", "r = -1 0", "r and n must be non-negative"),
+    ("iterate", "omega = 1.6 abc", r"bad value for \[direct\] omega"),
+    ("scar", "M = 1.0 0 ; 0", r"bad value for \[direct\] M"),
+    ("reduce", "gradient = 1 q", r"bad value for \[h0\] gradient"),
+    ("reduce", "hessian = 1 0 ; 0", r"bad value for \[h0\] hessian"),
+    ("reduce", "generators = 0 x", r"bad value for \[module\] generators"),
+    ("spectrum", "window = 0.0 x", r"bad value for \[quantize\] window"),
+    ("spectrum", "maslov = a", r"bad value for \[quantize\] maslov"),
+    ("measure", "zones = 1 0 x", r"bad value for \[measure\] zones"),
+    ("gamma", "r = 0 x", r"bad value for \[gamma_table\] r"),
+    ("iterate", "alpha = 1.0", r"\[gevrey\] alpha = 1.0 must exceed 1"),
+    ("iterate", "gamma = -1", r"\[kam\] gamma = -1.0 must be finite and > 0"),
+    ("spectrum", "h = 0", r"\[quantize\] h = 0.0 must be finite and > 0"),
+    ("spectrum", "window = 0.4", r"\[quantize\] window = \[0.4\] must be two"),
+    ("scar", "M = 1.0 0 ; 0 -1.0", "mixed-signature resonant blocks"),
 ])
 def test_out_of_range_numbers_exit_2(tmp_path, capsys, command, line,
                                      message):
+    # the line replaces the config's line for the same key, or is appended
+    # to the config's last section
+    write_cos_series(tmp_path / "p0.series")
+    write_pendulum_series(tmp_path / "pert.series")
+    base = OUT_OF_RANGE_CFG[command]
+    key = line.split(" = ")[0]
+    text, found = re.subn(rf"^{key} = .*$", line, base, flags=re.M)
+    if not found:
+        text = base + line + "\n"
     cfg = tmp_path / "run.ini"
-    if command == "gamma":
-        text = MEASURE_CFG + f"\n[gamma_table]\n{line}\n"
-    else:
-        write_pendulum_series(tmp_path / "pert.series")
-        text = DIRECT_CFG.replace("K = 8", line)
-        assert text != DIRECT_CFG
     cfg.write_text(text)
     assert main([command, "--config", str(cfg),
                  "--out", str(tmp_path / "o")]) == 2

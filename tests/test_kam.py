@@ -190,7 +190,7 @@ def test_check_divisors_matches_per_mode_loop():
 
 def test_solve_zero_rhs():
     R = FourierTaylorSeries.zero(G1)
-    F = solve_homological([1.0], None, R, 0.01, 0.05, DELTA)
+    F = solve_homological([1.0], None, 0.01, R, 0.05, DELTA)
     assert F.is_zero()
 
 
@@ -200,13 +200,13 @@ def test_solve_cosine_gives_sine_shape():
     omega = [1.0]
     R = cos_series(G1, (1,))
     eps = 1e-3
-    F = solve_homological(omega, None, R, eps, 0.05, DELTA)
+    F = solve_homological(omega, None, eps, R.scale(eps), 0.05, DELTA)
     # F = -eps * sin x: coefficients +-i*eps/2... checked via evaluation
     for x in (0.3, 1.1, 2.0):
         want = -eps * math.sin(x)
         got = F.evaluate([x]).real
         assert abs(got - want) < 1e-14
-    assert homological_residual(omega, None, R, eps, F) < 1e-16
+    assert homological_residual(omega, None, eps, R.scale(eps), F) < 1e-16
 
 
 def test_solve_k0_linear_z():
@@ -215,24 +215,24 @@ def test_solve_k0_linear_z():
     b = np.array([1.0, 0.0])
     R = FourierTaylorSeries.linear_z(G11, b)
     eps = 0.05
-    F = solve_homological([1.0], M, R, eps, 0.05, DELTA)
+    F = solve_homological([1.0], M, eps, R.scale(eps), 0.05, DELTA)
     # M J F001 = -b with MJ = [[0,2],[-3,0]]: F001 = (0, -1/2)
     assert abs(F.coeff((0,), (0,), (1, 0)) - 0.0) < 1e-14
     assert abs(F.coeff((0,), (0,), (0, 1)) - (-0.5)) < 1e-14
-    assert homological_residual([1.0], M, R, eps, F) < 1e-15
+    assert homological_residual([1.0], M, eps, R.scale(eps), F) < 1e-15
 
 
 def test_solve_singular_M_rejected():
     M = np.diag([1.0, 0.0])
     R = FourierTaylorSeries.linear_z(G11, [0.0, 1.0])
     with pytest.raises(ConfigError, match="singular"):
-        solve_homological([1.0], M, R, 0.01, 0.05, DELTA)
+        solve_homological([1.0], M, 0.01, R, 0.05, DELTA)
 
 
 def test_solve_below_divisor_rejected():
     R = cos_series(PhaseGeometry(d=2, d0=0), (1, -2))
     with pytest.raises(DivisorError):
-        solve_homological([2.0, 1.0], None, R, 0.01, 0.05, DELTA)
+        solve_homological([2.0, 1.0], None, 0.01, R, 0.05, DELTA)
 
 
 def test_solve_randomized_residuals():
@@ -258,15 +258,15 @@ def test_solve_randomized_residuals():
         R = FourierTaylorSeries(geo, terms)
         R = (R + R.conjugate()).scale(0.5)
         eps = 10.0 ** rng.uniform(-4, -1)
-        F = solve_homological(omega, M, R, eps, 0.01, DELTA)
-        res = homological_residual(omega, M, R, eps, F)
+        F = solve_homological(omega, M, eps, R.scale(eps), 0.01, DELTA)
+        res = homological_residual(omega, M, eps, R.scale(eps), F)
         assert res <= 1e-10 * max(R.norm_l1(), 1e-30)
 
 
-def solve_modes_loop(omega, M, eps_quad, R, rhs_scale, gamma):
+def solve_modes_loop(omega, M, eps, R, gamma):
     """Per-mode reference for _solve_modes: terms grouped by mode in a
     dict, each mode's blocks decoded term by term, one np.linalg.solve per
-    mode and block against i<k,w> + eps_quad MJ and its np.kron-built
+    mode and block against i<k,w> + eps MJ and its np.kron-built
     Kronecker sum.  Returns {(k, j, q): coefficient}."""
     geo = R.geometry
     d0, n = geo.d0, geo.zdim
@@ -293,7 +293,7 @@ def solve_modes_loop(omega, M, eps_quad, R, rhs_scale, gamma):
                 continue
             if abs(np.linalg.det(M)) < 1e-12 * max(1.0, np.abs(M).max() ** (2 * d0)):
                 raise ConfigError("resonant matrix is singular")
-            sol = np.linalg.solve(eps_quad * MJ, -rhs_scale * b)
+            sol = np.linalg.solve(eps * MJ, -b)
             out.update({(k, zj, unit(a)): v for a, v in enumerate(sol) if v != 0})
             continue
         kw = float(np.dot(k, omega))
@@ -305,7 +305,7 @@ def solve_modes_loop(omega, M, eps_quad, R, rhs_scale, gamma):
         quad = False
         for (j, q), c in entries:
             if sum(q) == 0:
-                out[(k, j, q)] = -rhs_scale * c / i_kw
+                out[(k, j, q)] = -c / i_kw
             elif sum(q) == 1:
                 lin_z[q.index(1)] += c
             else:
@@ -315,12 +315,12 @@ def solve_modes_loop(omega, M, eps_quad, R, rhs_scale, gamma):
                     C[b, a] += c / 2.0
                 quad = True
         if d0 and np.any(lin_z):
-            sol = np.linalg.solve(i_kw * np.eye(n) + eps_quad * MJ, -rhs_scale * lin_z)
+            sol = np.linalg.solve(i_kw * np.eye(n) + eps * MJ, -lin_z)
             out.update({(k, zj, unit(a)): v for a, v in enumerate(sol) if v != 0})
         if d0 and quad:
             op = (i_kw * np.eye(n * n)
-                  + eps_quad * (np.kron(np.eye(n), MJ) + np.kron(MJ, np.eye(n))))
-            F2 = np.linalg.solve(op, -rhs_scale * C.flatten(order="F"))
+                  + eps * (np.kron(np.eye(n), MJ) + np.kron(MJ, np.eye(n))))
+            F2 = np.linalg.solve(op, -C.flatten(order="F"))
             F2 = F2.reshape((n, n), order="F")
             F2 = 0.5 * (F2 + F2.T)
             for a in range(n):
@@ -364,10 +364,10 @@ def test_batched_solve_matches_per_mode_loop():
             geo = PhaseGeometry(d=d, d0=d0)
             X = rng.normal(size=(2 * d0, 2 * d0))
             M = X @ X.T + np.eye(2 * d0)
-            for eps_quad, rhs_scale in ((0.1, 0.1), (0.05, 1.0)):
+            for eps in (0.1, 0.05):
                 R = random_ansatz_series(rng, geo)
-                F = _solve_modes(omegas[d], M, eps_quad, R, rhs_scale, 1e-4, DELTA)
-                want = solve_modes_loop(omegas[d], M, eps_quad, R, rhs_scale, 1e-4)
+                F = _solve_modes(omegas[d], M, eps, R, 1e-4, DELTA)
+                want = solve_modes_loop(omegas[d], M, eps, R, 1e-4)
                 assert_same_generator(F, want)
                 k0_linear_z += sum(1 for (k, _, q) in want if not any(k))
     assert k0_linear_z > 0
@@ -380,13 +380,13 @@ def test_batched_solve_defective_and_zero():
     M = np.diag([1.0, 0.0])
     R = random_ansatz_series(rng, G11)
     R, _ = R.partition(~((R.knorms() == 0) & (R.degrees() == 1)))
-    F = _solve_modes([1.0], M, 0.1, R, 0.1, 0.01, DELTA)
+    F = _solve_modes([1.0], M, 0.1, R, 0.01, DELTA)
     assert len(F) > 0
-    assert_same_generator(F, solve_modes_loop([1.0], M, 0.1, R, 0.1, 0.01))
+    assert_same_generator(F, solve_modes_loop([1.0], M, 0.1, R, 0.01))
     Z = FourierTaylorSeries.zero(PhaseGeometry(d=2, d0=2))
-    F = _solve_modes([1.0, GOLDEN], np.eye(4), 0.1, Z, 0.1, 0.01, DELTA)
+    F = _solve_modes([1.0, GOLDEN], np.eye(4), 0.1, Z, 0.01, DELTA)
     assert F.is_zero() and solve_modes_loop([1.0, GOLDEN], np.eye(4), 0.1, Z,
-                                            0.1, 0.01) == {}
+                                            0.01) == {}
 
 
 def test_batched_solve_rejects_at_the_first_low_mode():
@@ -396,9 +396,9 @@ def test_batched_solve_rejects_at_the_first_low_mode():
     rng = np.random.default_rng(9)
     R = random_ansatz_series(rng, geo) + cos_series(geo, (1, -2))
     with pytest.raises(DivisorError) as ref:
-        solve_modes_loop([2.0, 1.0], np.eye(2), 0.1, R, 0.1, 0.01)
+        solve_modes_loop([2.0, 1.0], np.eye(2), 0.1, R, 0.01)
     with pytest.raises(DivisorError) as exc:
-        _solve_modes([2.0, 1.0], np.eye(2), 0.1, R, 0.1, 0.01, DELTA)
+        _solve_modes([2.0, 1.0], np.eye(2), 0.1, R, 0.01, DELTA)
     assert exc.value.reports.k[0].tolist() == list(ref.value.reports[0])
     assert f"at k = {ref.value.reports[0]}" in str(exc.value)
     assert {(1, -2), (-1, 2)} <= set(map(tuple, exc.value.reports.k.tolist()))

@@ -130,8 +130,8 @@ def test_lambda_lists_orthogonal_invariance():
     M2 = M.copy()
     M2[:2, :2] = Q @ M[:2, :2] @ Q.T
     M2[2:, 2:] = Q @ M[2:, 2:] @ Q.T
-    a1, b1, _ = resonant_lambdas(M, d0)
-    a2, b2, _ = resonant_lambdas(M2, d0)
+    a1, b1 = resonant_lambdas(M, d0)
+    a2, b2 = resonant_lambdas(M2, d0)
     assert np.allclose(a1, a2)
     assert np.allclose(b1, b2)
 

@@ -15,7 +15,6 @@ from resonorm.scarring import (
     build_quasi_table,
     energy_windows,
     epsilon_collision_sweep,
-    k0_eps_derivative,
     local_diffeo_check,
     mass_on_torus,
     match_quasimodes,
@@ -50,20 +49,42 @@ def test_quasi_table_linear_integrable():
 
 
 def test_k0_eps_derivative_polynomial():
-    # synthetic state with eps-series coefficients: K0 = <w,I> + c1 e + c2 e^2
+    # synthetic state with eps-series coefficients and a remainder ledger at
+    # s = 0, 1, 2: K0 = <w,I> + c1 e + c2 e^2 + R0(I) + e R1(I) + e^2 R2(I)
+    geo = PhaseGeometry(d=1, d0=0)
+
+    def ledger_entry(*terms):
+        return FourierTaylorSeries.from_terms(
+            geo, [(((k,), (j,), ()), c) for k, j, c in terms])
+
+    R0 = ledger_entry((0, 2, 0.7))                          # 0.7 I^2
+    R1 = ledger_entry((0, 2, -0.3), (1, 1, 0.4), (-1, 1, 0.4))
+    R2 = ledger_entry((0, 1, 1.5))                          # 1.5 I
     st = make_state([1.0], eps=0.1)
     st = st.__class__(geometry=st.geometry, omega0=st.omega0, M0=st.M0,
                       epsilon=0.1, P=st.P, p=2, eps_coeffs=(0.3, -0.2),
                       omega_coeffs=(np.array([0.5]), np.array([0.0])),
-                      M_coeffs=(np.zeros((0, 0)), np.zeros((0, 0))))
+                      M_coeffs=(np.zeros((0, 0)), np.zeros((0, 0))),
+                      rterms=((0, R0), (1, R1), (2, R2)))
     I = np.array([2.0])
-    # K0 = (1 + 0.5 e) I + 0.3 e - 0.2 e^2 at e = 0.1
+    e = 0.1
+    # the angle-dependent part of R1 averages away
     assert st.k0_polynomial(I) == pytest.approx(
-        (1 + 0.05) * 2.0 + 0.03 - 0.002, abs=1e-14)
-    d1 = k0_eps_derivative(st, I, 1)
-    assert d1 == pytest.approx(0.5 * 2.0 + 0.3 - 0.4 * 0.1, abs=1e-13)
-    d2 = k0_eps_derivative(st, I, 2)
-    assert d2 == pytest.approx(-0.4, abs=1e-13)
+        (1 + 0.5 * e) * 2.0 + 0.3 * e - 0.2 * e ** 2
+        + 0.7 * 4.0 - 0.3 * 4.0 * e + 1.5 * 2.0 * e ** 2, abs=1e-14)
+    # order 1: R0 (s = 0 < 1) vanishes
+    d1 = st.k0_polynomial(I, order=1)
+    assert d1 == pytest.approx(0.5 * 2.0 + 0.3 - 0.4 * e - 0.3 * 4.0
+                               + 2.0 * 1.5 * 2.0 * e, abs=1e-13)
+    # order 2: R0 and R1 (s < 2) vanish
+    d2 = st.k0_polynomial(I, order=2)
+    assert d2 == pytest.approx(-0.4 + 2.0 * 1.5 * 2.0, abs=1e-13)
+    # a stack of points gives the same values row by row
+    Y = np.array([[2.0], [-1.0]])
+    for order in (0, 1, 2):
+        assert np.allclose(st.k0_polynomial(Y, order=order),
+                           [st.k0_polynomial(y, order=order) for y in Y],
+                           rtol=0, atol=1e-14)
 
 
 def test_k0_polynomial_stacked_points():
