@@ -77,11 +77,23 @@ def _rows(s: str, parse=_floats) -> list:
     return [parse(r) for r in s.split(";") if r.strip()]
 
 
+def _zone(s: str) -> ZoneSpec:
+    """One [measure] zones row: the integer mode k, then beta."""
+    *k, beta = _floats(s)
+    if not all(v.is_integer() for v in k):
+        raise ValueError("mode components must be integers")
+    return ZoneSpec(k=tuple(int(v) for v in k), beta=beta)
+
+
 def _matrix(s: str) -> np.ndarray:
     rows = _rows(s)
     if len({len(r) for r in rows}) > 1:
         raise ValueError("ragged matrix rows")
     return np.array(rows)
+
+
+# the test and the rule of a value that must be finite and > 0
+_POSITIVE = (lambda v: 0.0 < v < math.inf, "be finite and > 0")
 
 
 class RunConfig:
@@ -111,6 +123,14 @@ class RunConfig:
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad value for [{section}] {key}: {raw}") from exc
 
+    def checked(self, section: str, key: str, fallback, cast, ok, rule: str):
+        """get(), then ConfigError "[section] key = value must <rule>"
+        unless ok(value)."""
+        value = self.get(section, key, fallback, cast)
+        if not ok(value):
+            raise ConfigError(f"[{section}] {key} = {value} must {rule}")
+        return value
+
     def echo(self) -> dict:
         return {s: dict(self.cp[s]) for s in self.cp.sections()}
 
@@ -118,9 +138,8 @@ class RunConfig:
 
     def delta(self) -> ApproximationFunction:
         family = self.get("gevrey", "family", "power_log")
-        alpha = self.get("gevrey", "alpha", 2.0, float)
-        if not alpha > 1.0:
-            raise ConfigError(f"[gevrey] alpha = {alpha} must exceed 1")
+        alpha = self.checked("gevrey", "alpha", 2.0, float,
+                             lambda a: a > 1.0, "exceed 1")
         varsigma = self.get("gevrey", "varsigma", 0.01, float)
         if family == "power_log":
             return power_log_delta(self.get("gevrey", "a", 2.0, float),
@@ -132,23 +151,18 @@ class RunConfig:
         raise ConfigError(f"unknown Delta family {family!r}")
 
     def schedule(self) -> Schedule:
-        K = self.get("kam", "K", 8, int)
-        if K < 1:
-            raise ConfigError(f"[kam] K = {K} must be >= 1")
-        gamma = self.get("kam", "gamma", 0.05, float)
-        if not 0.0 < gamma < math.inf:
-            raise ConfigError(f"[kam] gamma = {gamma} must be finite and > 0")
         return Schedule(rho=self.get("gevrey", "rho", 1.0, float),
                         sigma=self.get("gevrey", "sigma", 1.0, float),
-                        K=K, gamma=gamma,
+                        K=self.checked("kam", "K", 8, int, lambda k: k >= 1,
+                                       "be >= 1"),
+                        gamma=self.checked("kam", "gamma", 0.05, float,
+                                           *_POSITIVE),
                         target=self.get("kam", "target", 1e-14, float))
 
     def quantize(self, d: int) -> dict:
         """The [quantize] keys, defaulted, as predict_spectrum's keyword
         arguments; maslov defaults to d zeros."""
-        h = self.get("quantize", "h", 0.05, float)
-        if not 0.0 < h < math.inf:
-            raise ConfigError(f"[quantize] h = {h} must be finite and > 0")
+        h = self.checked("quantize", "h", 0.05, float, *_POSITIVE)
         window = self.get("quantize", "window", [0.0, 0.5], _floats)
         if len(window) != 2:
             raise ConfigError(f"[quantize] window = {window} must be two "
@@ -157,7 +171,8 @@ class RunConfig:
                 "window": tuple(window),
                 "maslov": self.get("quantize", "maslov", [0] * d, _ints),
                 "scaling": self.get("quantize", "scaling", "oscillator"),
-                "n_res_max": self.get("quantize", "n_res_max", 6, int)}
+                "n_res_max": self.checked("quantize", "n_res_max", 6, int,
+                                          lambda n: n >= 0, "be >= 0")}
 
     def series_file(self, section: str, key: str) -> FourierTaylorSeries:
         """The series in the file that [section] key names, relative to the
@@ -333,14 +348,10 @@ def cmd_iterate(cfg: RunConfig, outdir: Path, seed: int) -> int:
     return 0
 
 
-def _predict(cfg: RunConfig, state: NormalFormState):
-    return predict_spectrum(state, epsilon=None, alpha=cfg.delta().alpha,
-                            **cfg.quantize(state.geometry.d))
-
-
 def cmd_spectrum(cfg: RunConfig, outdir: Path, seed: int) -> int:
     res = _iterate(cfg)
-    pred = _predict(cfg, res.state)
+    pred = predict_spectrum(res.state, epsilon=None, alpha=cfg.delta().alpha,
+                            **cfg.quantize(res.state.geometry.d))
     ids = pred.cluster_ids()
     rows = []
     for (qn, e), cid in zip(pred.entries, ids):
@@ -384,36 +395,36 @@ def _oracle_operator(cfg: RunConfig, state: NormalFormState, h, window):
 
 def _interior_filter(op, window):
     """Drop the Hermite truncation edge (top 20% of levels) before the one
-    band eigensolve: the window's spectrum, and the basis labels that its
-    eigenvectors are aligned with."""
-    sub = interior(op)
-    return window_spectrum(sub, window), sub.basis_labels()
+    band eigensolve: the window's spectrum, whose `op` is the interior
+    operator that its eigenvectors are aligned with."""
+    return window_spectrum(interior(op), window)
 
 
 def cmd_compare(cfg: RunConfig, outdir: Path, seed: int) -> int:
     res = _iterate(cfg)
     state = res.state
-    pred = _predict(cfg, state)
     q = cfg.quantize(state.geometry.d)
+    pred = predict_spectrum(state, epsilon=None, alpha=cfg.delta().alpha, **q)
     window = q["window"]
     op = _oracle_operator(cfg, state, q["h"], window)
-    sel = _interior_filter(op, window)[0].values
+    sel = _interior_filter(op, window).values
     rep = match_spectrum(sel, pred,
                          gap_factor=cfg.get("oracle", "gap_factor", 4.0, float))
 
+    # each window value against its nearest predicted level, the first on
+    # a tie; none without a prediction
     pred_e = pred.energies()
-    ids = pred.cluster_ids()
-    rows = []
-    for e_o in sel:
-        i = int(np.argmin(np.abs(pred_e - e_o))) if pred_e.size else -1
-        e_p = float(pred_e[i]) if i >= 0 else math.nan
-        cid = int(ids[i]) if i >= 0 else -1
-        rows.append((e_p, float(e_o), abs(e_p - e_o), cid))
+    if pred_e.size:
+        near = np.abs(sel[:, None] - pred_e).argmin(axis=1)
+        e_p, cid = pred_e[near], pred.cluster_ids()[near]
+    else:
+        e_p, cid = np.full(sel.size, math.nan), np.full(sel.size, -1)
+    err = np.abs(e_p - sel).tolist()
     write_csv(outdir / "comparison.csv",
               ["energy_predicted", "energy_oracle", "abs_error", "cluster_id"],
-              rows)
+              zip(e_p.tolist(), sel.tolist(), err, cid.tolist()))
     write_json(outdir / "summary.json", {
-        "max_abs_error": max((r[2] for r in rows), default=math.nan),
+        "max_abs_error": max(err, default=math.nan),
         "max_center_error": rep.max_center_error,
         "max_width_error": rep.max_width_error,
         "intra_spacing_oracle": rep.intra_spacing_oracle,
@@ -432,8 +443,7 @@ def cmd_measure(cfg: RunConfig, outdir: Path, seed: int) -> int:
     l = cfg.get("measure", "l", 2, int)
     d = cfg.get("measure", "d", 2, int)
     samples = cfg.get("measure", "samples", 100_000, int)
-    specs = [ZoneSpec(k=tuple(int(v) for v in vals[:-1]), beta=vals[-1])
-             for vals in cfg.get("measure", "zones", [], _rows)]
+    specs = cfg.get("measure", "zones", [], lambda s: _rows(s, _zone))
     rows = []
     for spec, (est, ci) in zip(specs, zones_measure_mc(specs, l, samples, seed)):
         exact = _exact_zone_measure(spec.k, spec.beta)
@@ -482,11 +492,14 @@ def cmd_scar(cfg: RunConfig, outdir: Path, seed: int) -> int:
     delta = cfg.delta()
     lam = cfg.get("scarring", "lam", 4.0, float)
     delta_exp = cfg.get("scarring", "delta_exp", 1.85, float)
-    meas_ratio = cfg.get("scarring", "meas_ratio", 0.5, float)
-    mass_window = cfg.get("scarring", "mass_window", 2.5 * h, float)
+    meas_ratio = cfg.checked("scarring", "meas_ratio", 0.5, float, *_POSITIVE)
+    C1 = cfg.checked("scarring", "C1", 1.0, float, *_POSITIVE)
+    mass_window = cfg.checked("scarring", "mass_window", 2.5 * h, float,
+                              lambda w: 0.0 <= w < math.inf,
+                              "be finite and >= 0")
 
     op = _oracle_operator(cfg, state, h, window)
-    spec, labels = _interior_filter(op, window)
+    spec = _interior_filter(op, window)
     sel = spec.values
 
     # lattice actions reaching the window
@@ -502,10 +515,9 @@ def cmd_scar(cfg: RunConfig, outdir: Path, seed: int) -> int:
 
     offset = resonant_ground_energy(state, h, q["scaling"])
     table = build_quasi_table(state, h, maslov, modes, offset=offset)
-    table.entries = [e for e in table.entries
-                     if window[0] <= e[2] <= window[1]]
+    table = table.select((window[0] <= table.mu) & (table.mu <= window[1]))
 
-    sep = separation_check(table, cfg.get("scarring", "C1", 1.0, float), delta)
+    sep = separation_check(table, C1, delta)
     census = window_census(table, delta_exp, sel, lam=lam, R=1.0 / meas_ratio)
 
     matches = match_quasimodes(table, sel)
@@ -518,7 +530,7 @@ def cmd_scar(cfg: RunConfig, outdir: Path, seed: int) -> int:
         I_m = h * (np.asarray(m, dtype=float) + np.asarray(maslov) / 4.0)
         wmodes = torus_window_modes(op.torus_modes, h, I_m, mass_window)
         masses.append({"m": list(m), "eig": e,
-                       "mass": mass_on_torus(vecs[i], labels, wmodes)})
+                       "mass": mass_on_torus(vecs[i], wmodes)})
     passing = sum(1 for r in masses if r["mass"] >= threshold)
 
     diffeo = local_diffeo_check(state, [(lo_a, hi_a)] * state.geometry.d,
@@ -554,15 +566,13 @@ def cmd_gamma(cfg: RunConfig, outdir: Path, seed: int) -> int:
     delta = cfg.delta()
     rs = cfg.get("gamma_table", "r", [0, 1, 2], _ints)
     ns = cfg.get("gamma_table", "n", [0, 1], _ints)
-    kappa = cfg.get("gamma_table", "kappa", 2.0, float)
-    T = cfg.get("gamma_table", "T", 1.0, float)
     if min(rs + ns, default=0) < 0:
         raise ConfigError("[gamma_table] r and n must be non-negative")
-    if not 1.0 < kappa <= 2.0:
-        raise ConfigError(f"[gamma_table] kappa = {kappa} must lie in (1, 2]")
-    if not T >= delta.varsigma:
-        raise ConfigError(f"[gamma_table] T = {T} must be >= varsigma = "
-                          f"{delta.varsigma}")
+    kappa = cfg.checked("gamma_table", "kappa", 2.0, float,
+                        lambda k: 1.0 < k <= 2.0, "lie in (1, 2]")
+    T = cfg.checked("gamma_table", "T", 1.0, float,
+                    lambda t: t >= delta.varsigma,
+                    f"be >= varsigma = {delta.varsigma}")
     a, c = ba_integrals(delta, kappa, T)      # one pair for every row
     rows = []
     for r in rs:

@@ -127,6 +127,8 @@ def excluded_set_measure(gamma1: float, delta: ApproximationFunction,
         raise ConfigError("gamma1 must be finite and non-negative")
     if d > l:
         raise ConfigError("mode dimension exceeds the cube dimension")
+    if d < 1:
+        raise ConfigError("mode dimension must be at least 1")
     if samples < 10_000:
         raise ConfigError("use at least 1e4 samples")
     # the zones of k and -k are one set; product order lists each pair's

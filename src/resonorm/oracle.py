@@ -23,7 +23,11 @@ symbol gives a Hermitian matrix.
 
 Storage.  A `ModelOperator` holds the operator once, as its nonzero
 entries (row, col, value) in row-major order, both triangles, with
-coincident contributions summed at assembly.  Three views read them:
+coincident contributions summed at assembly.  Its basis is two int
+arrays in `itertools.product` order, `torus_modes` (nt, d) and
+`hermite_levels` (nh, d0; one empty row when d0 = 0), and the index of
+torus mode t at Hermite level l is t nh + l, so a vector reshaped to
+(nt, nh) has one row per torus mode.  Three views read the entries:
 `interior` keeps the entries of the principal sub-operator below the
 Hermite truncation edge, `window_spectrum` scatters them into band
 storage in component order, and `ModelOperator.matrix` builds the dense
@@ -79,8 +83,8 @@ class ModelOperator:
     nonzero positions in row-major order, both triangles."""
 
     Nh: int
-    torus_modes: list              # tuples, aligned with the torus factor
-    hermite_levels: list           # tuples, aligned with the Hermite factor
+    torus_modes: np.ndarray        # (nt, d) ints, the torus factor
+    hermite_levels: np.ndarray     # (nh, d0) ints, the Hermite factor
     rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
@@ -95,10 +99,6 @@ class ModelOperator:
         A = np.zeros((self.dim, self.dim), dtype=complex)
         A[self.rows, self.cols] = self.values
         return A
-
-    def basis_labels(self):
-        """(torus mode, hermite level) per matrix index, torus factor major."""
-        return [(n, m) for n in self.torus_modes for m in self.hermite_levels]
 
 
 # ---------------------------------------------------------------------------
@@ -194,16 +194,16 @@ def build_operator(symbol, h: float, Nt: int, Nh: int, *,
             f"torus cutoff Nt={Nt} cannot represent mode shift {krange}; "
             f"need Nt >= {krange}")
 
-    torus_modes = [tuple(n) for n in
-                   itertools.product(range(-Nt, Nt + 1), repeat=d)]
-    hermite_levels = [tuple(m) for m in
-                      itertools.product(range(Nh), repeat=d0)]
+    # np.array of [()] is the (1, 0) array that d0 = 0 needs
+    n = np.array(list(itertools.product(range(-Nt, Nt + 1), repeat=d)),
+                 dtype=np.int64)
+    hermite_levels = np.array(list(itertools.product(range(Nh), repeat=d0)),
+                              dtype=np.int64)
     nh = len(hermite_levels)
-    dim = len(torus_modes) * nh
+    dim = len(n) * nh
     if dim > dim_cap:
         raise ConfigError(f"matrix dimension {dim} exceeds cap {dim_cap}")
 
-    n = np.array(torus_modes, dtype=np.int64).reshape(-1, d)
     parts = [(np.zeros(0, np.int64),) * 2 + (np.zeros(0, complex),)]
     for row, c in zip(symbol.exps(), symbol.coefs()):
         k, j, q = row[:d], row[d:2 * d], row[2 * d:]
@@ -231,7 +231,7 @@ def build_operator(symbol, h: float, Nt: int, Nh: int, *,
     scale = max(np.abs(values).max(initial=0.0), 1e-300)
     if np.abs(gap).max(initial=0.0) > 1e-12 * scale:
         raise InvariantError("assembled matrix is not Hermitian")
-    return ModelOperator(Nh=Nh, torus_modes=torus_modes,
+    return ModelOperator(Nh=Nh, torus_modes=n,
                          hermite_levels=hermite_levels, rows=rows, cols=cols,
                          values=values)
 
@@ -240,11 +240,9 @@ def interior(op: ModelOperator) -> ModelOperator:
     """The operator restricted to Hermite levels below max(int(0.8 Nh), 1)
     in every resonant direction, which drops the truncation edge of the
     ladder.  The principal sub-operator keeps the torus modes and the
-    torus-major order, so basis_labels() stays aligned; Nh stays the
-    truncation the operator was assembled at.  Returns op itself when
-    nothing is cut."""
-    cut = max(int(0.8 * op.Nh), 1)
-    kept = np.array([all(v < cut for v in m) for m in op.hermite_levels])
+    torus-major order; Nh stays the truncation the operator was assembled
+    at.  Returns op itself when nothing is cut."""
+    kept = (op.hermite_levels < max(int(0.8 * op.Nh), 1)).all(axis=1)
     if kept.all():
         return op
     keep = np.tile(kept, len(op.torus_modes))
@@ -252,8 +250,7 @@ def interior(op: ModelOperator) -> ModelOperator:
     both = keep[op.rows] & keep[op.cols]
     return replace(op, rows=index[op.rows[both]], cols=index[op.cols[both]],
                    values=op.values[both],
-                   hermite_levels=[m for m, k in zip(op.hermite_levels, kept)
-                                   if k])
+                   hermite_levels=op.hermite_levels[kept])
 
 
 def diagonalize(op: ModelOperator):

@@ -244,16 +244,18 @@ def action_index_set(egamma_points, h: float, L: float, maslov):
     pts = np.atleast_2d(np.asarray(egamma_points, dtype=float))
     if pts.size == 0:
         return [], True
-    if h <= 0 or L < 0:
-        raise ConfigError("need h > 0 and L >= 0")
-    d = pts.shape[1]
+    if not (0 < h < math.inf and 0 <= L < math.inf
+            and np.isfinite(pts).all()):
+        raise ConfigError("need finite h > 0, L >= 0 and actions")
     theta = np.asarray(maslov, dtype=float)
     lo = np.floor((pts.min(axis=0) - L * h) / h - theta / 4.0).astype(int) - 1
     hi = np.ceil((pts.max(axis=0) + L * h) / h - theta / 4.0).astype(int) + 1
-    out = []
-    for m in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        I_m = h * (np.array(m, dtype=float) + theta / 4.0)
-        dist = np.min(np.linalg.norm(pts - I_m, axis=1))
-        if dist <= L * h + 1e-15:
-            out.append(tuple(int(v) for v in m))
-    return sorted(out), False
+    # the box in product order, which is ascending, and its actions
+    box = np.array(list(itertools.product(*map(range, lo, hi + 1))))
+    I = h * (box + theta / 4.0)
+    # box points x cloud points, in blocks of about 2^20 differences
+    step = max(1, 2 ** 20 // pts.size)
+    dist = np.concatenate([
+        np.linalg.norm(pts - I[i:i + step, None], axis=2).min(axis=1)
+        for i in range(0, len(I), step)])
+    return [tuple(m) for m in box[dist <= L * h + 1e-15].tolist()], False

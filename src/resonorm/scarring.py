@@ -5,16 +5,18 @@ constants, and microlocal mass of eigenvectors on a torus momentum window.
 The quasi-eigenvalue attached to a lattice action I_m = h*(m + theta/4) is
 the normal-form action function evaluated there, optionally shifted by the
 resonant ground energy so that the windows sit on the physical branch of
-the spectrum.  The mass proxy realizes the phase-space cutoff around a
+the spectrum; a `QuasiEigenvalueTable` holds the columns m, I_m and mu_m,
+ascending in mu.  The mass proxy realizes the phase-space cutoff around a
 torus as a sharp projector onto the plane-wave modes whose momentum lies
-in the window; smooth cutoffs differ only by basis-boundary terms, which
-the comparison windows exclude.
+in the window, a mask over the oracle's torus modes, which selects whole
+rows of a torus-major eigenvector; smooth cutoffs differ only by
+basis-boundary terms, which the comparison windows exclude.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,56 +41,39 @@ def resonant_ground_energy(state: NormalFormState, h: float,
 
 @dataclass
 class QuasiEigenvalueTable:
-    entries: list                  # (m tuple, I_m array, mu_m float)
+    """One row per lattice index, ascending in mu."""
+
+    m: np.ndarray                  # (n, d) lattice indices
+    I: np.ndarray                  # (n, d) actions h*(m + maslov/4)
+    mu: np.ndarray                 # (n,) quasi-eigenvalues
     h: float
     epsilon: float
     maslov: tuple
     offset: float = 0.0
 
-    def mus(self) -> np.ndarray:
-        return np.array([mu for _, _, mu in self.entries])
+    def select(self, mask) -> QuasiEigenvalueTable:
+        """The rows where mask holds, in their order."""
+        return replace(self, m=self.m[mask], I=self.I[mask], mu=self.mu[mask])
+
+
+def _labels(m) -> list:
+    """The rows of a lattice index array as tuples."""
+    return [tuple(r) for r in m.tolist()]
 
 
 def build_quasi_table(state: NormalFormState, h: float, maslov, modes, *,
                       offset: float = 0.0) -> QuasiEigenvalueTable:
     """Evaluate the action function on I_m = h*(m + maslov/4) for the given
-    lattice indices."""
+    lattice indices, one row each, and sort the rows by mu (stably)."""
     theta = np.asarray(maslov, dtype=float)
-    ledger = state.ledger_averages()
-    entries = []
-    for m in modes:
-        I_m = h * (np.asarray(m, dtype=float) + theta / 4.0)
-        mu = state.k0_polynomial(I_m, ledger=ledger) + offset
-        entries.append((tuple(int(v) for v in m), I_m, float(mu)))
-    entries.sort(key=lambda t: t[2])
-    return QuasiEigenvalueTable(entries=entries, h=h, epsilon=state.epsilon,
+    m = np.array(modes, dtype=np.int64).reshape(-1, theta.size)
+    I = h * (m + theta / 4.0)
+    mu = state.k0_polynomial(I) + offset
+    order = np.argsort(mu, kind="stable")
+    return QuasiEigenvalueTable(m=m[order], I=I[order], mu=mu[order], h=h,
+                                epsilon=state.epsilon,
                                 maslov=tuple(int(v) for v in maslov),
                                 offset=offset)
-
-
-@dataclass(frozen=True)
-class EnergyWindow:
-    m: tuple
-    center: float
-    halfwidth: float
-
-    @property
-    def lo(self) -> float:
-        return self.center - self.halfwidth
-
-    @property
-    def hi(self) -> float:
-        return self.center + self.halfwidth
-
-
-def energy_windows(table: QuasiEigenvalueTable, delta_exp: float) -> list:
-    """Windows of half-width h^delta/3 around each quasi-eigenvalue;
-    delta_exp must exceed 7/4."""
-    if delta_exp <= 1.75:
-        raise ConfigError("window exponent must exceed 7/4")
-    hw = table.h ** delta_exp / 3.0
-    return [EnergyWindow(m=m, center=mu, halfwidth=hw)
-            for m, _, mu in table.entries]
 
 
 # ---------------------------------------------------------------------------
@@ -110,22 +95,18 @@ def separation_check(table: QuasiEigenvalueTable, C1: float,
     as violations."""
     h = table.h
     gap = h * delta_fn.inverse(C1 * h ** (-0.5))
-    ref = h ** 1.5
-    measured = math.inf
-    violations = []
-    pairs = 0
-    scale = max(abs(mu) for _, _, mu in table.entries) if table.entries else 1.0
-    for (m1, I1, mu1), (m2, I2, mu2) in itertools.combinations(table.entries, 2):
-        if np.linalg.norm(I1 - I2) > gap:
-            continue
-        pairs += 1
-        dmu = abs(mu1 - mu2)
-        measured = min(measured, dmu / ref)
-        if dmu <= 1e-13 * max(1.0, scale):
-            violations.append((m1, m2, dmu))
-    return SeparationReport(violations=violations,
-                            measured_C2=measured if pairs else math.nan,
-                            qualifying_pairs=pairs)
+    # the pairs i < j, row-major, that lie within the action gap
+    a, b = np.triu_indices(table.mu.size, k=1)
+    near = np.linalg.norm(table.I[a] - table.I[b], axis=1) <= gap
+    a, b = a[near], b[near]
+    dmu = np.abs(table.mu[a] - table.mu[b])
+    tie = dmu <= 1e-13 * max(1.0, np.abs(table.mu).max(initial=0.0))
+    labels = _labels(table.m)
+    return SeparationReport(
+        violations=[(labels[i], labels[j], v) for i, j, v in
+                    zip(a[tie].tolist(), b[tie].tolist(), dmu[tie].tolist())],
+        measured_C2=float((dmu / h ** 1.5).min()) if dmu.size else math.nan,
+        qualifying_pairs=int(dmu.size))
 
 
 # ---------------------------------------------------------------------------
@@ -143,26 +124,30 @@ class CensusReport:
 
 def window_census(table: QuasiEigenvalueTable, delta_exp: float,
                   oracle_eigs, *, lam: float, R: float) -> CensusReport:
-    """Count oracle eigenvalues inside each energy window, form the set of
-    indices whose count stays below lam*R, and report its fraction.
+    """Count oracle eigenvalues inside the energy window [mu - w, mu + w],
+    w = h^delta_exp / 3, of each row, form the set of indices whose count
+    stays below lam*R, and report its fraction; delta_exp must exceed 7/4.
 
     Overlapping windows abort the census: the separation hypothesis failed
     and the counts would be double-booked.
     """
-    if lam <= 1.0:
+    if not lam > 1.0:
         raise ConfigError("lam must exceed 1")
-    wins = energy_windows(table, delta_exp)
-    wins_sorted = sorted(wins, key=lambda w: w.center)
-    for a, b in zip(wins_sorted, wins_sorted[1:]):
-        if a.hi > b.lo:
-            raise InvariantError(
-                f"windows overlap at {a.m} / {b.m}: separation failed")
+    if not delta_exp > 1.75:
+        raise ConfigError("window exponent must exceed 7/4")
+    hw = table.h ** delta_exp / 3.0
+    lo, hi = table.mu - hw, table.mu + hw
+    labels = _labels(table.m)
+    order = np.argsort(table.mu, kind="stable")
+    clash = np.flatnonzero(hi[order[:-1]] > lo[order[1:]])
+    if clash.size:
+        i, j = order[clash[0]], order[clash[0] + 1]
+        raise InvariantError(f"windows overlap at {labels[i]} / {labels[j]}: "
+                             "separation failed")
     eigs = np.sort(np.asarray(oracle_eigs, dtype=float))
-    counts = {}
-    for w in wins:
-        lo_i = np.searchsorted(eigs, w.lo, side="left")
-        hi_i = np.searchsorted(eigs, w.hi, side="right")
-        counts[w.m] = int(hi_i - lo_i)
+    counts = dict(zip(labels, (np.searchsorted(eigs, hi, side="right")
+                               - np.searchsorted(eigs, lo, side="left"))
+                      .tolist()))
     bound = lam * R
     mtilde = [m for m, c in counts.items() if c < bound]
     fraction = len(mtilde) / len(counts) if counts else math.nan
@@ -244,45 +229,43 @@ def local_diffeo_check(state: NormalFormState, Dbox, eps_grid, *,
 # mass on the torus window
 # ---------------------------------------------------------------------------
 
-def torus_window_modes(torus_modes, h: float, I_center, width: float):
-    """Plane-wave modes n with |h*n - I| <= width component-wise."""
+def torus_window_modes(torus_modes, h: float, I_center,
+                       width: float) -> np.ndarray:
+    """Mask over the rows n of torus_modes: |h*n - I| <= width
+    component-wise."""
     I_center = np.atleast_1d(np.asarray(I_center, dtype=float))
-    out = set()
-    for n in torus_modes:
-        if np.all(np.abs(h * np.asarray(n, dtype=float) - I_center) <= width):
-            out.add(tuple(n))
-    return out
+    n = np.asarray(torus_modes, dtype=float)
+    return (np.abs(h * n - I_center) <= width).all(axis=1)
 
 
-def mass_on_torus(eigvec, basis_labels, window_modes) -> float:
-    """Squared component mass of an eigenvector on basis states whose torus
-    quantum number lies in the window; in [0, 1].  An empty window gives 0."""
-    if not window_modes:
-        return 0.0
-    v = np.asarray(eigvec)
-    total = 0.0
-    for i, (n, _m) in enumerate(basis_labels):
-        if tuple(n) in window_modes:
-            total += float(abs(v[i]) ** 2)
-    return total
+def mass_on_torus(eigvec, window) -> float:
+    """Squared component mass of a torus-major eigenvector on the torus
+    modes that the mask `window` selects, summed in index order with
+    Python's complex abs; in [0, 1].  An empty window gives 0."""
+    v = np.asarray(eigvec).reshape(len(window), -1)[window]
+    return sum((abs(x) ** 2 for x in v.ravel().tolist()), 0.0)
 
 
 def match_quasimodes(table: QuasiEigenvalueTable, oracle_eigs):
-    """Nearest-eigenvalue matching: for each table entry, the index of the
-    closest oracle eigenvalue within half the median gap."""
+    """Nearest-eigenvalue matching: for each table row, (m, index,
+    eigenvalue, distance) of the closest sorted oracle eigenvalue next to
+    its searchsorted position, the lowest on a tie, within half the
+    median gap."""
     eigs = np.sort(np.asarray(oracle_eigs, dtype=float))
+    if not eigs.size:
+        return []
     gaps = np.diff(eigs)
     tol = 0.5 * float(np.median(gaps)) if gaps.size else math.inf
-    out = []
-    for m, I_m, mu in table.entries:
-        i = int(np.searchsorted(eigs, mu))
-        best, best_d = None, math.inf
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < eigs.size and abs(eigs[j] - mu) < best_d:
-                best, best_d = j, abs(eigs[j] - mu)
-        if best is not None and best_d <= tol:
-            out.append((m, best, float(eigs[best]), best_d))
-    return out
+    # eigs[i - 1], eigs[i], eigs[i + 1] are padded[i], [i + 1], [i + 2]
+    padded = np.pad(eigs, (1, 2), constant_values=math.inf)
+    cand = np.searchsorted(eigs, table.mu)[:, None] + np.arange(3)
+    dist = np.abs(padded[cand] - table.mu[:, None])
+    pick = (np.arange(len(cand)), dist.argmin(axis=1))
+    best, best_d = cand[pick] - 1, dist[pick]
+    keep = np.isfinite(best_d) & (best_d <= tol)
+    return [(m, i, e, d) for m, i, e, d in
+            zip(_labels(table.m[keep]), best[keep].tolist(),
+                eigs[best[keep]].tolist(), best_d[keep].tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +291,8 @@ def epsilon_collision_sweep(state_builder, eps_values, h: float, maslov,
     hd = h ** delta_exp
     hits = 0
     for eps in eps_values:
-        table = build_quasi_table(state_builder(eps), h, maslov, modes)
-        mus = table.mus()
-        collide = np.any(np.abs(np.subtract.outer(mus, mus))
-                         [~np.eye(len(mus), dtype=bool)] < hd) if len(mus) > 1 \
-            else False
-        hits += bool(collide)
+        mus = build_quasi_table(state_builder(eps), h, maslov, modes).mu
+        gaps = np.abs(np.subtract.outer(mus, mus))[~np.eye(mus.size,
+                                                          dtype=bool)]
+        hits += bool(np.any(gaps < hd))
     return hits / max(len(list(eps_values)), 1)

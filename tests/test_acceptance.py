@@ -232,16 +232,15 @@ def _desk_model(h, eps=0.01, lam=1.0, lamt=1.0, w=1.0, window=(0.12, 0.38),
                                  int(window[1] / h) + 1)]
     offset = resonant_ground_energy(st, h, "oscillator")
     table = build_quasi_table(st, h, (0,), modes, offset=offset)
-    table.entries = [e for e in table.entries
-                     if window[0] <= e[2] <= window[1]]
-    return st, op, vals[sel], vecs[:, sel], sub.basis_labels(), table
+    table = table.select((window[0] <= table.mu) & (table.mu <= window[1]))
+    return st, op, vals[sel], vecs[:, sel], table
 
 
 def test_criterion_8_separation_and_windows():
     """Desk model: no separation violations at the measured constant,
     pairwise disjoint windows, census fraction >= 1 - 2/lam at lam = 4."""
     h = 0.02
-    st, op, eigs, vecs, labels, table = _desk_model(h)
+    st, op, eigs, vecs, table = _desk_model(h)
     rep = separation_check(table, C1=1.0, delta_fn=DELTA)
     assert rep.violations == []
     assert rep.measured_C2 > 0
@@ -264,14 +263,14 @@ def test_criterion_9_scarring_mass():
     threshold = (meas_ratio / (2.0 * lam)) ** 2
     fractions = []
     for h in (0.05, 0.02):
-        st, op, eigs, vecs, labels, table = _desk_model(h)
+        st, op, eigs, vecs, table = _desk_model(h)
         matches = match_quasimodes(table, eigs)
         assert matches
         good = 0
         for m, idx, e, dist in matches:
             I_m = h * np.asarray(m, dtype=float)
             wmodes = torus_window_modes(op.torus_modes, h, I_m, 2.5 * h)
-            mass = mass_on_torus(vecs[:, idx], labels, wmodes)
+            mass = mass_on_torus(vecs[:, idx], wmodes)
             good += mass >= threshold
         fractions.append(good / len(matches))
     elapsed = time.monotonic() - t0

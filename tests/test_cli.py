@@ -596,8 +596,13 @@ def test_measure_bad_input_exits_2(tmp_path, old, new):
                  "--out", str(tmp_path / "o")]) == 2
 
 
+# scar's base lists C1 and mass_window, so that a bad value replaces
+# them in [scarring] rather than landing in [run]
 OUT_OF_RANGE_CFG = {"reduce": REDUCE_CFG, "iterate": DIRECT_CFG,
-                    "spectrum": DIRECT_CFG, "scar": RESONANT_CFG,
+                    "spectrum": DIRECT_CFG,
+                    "scar": RESONANT_CFG.replace(
+                        "L = 0.5\n",
+                        "L = 0.5\nC1 = 1.0\nmass_window = 0.125\n"),
                     "measure": MEASURE_CFG,
                     "gamma": MEASURE_CFG + "\n[gamma_table]\n"}
 
@@ -621,6 +626,15 @@ OUT_OF_RANGE_CFG = {"reduce": REDUCE_CFG, "iterate": DIRECT_CFG,
     ("spectrum", "h = 0", r"\[quantize\] h = 0.0 must be finite and > 0"),
     ("spectrum", "window = 0.4", r"\[quantize\] window = \[0.4\] must be two"),
     ("scar", "M = 1.0 0 ; 0 -1.0", "mixed-signature resonant blocks"),
+    ("scar", "meas_ratio = 0", r"\[scarring\] meas_ratio = 0.0 must be"),
+    ("scar", "C1 = 0", r"\[scarring\] C1 = 0.0 must be finite and > 0"),
+    ("scar", "mass_window = -1", r"\[scarring\] mass_window = -1.0 must be"),
+    ("measure", "zones = 1.5 0 0.1", r"bad value for \[measure\] zones"),
+    ("measure", "d = 0", "mode dimension must be at least 1"),
+    ("scar", "lam = nan", "lam must exceed 1"),
+    ("scar", "delta_exp = nan", "window exponent must exceed 7/4"),
+    ("scar", "L = nan", r"need finite h > 0, L >= 0"),
+    ("scar", "n_res_max = -1", r"\[quantize\] n_res_max = -1 must be >= 0"),
 ])
 def test_out_of_range_numbers_exit_2(tmp_path, capsys, command, line,
                                      message):
@@ -717,13 +731,40 @@ def test_gamma_table_equals_lemma_ba_bound(tmp_path):
     assert got == want
 
 
+def _load_perfbench(name):
+    """A module of perfbench/ by path (the directory is not a package)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module       # its dataclasses look it up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_benchmark_workload_checks_pass(tmp_path):
+    # every benchmark workload at seed 0, run in process and judged by the
+    # workload's own check against the stored reference outputs
+    workloads = _load_perfbench("workloads")
+    refs = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                       / "reference.json").read_text())
+    for name, wl in workloads.WORKLOADS.items():
+        inputs = tmp_path / name
+        workloads.write_inputs(wl.generate(0), inputs)
+        outs = {}
+        for command in wl.commands:
+            outs[command] = tmp_path / name / f"out_{command}"
+            assert main([command, "--config", str(inputs / "run.ini"),
+                         "--out", str(outs[command])]) == 0, (name, command)
+        wl.check(outs, 0, refs[name], inputs)
+
+
 def test_tracer_targets_resolve(monkeypatch):
     # the benchmark's --trace wraps these module attributes by name; read
     # perfbench/spans.py (never edit it) and check every one still exists
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _load_perfbench("spans")
     for module, attr, _, _ in spans.TARGETS:
         assert callable(getattr(importlib.import_module(module), attr, None)), \
             (module, attr)

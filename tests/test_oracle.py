@@ -62,8 +62,9 @@ def _from_dense(A):
     len(A) torus modes without resonant directions."""
     rows, cols = np.nonzero(A)
     n = len(A)
-    return ModelOperator(Nh=1, torus_modes=[(i - n // 2,) for i in range(n)],
-                         hermite_levels=[()], rows=rows, cols=cols,
+    return ModelOperator(Nh=1, torus_modes=np.arange(n)[:, None] - n // 2,
+                         hermite_levels=np.zeros((1, 0), dtype=int),
+                         rows=rows, cols=cols,
                          values=np.asarray(A, dtype=complex)[rows, cols])
 
 
@@ -81,10 +82,12 @@ def test_midpoint_rule():
         G, [(((1,), (1,), ()), c), (((-1,), (1,), ()), np.conj(c))])
     op = build_operator(symbol, h, Nt, 1)
     A = op.matrix
-    idx = {m: i for i, (m, _) in enumerate(op.basis_labels())}
+    # one Hermite level (d0 = 0): torus mode n sits at index n + Nt
+    assert op.hermite_levels.shape == (1, 0)
+    assert op.torus_modes[:, 0].tolist() == list(range(-Nt, Nt + 1))
     for n in range(-Nt, Nt):
-        assert A[idx[(n + 1,)], idx[(n,)]] == c * (h * (n + 0.5))
-        assert A[idx[(n,)], idx[(n + 1,)]] == np.conj(c) * (h * (n + 0.5))
+        assert A[n + 1 + Nt, n + Nt] == c * (h * (n + 0.5))
+        assert A[n + Nt, n + 1 + Nt] == np.conj(c) * (h * (n + 0.5))
     # a midpoint is never 0: every one of the 2 Nt transitions each way
     assert np.count_nonzero(A) == 2 * 2 * Nt
 
@@ -499,12 +502,18 @@ def test_interior_is_the_principal_submatrix():
                      waves=[(0.05, (1,), (1, 0, 0, 0))])
     op = build_operator(symbol, 0.1, 2, 5)
     sub = interior(op)
-    keep = [i for i, (n, m) in enumerate(op.basis_labels())
+    # index t nh + l is torus mode t at Hermite level l, product order
+    nh = len(op.hermite_levels)
+    assert op.hermite_levels.tolist() == [[a, b] for a in range(5)
+                                          for b in range(5)]
+    keep = [t * nh + l for t in range(len(op.torus_modes))
+            for l, m in enumerate(op.hermite_levels.tolist())
             if all(v < 4 for v in m)]
     assert len(keep) == 5 * 4 * 4
     assert np.array_equal(sub.matrix, op.matrix[np.ix_(keep, keep)])
-    assert sub.basis_labels() == [op.basis_labels()[i] for i in keep]
-    assert sub.torus_modes == op.torus_modes
+    assert sub.hermite_levels.tolist() == [[a, b] for a in range(4)
+                                           for b in range(4)]
+    assert np.array_equal(sub.torus_modes, op.torus_modes)
     assert interior(sub) is sub
 
 

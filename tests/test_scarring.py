@@ -12,8 +12,8 @@ from resonorm.kam import NormalFormState
 from resonorm.oracle import build_operator, diagonalize
 from resonorm.scarring import (
     CensusReport,
+    QuasiEigenvalueTable,
     build_quasi_table,
-    energy_windows,
     epsilon_collision_sweep,
     local_diffeo_check,
     mass_on_torus,
@@ -44,7 +44,7 @@ def test_quasi_table_linear_integrable():
     st = make_state([GOLDEN])
     h = 0.02
     table = build_quasi_table(st, h, (0,), [(m,) for m in range(10, 20)])
-    for m, I_m, mu in table.entries:
+    for m, mu in zip(table.m, table.mu):
         assert mu == pytest.approx(GOLDEN * h * m[0], abs=1e-14)
 
 
@@ -134,8 +134,7 @@ def test_separation_flags_duplicates():
     h = 0.02
     table = build_quasi_table(st, h, (0,), [(5,), (6,)])
     # adversarial: overwrite with duplicate quasi-eigenvalues
-    m0, I0, mu0 = table.entries[0]
-    table.entries[1] = (table.entries[1][0], table.entries[1][1], mu0)
+    table.mu[1] = table.mu[0]
     rep = separation_check(table, C1=2.0, delta_fn=DELTA)
     assert rep.violations
 
@@ -148,10 +147,12 @@ def test_windows_disjoint_when_separated():
     st = make_state([GOLDEN])
     h = 0.02
     table = build_quasi_table(st, h, (0,), [(m,) for m in range(10, 25)])
-    wins = energy_windows(table, 1.85)
-    wins = sorted(wins, key=lambda w: w.center)
-    for a, b in zip(wins, wins[1:]):
-        assert a.hi < b.lo
+    # the table is ascending in mu, and each window [mu - hw, mu + hw]
+    # ends below the next one's start
+    hw = h ** 1.85 / 3.0
+    assert np.all(np.diff(table.mu) > 0)
+    assert np.all(table.mu[:-1] + hw < table.mu[1:] - hw)
+    window_census(table, 1.85, [], lam=4.0, R=1.0)
 
 
 def test_census_sparse_spectrum_all_low():
@@ -185,10 +186,137 @@ def test_census_aborts_on_overlap():
     h = 0.2
     # adjacent integers at low exponent: windows h^1.76/3 vs spacing h
     table = build_quasi_table(st, h, (0,), [(0,), (1,)])
-    table.entries[1] = (table.entries[1][0], table.entries[1][1],
-                        table.entries[0][2] + 1e-6)
+    table.mu[1] = table.mu[0] + 1e-6
     with pytest.raises(InvariantError, match="overlap"):
         window_census(table, 1.76, [0.0], lam=4.0, R=1.0)
+
+
+# ---------------------------------------------------------------------------
+# the table's array forms against per-pair loops
+# ---------------------------------------------------------------------------
+
+def _loop_separation(entries, h, C1, delta_fn):
+    """Reference: the walk over itertools.combinations of (m, I, mu) rows."""
+    import itertools
+    gap = h * delta_fn.inverse(C1 * h ** (-0.5))
+    ref = h ** 1.5
+    measured = math.inf
+    violations = []
+    pairs = 0
+    scale = max(abs(mu) for _, _, mu in entries) if entries else 1.0
+    for (m1, I1, mu1), (m2, I2, mu2) in itertools.combinations(entries, 2):
+        if np.linalg.norm(I1 - I2) > gap:
+            continue
+        pairs += 1
+        dmu = abs(mu1 - mu2)
+        measured = min(measured, dmu / ref)
+        if dmu <= 1e-13 * max(1.0, scale):
+            violations.append((m1, m2, dmu))
+    return violations, measured if pairs else math.nan, pairs
+
+
+def _loop_census(entries, h, delta_exp, eigs, lam, R):
+    """Reference: one window per row, overlap checked on the sorted
+    windows, two searchsorted calls per window."""
+    hw = h ** delta_exp / 3.0
+    wins = sorted(((m, mu - hw, mu + hw) for m, _, mu in entries),
+                  key=lambda w: w[1] + hw)
+    for a, b in zip(wins, wins[1:]):
+        if a[2] > b[1]:
+            raise InvariantError(f"windows overlap at {a[0]} / {b[0]}")
+    eigs = np.sort(np.asarray(eigs, dtype=float))
+    counts = {m: int(np.searchsorted(eigs, mu + hw, side="right")
+                     - np.searchsorted(eigs, mu - hw, side="left"))
+              for m, _, mu in entries}
+    mtilde = [m for m, c in counts.items() if c < lam * R]
+    return counts, mtilde, len(mtilde) / len(counts) if counts else math.nan
+
+
+def _loop_match(entries, eigs):
+    """Reference: three neighbours per row, the first strictly nearest."""
+    eigs = np.sort(np.asarray(eigs, dtype=float))
+    gaps = np.diff(eigs)
+    tol = 0.5 * float(np.median(gaps)) if gaps.size else math.inf
+    out = []
+    for m, _, mu in entries:
+        i = int(np.searchsorted(eigs, mu))
+        best, best_d = None, math.inf
+        for j in (i - 1, i, i + 1):
+            if 0 <= j < eigs.size and abs(eigs[j] - mu) < best_d:
+                best, best_d = j, abs(eigs[j] - mu)
+        if best is not None and best_d <= tol:
+            out.append((m, best, float(eigs[best]), best_d))
+    return out
+
+
+def _entries(table):
+    return [(tuple(m), I, float(mu))
+            for m, I, mu in zip(table.m.tolist(), table.I, table.mu)]
+
+
+def _assert_like_loops(table, eigs, C1=1.0, lam=4.0, R=1.5):
+    entries = _entries(table)
+    sep = separation_check(table, C1=C1, delta_fn=DELTA)
+    want = _loop_separation(entries, table.h, C1, DELTA)
+    assert sep.violations == want[0]
+    assert sep.measured_C2 == want[1] or math.isnan(want[1]) \
+        and math.isnan(sep.measured_C2)
+    assert sep.qualifying_pairs == want[2]
+    assert match_quasimodes(table, eigs) == _loop_match(entries, eigs)
+    try:
+        want = _loop_census(entries, table.h, 1.85, eigs, lam, R)
+    except InvariantError:
+        with pytest.raises(InvariantError, match="overlap"):
+            window_census(table, 1.85, eigs, lam=lam, R=R)
+        return sep
+    rep = window_census(table, 1.85, eigs, lam=lam, R=R)
+    assert list(rep.counts.items()) == list(want[0].items())
+    assert rep.mtilde == want[1]
+    assert rep.fraction == want[2] or math.isnan(want[2])
+    return sep
+
+
+def test_table_arrays_match_pair_loops_d2():
+    # d = 2, omega = (1, golden): separation, census and matching against
+    # the loops over rows and row pairs
+    st = make_state([1.0, GOLDEN], eps=0.02)
+    h = 0.05
+    table = build_quasi_table(st, h, (1, 2),
+                              [(a, b) for a in range(-1, 6) for b in range(5)])
+    assert table.m.shape == table.I.shape == (35, 2)
+    assert np.array_equal(table.mu, np.sort(table.mu))
+    assert np.array_equal(table.I, h * (table.m + np.array([1, 2]) / 4.0))
+    rng = np.random.default_rng(11)
+    near = table.mu[::2] + rng.normal(scale=1e-4, size=table.mu[::2].size)
+    for eigs in (near, np.concatenate([near, rng.uniform(0, 1.0, 9)]), []):
+        sep = _assert_like_loops(table, eigs)
+        assert sep.qualifying_pairs > 0 and not sep.violations
+    assert match_quasimodes(table, []) == []
+    assert set(window_census(table, 1.85, [], lam=4.0, R=1.0)
+               .counts.values()) == {0}
+
+
+def test_table_exact_tie_and_violation():
+    # a hand-made d = 2 table: row 1 lies exactly midway between two
+    # eigenvalues, where matching takes the lower; rows 2 and 3 coincide,
+    # a separation violation whose windows overlap
+    m = np.array([[5, 0], [10, 0], [15, 0], [15, 1]])
+    table = QuasiEigenvalueTable(m=m, I=0.05 * m,
+                                 mu=np.array([0.25, 0.5, 0.75, 0.75]),
+                                 h=0.05, epsilon=0.0, maslov=(0, 0))
+    eigs = [0.25, 0.5 - 2.0 ** -8, 0.5 + 2.0 ** -8, 0.75]
+    matches = match_quasimodes(table, eigs)
+    assert [(m, i) for m, i, _, _ in matches] == [((5, 0), 0), ((10, 0), 1),
+                                                 ((15, 0), 3), ((15, 1), 3)]
+    sep = _assert_like_loops(table, eigs)
+    assert sep.violations == [((15, 0), (15, 1), 0.0)]
+    # without row 3 the windows are disjoint; one more eigenvalue sits on
+    # the closed lower edge of row 0's window
+    first = table.select(np.array([1, 1, 1, 0], bool))
+    eigs = eigs + [0.25 - 0.05 ** 1.85 / 3.0]
+    assert _assert_like_loops(first, eigs).violations == []
+    census = window_census(first, 1.85, eigs, lam=4.0, R=1.5)
+    assert census.counts == {(5, 0): 2, (10, 0): 0, (15, 0): 1}
 
 
 # ---------------------------------------------------------------------------
@@ -235,25 +363,26 @@ def test_diffeo_constants_h_stable():
 # ---------------------------------------------------------------------------
 
 def test_mass_pure_basis_states():
-    labels = [((n,), (m,)) for n in range(-3, 4) for m in range(4)]
-    dim = len(labels)
-    window = {(2,)}
-    v = np.zeros(dim)
-    idx_in = labels.index(((2,), (1,)))
-    v[idx_in] = 1.0
-    assert mass_on_torus(v, labels, window) == 1.0
-    v2 = np.zeros(dim)
-    v2[labels.index(((-1,), (0,)))] = 1.0
-    assert mass_on_torus(v2, labels, window) == 0.0
-    assert mass_on_torus(v, labels, set()) == 0.0
+    # torus modes -3..3, four Hermite levels each: index = (n + 3) * 4 + level
+    modes = np.arange(-3, 4)[:, None]
+    window = torus_window_modes(modes, 1.0, 2.0, 0.5)
+    assert window.tolist() == [n == 2 for n in range(-3, 4)]
+    v = np.zeros(modes.size * 4)
+    v[(2 + 3) * 4 + 1] = 1.0
+    assert mass_on_torus(v, window) == 1.0
+    v2 = np.zeros(modes.size * 4)
+    v2[(-1 + 3) * 4 + 0] = 1.0
+    assert mass_on_torus(v2, window) == 0.0
+    empty = mass_on_torus(v, np.zeros(modes.size, dtype=bool))
+    assert empty == 0.0 and isinstance(empty, float)
 
 
 def test_mass_partition_of_unity():
     rng = np.random.default_rng(7)
-    labels = [((n,), (m,)) for n in range(-3, 4) for m in range(3)]
-    v = rng.normal(size=len(labels)) + 1j * rng.normal(size=len(labels))
+    modes = np.arange(-3, 4)[:, None]
+    v = rng.normal(size=modes.size * 3) + 1j * rng.normal(size=modes.size * 3)
     v /= np.linalg.norm(v)
-    total = sum(mass_on_torus(v, labels, {(n,)}) for n in range(-3, 4))
+    total = sum(mass_on_torus(v, (modes == n).ravel()) for n in range(-3, 4))
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -261,11 +390,10 @@ def test_mass_integrable_eigenstates_exact():
     op = build_operator(FourierTaylorSeries.linear_y(PhaseGeometry(d=1), [1.0]),
                         0.1, 4, 1)
     vals, vecs = diagonalize(op)
-    labels = op.basis_labels()
     for i, e in enumerate(vals):
         n = int(round(e / 0.1))
         window = torus_window_modes(op.torus_modes, 0.1, 0.1 * n, 0.05)
-        assert mass_on_torus(vecs[:, i], labels, window) == pytest.approx(1.0)
+        assert mass_on_torus(vecs[:, i], window) == pytest.approx(1.0)
 
 
 def test_match_quasimodes_nearest():
