@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import locale  # argparse's gettext imports it in main: at import instead
 import math
 import sys
 from pathlib import Path
@@ -280,7 +281,6 @@ def write_manifest(outdir: Path, command: str, cfg: RunConfig, seed: int):
         "versions": {
             "python": ".".join(str(v) for v in sys.version_info[:3]),
             "numpy": np.__version__,
-            "scipy": __import__("scipy").__version__,
             "resonorm": __version__,
         },
     })
@@ -394,9 +394,9 @@ def _oracle_operator(cfg: RunConfig, state: NormalFormState, h, window):
 
 
 def _interior_filter(op, window):
-    """Drop the Hermite truncation edge (top 20% of levels) before the one
-    band eigensolve: the window's spectrum, whose `op` is the interior
-    operator that its eigenvectors are aligned with."""
+    """Drop the Hermite truncation edge (top 20% of levels) before the
+    component eigensolves: the window's spectrum, whose `op` is the
+    interior operator that its eigenvectors are aligned with."""
     return window_spectrum(interior(op), window)
 
 
@@ -523,7 +523,7 @@ def cmd_scar(cfg: RunConfig, outdir: Path, seed: int) -> int:
     matches = match_quasimodes(table, sel)
     # eigenvectors for the matched eigenvalues only, each index once
     idx = sorted({i for _, i, _, _ in matches})
-    vecs = dict(zip(idx, spec.vectors(sel[idx]).T))
+    vecs = dict(zip(idx, spec.vectors(idx).T))
     threshold = (meas_ratio / (2.0 * lam)) ** 2
     masses = []
     for m, i, e, dist in matches:

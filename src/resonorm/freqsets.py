@@ -34,6 +34,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # numpy loads it lazily: at import, not inside a command
 
 from .errors import ConfigError
 from .gevrey import ApproximationFunction

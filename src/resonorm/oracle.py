@@ -29,34 +29,30 @@ arrays in `itertools.product` order, `torus_modes` (nt, d) and
 torus mode t at Hermite level l is t nh + l, so a vector reshaped to
 (nt, nh) has one row per torus mode.  Three views read the entries:
 `interior` keeps the entries of the principal sub-operator below the
-Hermite truncation edge, `window_spectrum` scatters them into band
-storage in component order, and `ModelOperator.matrix` builds the dense
-array for `diagonalize`.
+Hermite truncation edge, `window_spectrum` scatters them into one dense
+block per connected component, and `ModelOperator.matrix` builds the
+dense array for `diagonalize`.
 
-Eigensolves.  In the torus-major order a row of mode range K reaches
-about K (2 Nt + 1)^(d-1) nh indices off the diagonal (nh Hermite levels
-per torus mode), so the bandwidth is about K / (2 Nt + 1) of the
-dimension: below 1/6, because the CLI asks for Nt >= required_Nt > 3 K.
-`window_spectrum` first reorders the basis by the connected components
-of the entries, each component keeping its torus-major order.  P A P^T
-has the eigenvalues of A, and the bandwidth can only shrink, since only
-other components' indices leave the gap between two entries.  It shrinks
-when the symbol conserves a Hermite quantum number: e^{i<k,x>} y^j never
-changes the levels, and (eps/2) <z, M z> keeps them when M is diagonal
-with M_uu = M_vv in each resonant direction and keeps the parity of the
-total level otherwise, so each level, or each parity sector, is a block
-of its own (the interior of the benchmark's d = d0 = 1 model, dim 812:
-bandwidth 1 in place of 28).  A symbol that couples levels, such as a
-row e^{ix} u, leaves one component, the identity order and the
-torus-major band.  Both oracle commands take one values-only band solve
-(LAPACK ?hbevd, `window_spectrum`), which gives the whole spectrum
-without forming the n x n matrix.  Eigenvectors, which `scar` needs for
-its matched quasimodes only, come from inverse iteration on a band LU
-shifted next to each value (`WindowSpectrum.vectors`, which also
-confirms compare's spot checks); the band solver with vectors (?hbevx)
-forms Q densely and is slower than a dense solve.  `diagonalize`, the
-dense eigh with checked residuals, is the reference that tests and
-library callers use.
+Eigensolves.  The operator is block diagonal over the connected
+components of its entries, and each block has its own eigenvalues and
+eigenvectors.  The blocks are small when the symbol conserves a Hermite
+quantum number: e^{i<k,x>} y^j never changes the levels, and
+(eps/2) <z, M z> keeps them when M is diagonal with M_uu = M_vv in each
+resonant direction and keeps the parity of the total level otherwise, so
+each level, or each parity sector, is a component of its own (the
+interior of the benchmark's d = d0 = 1 model, dim 812: 28 tridiagonal
+chains of 29 torus modes).  A symbol that couples levels, such as a row
+e^{ix} u, leaves one component, the whole operator.  `window_spectrum`
+stacks the components of each size into one array and takes one
+np.linalg.eigh per size, values and vectors together, in real arithmetic
+when every entry is real (five to six times faster than complex on the
+blocks of 812 and 841 at Nh = 72).  Both oracle commands thus take one
+solve per component size and form no n x n matrix; `scar`
+reads the eigenvectors of its matched quasimodes from that solve, and an
+exact degeneracy across components gets orthonormal vectors, one per
+component.  Every vector handed out, and compare's spot checks, pass a
+residual check over the entries.  `diagonalize`, the dense eigh with
+checked residuals, is the reference that tests and library callers use.
 """
 from __future__ import annotations
 
@@ -65,16 +61,15 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
+import numpy.random  # numpy loads it lazily: at import, not inside a command
 
 from .errors import ConfigError, CoverageError, InvariantError
 
 DIM_CAP_DEFAULT = 4096
-# eigenpairs whose residual diagonalize checks, and window eigenvalues that
-# window_spectrum confirms by inverse iteration (all, when fewer)
+# eigenpairs whose residual diagonalize checks, and window eigenvalues whose
+# eigenvector window_spectrum checks (all, when fewer)
 SPOT_CHECKS = 10
 RESIDUAL_TOL = 1e-10       # relative to ||A||_2
-SHIFT_OFFSET = 1e-13       # inverse-iteration shift past a cluster, of ||A||_2
 
 
 @dataclass
@@ -255,7 +250,7 @@ def interior(op: ModelOperator) -> ModelOperator:
 
 def diagonalize(op: ModelOperator):
     """The dense Hermitian eigensolve, ascending eigenvalues and
-    eigenvectors: the reference for the band path, used by tests and
+    eigenvectors: the reference for the component path, used by tests and
     library callers, not by the CLI.
 
     Residuals ||A v - lambda v|| of SPOT_CHECKS distinct pairs (all of
@@ -278,87 +273,44 @@ def diagonalize(op: ModelOperator):
 
 @dataclass
 class WindowSpectrum:
-    """The window of one values-only band eigensolve, with what inverse
-    iteration needs to add eigenvectors for chosen values."""
+    """The window of the component eigensolves, with the eigenvectors of
+    the same solves."""
 
     values: np.ndarray             # ascending eigenvalues in the window
     norm: float                    # ||A||_2 = max|lambda| of the spectrum
     op: ModelOperator
-    band: np.ndarray               # general band storage, room for the LU
-    bw: int
-    perm: np.ndarray               # operator index at each band position
+    members: list                  # each component's indices, ascending
+    eigvecs: list                  # each component's (s, s) eigenvectors
+    source: np.ndarray             # (component, column) of each value
 
-    def vectors(self, lams) -> np.ndarray:
-        """Unit eigenvectors for the eigenvalues lams, one column each in
-        the order of lams, by inverse iteration on a band LU.
-
-        Sorted values closer than RESIDUAL_TOL ||A||_2 form a cluster, as in
-        LAPACK ?stein: it shares one LU, factored SHIFT_OFFSET ||A||_2 above
-        its top value, because a value that equals a diagonal entry exactly
-        (the epsilon = 0 models) makes A - lambda I singular.  A cluster's
-        start block, standard normal rows from a fixed seed, one per value
-        in the order of lams, takes two solve steps with a QR
-        orthonormalization before each and after the last.  The QR columns
-        span the cluster's eigenspace but mix its values, so a cluster of
-        more than one value is rotated onto its Ritz vectors (the
-        eigenvectors of x^H A x), assigned to the members in ascending
-        order: that resolves distinct values and stays valid for exact
-        degeneracies.  Each column must pass
+    def vectors(self, idx) -> np.ndarray:
+        """Unit eigenvectors for the window values at positions idx, one
+        column each in the order of idx: each is its component's eigenvector
+        from the solve, zero off the component.  Each column must pass
         ||A x - lambda x|| <= RESIDUAL_TOL ||A||_2 at its own lambda (a
         mat-vec over the entries), or InvariantError is raised; for a
         Hermitian A that proves lambda lies within that distance of the
-        spectrum.  The second step keeps a start vector with a small
-        component along the eigenvector from failing a true value.
-
-        Everything but the band solve is in operator order: each solve
-        permutes its right-hand sides into band order and its solutions
-        back."""
-        lams = np.asarray(lams, dtype=float)
-        op, bw, perm = self.op, self.bw, self.perm
-        at = np.argsort(perm)      # the band position of each index
-        tol = RESIDUAL_TOL * self.norm
-        # the start vectors, replaced by the eigenvectors cluster by cluster
-        out = np.random.default_rng(0).standard_normal(
-            (lams.size, op.dim)).T.astype(complex)
-        if not lams.size:
-            return out
-        gbtrf, gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"),
-                                                     (self.band,))
-        order = np.argsort(lams, kind="stable")
-        cuts = np.flatnonzero(np.diff(lams[order]) > tol) + 1
-        for members in np.split(order, cuts):
-            top = float(lams[members[-1]])
-            shifted = self.band.copy()
-            shifted[2 * bw] -= top + SHIFT_OFFSET * self.norm
-            lu, piv, info = gbtrf(shifted, bw, bw)
-            if info != 0:
+        spectrum."""
+        idx = np.asarray(idx, dtype=np.int64)
+        op = self.op
+        x = np.zeros((op.dim, idx.size), dtype=complex)
+        for j, (k, col) in enumerate(self.source[idx].tolist()):
+            x[self.members[k], j] = self.eigvecs[k][:, col]
+        ax = np.zeros_like(x)
+        np.add.at(ax, op.rows, op.values[:, None] * x[op.cols])
+        lams = self.values[idx]
+        res = np.linalg.norm(ax - lams * x, axis=0)
+        for lam, r in zip(lams.tolist(), res.tolist()):
+            if not r <= RESIDUAL_TOL * self.norm:
                 raise InvariantError(
-                    f"band LU at eigenvalue {top!r} failed (info {info})")
-            x = out[:, members]
-            for _ in range(2):
-                x, _ = gbtrs(lu, bw, bw, np.linalg.qr(x)[0][perm], piv)
-                x = x[at]
-            x = np.linalg.qr(x)[0]
-            ax = np.zeros_like(x)
-            np.add.at(ax, op.rows, op.values[:, None] * x[op.cols])
-            if members.size > 1:
-                h = x.conj().T @ ax
-                _, w = np.linalg.eigh(0.5 * (h + h.conj().T))
-                x, ax = x @ w, ax @ w
-            res = np.linalg.norm(ax - lams[members] * x, axis=0)
-            for lam, r in zip(lams[members].tolist(), res.tolist()):
-                if not r <= tol:
-                    raise InvariantError(
-                        f"eigenvalue {lam!r} residual {r:.3e} too large")
-            out[:, members] = x
-        return out
+                    f"eigenvalue {lam!r} residual {r:.3e} too large")
+        return x
 
 
-def _component_order(n: int, rows, cols) -> np.ndarray:
-    """A stable order of the indices 0..n-1 by connected component of the
-    graph with edges (rows[i], cols[i]), both directions present: each
-    component's indices keep their order, and the components follow their
-    smallest index.  The identity for a connected graph.
+def _component_labels(n: int, rows, cols) -> np.ndarray:
+    """The smallest index of the connected component of each index
+    0..n-1 in the graph with edges (rows[i], cols[i]), both directions
+    present.
 
     Min-label propagation with pointer jumping: a label is always an index
     of the same component, and it stops changing once it is the smallest
@@ -369,51 +321,75 @@ def _component_order(n: int, rows, cols) -> np.ndarray:
         np.minimum.at(new, rows, label[cols])
         new = new[new]
         if np.array_equal(new, label):
-            return np.argsort(label, kind="stable")
+            return label
         label = new
 
 
 def window_spectrum(op: ModelOperator, window) -> WindowSpectrum:
-    """The eigenvalues of the operator in the closed window [lo, hi],
-    without the dense matrix; `WindowSpectrum.vectors` adds eigenvectors.
+    """The eigenvalues of the operator in the closed window [lo, hi], with
+    what `WindowSpectrum.vectors` needs, without the n x n matrix.
 
-    The entries go into band storage in component order
-    (`_component_order`: P A P^T has the eigenvalues of A, and a connected
-    operator keeps its order), with the bandwidth max |row - col| after
-    the reorder, never more than before it, and one values-only
-    eig_banded call (LAPACK ?hbevd) gives every eigenvalue; the extremes
-    give max|lambda| = ||A||_2.  Then
+    The entries split into the connected components of their graph
+    (`_component_labels`); components follow their smallest index and keep
+    their indices ascending.  The components of each size go into one
+    stacked dense array and one np.linalg.eigh call, real when every
+    entry of the stack is, so every eigenvalue and eigenvector comes from
+    one solve per size; the extremes give max|lambda| = ||A||_2.  Then
     min(SPOT_CHECKS, window size) window values, drawn with a fixed seed,
     are confirmed by `WindowSpectrum.vectors`, which raises on a value off
     the spectrum."""
     n = op.dim
-    perm = _component_order(n, op.rows, op.cols)
-    at = np.argsort(perm)          # the band position of each index
-    rows, cols = at[op.rows], at[op.cols]
-    bw = int(np.abs(rows - cols).max(initial=0))
-    # LAPACK general band storage, A[i, j] at ab[2 bw + i - j, j]; the top
-    # bw rows are room for the LU's fill-in.  Rows 2 bw .. 3 bw, the
-    # diagonal and the bw subdiagonals, are eig_banded's lower storage.
-    ab = np.zeros((3 * bw + 1, n), dtype=complex)
-    ab[2 * bw + rows - cols, cols] = op.values
-    try:
-        vals = scipy.linalg.eig_banded(ab[2 * bw:], lower=True,
-                                       eigvals_only=True)
-    except np.linalg.LinAlgError as exc:
-        raise InvariantError(f"band eigensolve failed: {exc}") from exc
-    norm_a = max(abs(vals[0]), abs(vals[-1]), 1e-300)
-    sel = vals[(vals >= window[0]) & (vals <= window[1])]
-    spec = WindowSpectrum(values=sel, norm=norm_a, op=op, band=ab, bw=bw,
-                          perm=perm)
+    label = _component_labels(n, op.rows, op.cols)
+    order = np.argsort(label, kind="stable")
+    starts = np.flatnonzero(np.diff(label[order], prepend=-1))
+    sizes = np.diff(starts, append=n)
+    members = np.split(order, starts[1:])
+    comp = np.empty(n, dtype=np.int64)         # component of each index
+    comp[order] = np.repeat(np.arange(starts.size), sizes)
+    pos = np.empty(n, dtype=np.int64)          # its place in the component
+    pos[order] = np.arange(n) - np.repeat(starts, sizes)
+    eigvecs, vals, source = [None] * len(members), [], []
+    for s in sorted(set(sizes.tolist())):
+        ks = np.flatnonzero(sizes == s)
+        e = sizes[comp[op.rows]] == s
+        A = np.zeros((ks.size, s, s), dtype=complex)
+        A[np.searchsorted(ks, comp[op.rows[e]]), pos[op.rows[e]],
+          pos[op.cols[e]]] = op.values[e]
+        if not A.imag.any():       # real symmetric: the faster real solve
+            A = A.real
+        try:
+            w, v = np.linalg.eigh(A)
+        except np.linalg.LinAlgError as exc:
+            raise InvariantError(f"eigensolve failed: {exc}") from exc
+        for k, vk in zip(ks.tolist(), v):
+            eigvecs[k] = vk
+        vals.append(w.ravel())
+        source.append(np.column_stack((np.repeat(ks, s),
+                                       np.tile(np.arange(s), ks.size))))
+    vals = np.concatenate(vals)
+    rank = np.argsort(vals, kind="stable")
+    inside = rank[(vals[rank] >= window[0]) & (vals[rank] <= window[1])]
+    spec = WindowSpectrum(values=vals[inside],
+                          norm=max(float(np.abs(vals).max()), 1e-300), op=op,
+                          members=members, eigvecs=eigvecs,
+                          source=np.concatenate(source)[inside])
     rng = np.random.default_rng(0)
-    spec.vectors(sel[rng.choice(sel.size, min(SPOT_CHECKS, sel.size),
-                                replace=False)])
+    spec.vectors(rng.choice(inside.size, min(SPOT_CHECKS, inside.size),
+                            replace=False))
     return spec
 
 
 # ---------------------------------------------------------------------------
 # cluster comparison
 # ---------------------------------------------------------------------------
+
+def median(values) -> float:
+    """np.median of a non-empty sequence, bit for bit, without loading
+    numpy.ma: the middle sorted value, or the mean of the middle two."""
+    v = np.sort(np.asarray(values, dtype=float))
+    mid = v.size // 2
+    return float(v[mid] if v.size % 2 else (v[mid - 1] + v[mid]) / 2)
+
 
 @dataclass
 class Cluster:
@@ -499,7 +475,7 @@ def match_spectrum(eigs, prediction, *,
 
     def med_spacing(cls):
         gaps = [g for c in cls if c.count > 1 for g in np.diff(c.members)]
-        return float(np.median(gaps)) if gaps else math.nan
+        return median(gaps) if gaps else math.nan
 
     return ClusterReport(
         clusters=clusters, matched=matched,

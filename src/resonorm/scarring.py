@@ -19,10 +19,12 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import numpy.random  # numpy loads it lazily: at import, not inside a command
 
 from .errors import ConfigError, InvariantError
 from .gevrey import ApproximationFunction
 from .kam import NormalFormState
+from .oracle import median
 from .quantize import resonant_lambdas, resonant_levels
 
 
@@ -255,7 +257,7 @@ def match_quasimodes(table: QuasiEigenvalueTable, oracle_eigs):
     if not eigs.size:
         return []
     gaps = np.diff(eigs)
-    tol = 0.5 * float(np.median(gaps)) if gaps.size else math.inf
+    tol = 0.5 * median(gaps) if gaps.size else math.inf
     # eigs[i - 1], eigs[i], eigs[i + 1] are padded[i], [i + 1], [i + 2]
     padded = np.pad(eigs, (1, 2), constant_values=math.inf)
     cand = np.searchsorted(eigs, table.mu)[:, None] + np.arange(3)

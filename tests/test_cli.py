@@ -361,8 +361,7 @@ def test_compare_window_not_covered_exits_4(tmp_path):
 
 
 def test_oracle_solver_failures_exit_5(tmp_path, monkeypatch, capsys):
-    import scipy.linalg
-    eig_banded, qr = scipy.linalg.eig_banded, np.linalg.qr
+    eigh = np.linalg.eigh
     cfg = tmp_path / "run.ini"
     cfg.write_text(DIRECT_CFG.replace("epsilon = 1e-3", "epsilon = 0.0")
                    .replace("p_file = pert.series", ""))
@@ -370,29 +369,29 @@ def test_oracle_solver_failures_exit_5(tmp_path, monkeypatch, capsys):
     def run(command):
         return main([command, "--config", str(cfg), "--out",
                      str(tmp_path / "out")])
-    # a band eigenvalue 1e-6 off the spectrum fails its residual check
-    monkeypatch.setattr(scipy.linalg, "eig_banded",
-                        lambda *a, **k: eig_banded(*a, **k) + 1e-6)
+    # eigenvalues 1e-6 off the spectrum fail their residual check (the
+    # oracle's eigh calls are its only ones; the prediction uses eigvalsh)
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: (eigh(a)[0] + 1e-6, eigh(a)[1]))
     assert run("compare") == 5
     assert "residual" in capsys.readouterr().err
 
-    # a LAPACK failure in the band solve is an invariant violation
-    def fails(*args, **kwargs):
+    # a LAPACK failure in the eigensolve is an invariant violation
+    def fails(a):
         raise np.linalg.LinAlgError("eigenvalues did not converge")
-    monkeypatch.setattr(scipy.linalg, "eig_banded", fails)
+    monkeypatch.setattr(np.linalg, "eigh", fails)
     for command in ("compare", "scar"):
         assert run(command) == 5
-        assert "band eigensolve failed" in capsys.readouterr().err
-    monkeypatch.setattr(scipy.linalg, "eig_banded", eig_banded)
+        assert "eigensolve failed" in capsys.readouterr().err
 
     # so is an eigenvector that fails its residual check.  Without spot
     # checks, scar's vectors for its matched eigenvalues are the only
-    # inverse iteration; the final orthonormalization then returns the
-    # rows of each vector rolled by one, which is no eigenvector
+    # ones checked; the solve then returns the rows of each vector rolled
+    # by one, which is no eigenvector
     import resonorm.oracle
     monkeypatch.setattr(resonorm.oracle, "SPOT_CHECKS", 0)
-    monkeypatch.setattr(np.linalg, "qr", lambda a: (np.roll(qr(a)[0], 1, 0),
-                                                    None))
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: (eigh(a)[0], np.roll(eigh(a)[1], 1, -2)))
     cfg.write_text(RESONANT_CFG)
     assert run("scar") == 5
     assert "residual" in capsys.readouterr().err
@@ -469,34 +468,31 @@ def test_scar_command_three_tori(tmp_path):
 
 @pytest.mark.parametrize("command", ["compare", "scar"])
 def test_oracle_commands_solve_once(tmp_path, monkeypatch, command):
-    import scipy.linalg
     calls = []
-    for owner, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"),
-                        (scipy.linalg, "eig_banded")):
-        def counted(a, *args, _name=name, _fn=getattr(owner, name),
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, _name=name, _fn=getattr(np.linalg, name),
                     **kwargs):
             calls.append((_name, np.shape(a)))
             return _fn(a, *args, **kwargs)
-        monkeypatch.setattr(owner, name, counted)
+        monkeypatch.setattr(np.linalg, name, counted)
     cfg = tmp_path / "run.ini"
     cfg.write_text(RESONANT_CFG)
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
     # the prediction diagonalizes the 1 x 1 blocks of M; every larger
-    # matrix is an oracle solve, and the only one is on the 19 interior
-    # levels of Nh = 24: one values-only band solve on the lower band
-    # storage.  With M = I the resonant part is diagonal in the Hermite
-    # level and e^{ix} keeps it, so each level is one tridiagonal
-    # component over the nt torus modes, and in component order the
-    # bandwidth is 1.  scar's eigenvectors come from inverse iteration,
-    # not a solve
-    solves = [c for c in calls if c[1][0] > 1]
+    # array is an oracle solve, and the only one is on the 19 interior
+    # levels of Nh = 24.  With M = I the resonant part is diagonal in the
+    # Hermite level and e^{ix} keeps it, so each level is one tridiagonal
+    # component over the nt torus modes, and the 19 components of that
+    # size are one stacked eigh.  scar's eigenvectors come from that
+    # solve, not another
+    solves = [c for c in calls if np.prod(c[1]) > 1]
     nt = 2 * required_Nt(0.38, 0.05, 1.0, 1) + 1
-    assert solves == [("eig_banded", (2, nt * 19))]
+    assert solves == [("eigh", (19, nt, nt))]
 
 
 def test_scar_computes_each_matched_eigenvector_once(tmp_path, monkeypatch):
-    # every table entry matched twice: scar asks inverse iteration for each
+    # every table entry matched twice: scar asks for the vector of each
     # distinct eigenvalue once, and both copies of an entry get its mass
     import resonorm.cli
     import resonorm.oracle
@@ -504,9 +500,9 @@ def test_scar_computes_each_matched_eigenvector_once(tmp_path, monkeypatch):
     match, vectors = resonorm.cli.match_quasimodes, WindowSpectrum.vectors
     asked = []
 
-    def recorded(self, lams):
-        asked.append(np.asarray(lams))
-        return vectors(self, lams)
+    def recorded(self, idx):
+        asked.append(self.values[np.asarray(idx, dtype=int)])
+        return vectors(self, idx)
     monkeypatch.setattr(resonorm.oracle, "SPOT_CHECKS", 0)
     monkeypatch.setattr(WindowSpectrum, "vectors", recorded)
     monkeypatch.setattr(resonorm.cli, "match_quasimodes",
@@ -524,7 +520,7 @@ def test_scar_computes_each_matched_eigenvector_once(tmp_path, monkeypatch):
 
 
 def test_compare_never_forms_the_dense_matrix(tmp_path, monkeypatch):
-    # neither oracle command: scar too runs on the band storage
+    # neither oracle command: scar too runs on the component blocks
     def dense(self):
         raise AssertionError("an oracle command read the dense matrix")
     monkeypatch.setattr(ModelOperator, "matrix", property(dense))
@@ -691,15 +687,36 @@ def test_no_module_state():
 
 
 def test_import_path():
-    # the CLI's imports load scipy.linalg and no other public scipy
-    # subpackage (scipy.version comes with every scipy import)
+    # the CLI runs on numpy alone: its imports load no scipy module
     src = Path(__file__).resolve().parents[1] / "src"
     code = (f"import sys; sys.path.insert(0, {str(src)!r}); import resonorm.cli; "
-            "print(' '.join(m for m in sys.modules if m.startswith('scipy.')))")
+            "print(' '.join(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout.split()
-    public = {m.split(".")[1] for m in out if not m.split(".")[1].startswith("_")}
-    assert public - {"version"} == {"linalg"}
+    assert out == []
+
+
+@pytest.mark.parametrize("command", ["reduce", "iterate", "compare", "scar",
+                                     "measure", "gamma"])
+def test_commands_load_no_module(tmp_path, command):
+    # what a command needs is loaded by `import resonorm.cli`, so a command
+    # run in a fresh process after it adds no entry to sys.modules
+    write_cos_series(tmp_path / "p0.series")
+    write_pendulum_series(tmp_path / "pert.series")
+    cfg = tmp_path / "run.ini"
+    cfg.write_text({"reduce": REDUCE_CFG, "iterate": DIRECT_CFG,
+                    "compare": RESONANT_CFG, "scar": RESONANT_CFG,
+                    "measure": MEASURE_CFG, "gamma": MEASURE_CFG}[command])
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); "
+            "import resonorm.cli; before = set(sys.modules); "
+            f"rc = resonorm.cli.main({argv!r}); "
+            "print(rc, *sorted(set(sys.modules) - before))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert out == ["0"]
 
 
 def test_tracer_installs():

@@ -288,16 +288,32 @@ def test_window_eigenvalues_match_dense_eigvalsh(make, bandwidth):
     (_random_dense, 28),            # connected
 ])
 def test_component_order_never_widens_the_band(make, bandwidth):
+    # the components partition the indices, no entry joins two of them, and
+    # laid end to end they give P A P^T this bandwidth
     op = make()
-    spec = window_spectrum(op, (0.0, 0.0))
-    assert spec.bw == bandwidth
-    assert spec.bw <= np.abs(op.rows - op.cols).max()
+    comps = _components(window_spectrum(op, (0.0, 0.0)))
+    perm = np.concatenate(comps)
+    assert np.array_equal(np.sort(perm), np.arange(op.dim))
+    at = np.argsort(perm)
+    comp = np.repeat(np.arange(len(comps)), [len(c) for c in comps])[at]
+    assert np.array_equal(comp[op.rows], comp[op.cols])
+    bw = np.abs(at[op.rows] - at[op.cols]).max()
+    assert bw == bandwidth
+    assert bw <= np.abs(op.rows - op.cols).max()
+
+
+def _components(spec):
+    """The operator indices of each component of a window spectrum, the
+    components by their smallest index."""
+    comps = [m.tolist() for m in spec.members]
+    assert comps == sorted(comps)
+    return comps
 
 
 @pytest.mark.parametrize("make", [_coupled_d1_interior, _random_dense])
 def test_connected_operator_keeps_its_order_and_band(make):
-    # one component: the identity order, and the values of eig_banded on
-    # the band of the unpermuted entries, bit for bit
+    # one component in the identity order, and the values of eig_banded
+    # (an independent band solver) on the band of the entries
     from scipy.linalg import eig_banded
     op = make()
     bw = int(np.abs(op.rows - op.cols).max())
@@ -306,9 +322,8 @@ def test_connected_operator_keeps_its_order_and_band(make):
     ab[(op.rows - op.cols)[lower], op.cols[lower]] = op.values[lower]
     want = eig_banded(ab, lower=True, eigvals_only=True)
     spec = window_spectrum(op, (want[0] - 1.0, want[-1] + 1.0))
-    assert np.array_equal(spec.perm, np.arange(op.dim))
-    assert spec.bw == bw
-    assert np.array_equal(spec.values, want)
+    assert _components(spec) == [list(range(op.dim))]
+    assert np.abs(spec.values - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def _interleaved_blocks():
@@ -336,21 +351,22 @@ def _interleaved_blocks():
     return _from_dense(A), sets
 
 
-def test_interleaved_blocks_solve_in_component_order():
+def test_interleaved_blocks_solve_in_component_order(monkeypatch):
     op, sets = _interleaved_blocks()
     A = op.matrix
     vals, vecs = np.linalg.eigh(A)
     norm_a = np.abs(vals).max()
     assert np.count_nonzero(np.abs(vals - 0.75) < 1e-14) == 2
     window = (vals[0] - 1.0, vals[-1] + 1.0)
+    eigh, shapes = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: shapes.append(a.shape) or eigh(a))
     spec = window_spectrum(op, window)
-    # each block is one run of the order, its indices ascending, and the
-    # blocks follow their smallest index
-    sets = sorted(sets)
-    runs = np.split(spec.perm, np.cumsum([len(s) for s in sets])[:-1])
-    assert [r.tolist() for r in runs] == sets
-    assert spec.bw == max(len(s) for s in sets) - 1
-    assert spec.bw < np.abs(op.rows - op.cols).max()
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    # each block is one component, its indices ascending, and one solve
+    # per block size, the sizes ascending
+    assert _components(spec) == sorted(sets)
+    assert shapes == [(1, s, s) for s in sorted(len(b) for b in sets)]
     assert np.abs(spec.values - vals).max() <= 1e-13 * norm_a
     dist, largest = _projector_gap(spec, vals, vecs, *window, 1e-6 * norm_a)
     assert largest == 2             # 3/4 in two components, one cluster
@@ -361,27 +377,36 @@ def test_interleaved_blocks_solve_in_component_order():
     assert np.abs(inner - vals[6:-5]).max() <= 1e-13 * norm_a
 
 
+def _shift_one_eigenvalue(monkeypatch, bad):
+    """Make np.linalg.eigh return its bad-th eigenvalue, counted over the
+    flattened values of its calls, 1e-6 off; the vectors stay exact."""
+    eigh, seen = np.linalg.eigh, [0]
+
+    def shifted(a):
+        w, v = eigh(a)
+        w = w.copy()
+        if 0 <= bad - seen[0] < w.size:
+            w.reshape(-1)[bad - seen[0]] += 1e-6
+        seen[0] += w.size
+        return w, v
+    monkeypatch.setattr(np.linalg, "eigh", shifted)
+
+
 def test_interleaved_blocks_residual_guard(monkeypatch):
-    import scipy.linalg
     op, _ = _interleaved_blocks()
     window = (-100.0, 100.0)
-    eig_banded = scipy.linalg.eig_banded
     for bad in range(op.dim):
-        def shifted(*args, bad=bad, **kwargs):
-            vals = eig_banded(*args, **kwargs).copy()
-            vals[bad] += 1e-6
-            return vals
-        monkeypatch.setattr(scipy.linalg, "eig_banded", shifted)
+        _shift_one_eigenvalue(monkeypatch, bad)
         with pytest.raises(InvariantError, match="residual"):
             spec = window_spectrum(op, window)
-            spec.vectors(spec.values)
+            spec.vectors(np.arange(spec.values.size))
 
 
 def _projector_gap(spec, vals, vecs, lo, hi, gap):
     """The largest 2-norm distance between the projectors onto the computed
     and the dense eigenvectors, over groups of window values split at
     gaps larger than `gap`."""
-    x = spec.vectors(spec.values)
+    x = spec.vectors(np.arange(spec.values.size))
     w = vecs[:, (vals >= lo) & (vals <= hi)]
     assert x.shape == w.shape
     cuts = np.flatnonzero(np.diff(spec.values) > gap) + 1
@@ -434,10 +459,10 @@ def test_degenerate_eigenvalues_share_one_eigenspace():
 def test_near_degenerate_eigenvalues_get_their_own_vectors():
     # A = Q diag(lam) Q^T with Q two layers of Givens rotations, so A is a
     # band matrix whose eigenvectors mix neighbouring sites.  Three values
-    # 7e-11 ||A||_2 apart form one cluster that spans more than
-    # RESIDUAL_TOL ||A||_2: the QR basis of its eigenspace mixes them and
-    # fails the residual check, the Ritz vectors separate them.  Dense eigh
-    # fixes each vector only to about 1e-16 / 7e-11, hence 1e-4
+    # 7e-11 ||A||_2 apart span more than RESIDUAL_TOL ||A||_2, so a mix of
+    # their vectors fails the residual check: each value, asked for by its
+    # window index, gets its own vector.  Dense eigh fixes each vector only
+    # to about 1e-16 / 7e-11, hence 1e-4
     n = 24
     lam = np.linspace(-1.0, 1.0, n)
     lam[11:14] = 0.1 + 7e-11 * np.arange(3)
@@ -457,7 +482,9 @@ def test_near_degenerate_eigenvalues_get_their_own_vectors():
     assert vals[13] - vals[11] > RESIDUAL_TOL * norm_a
     spec = window_spectrum(op, (-0.5, 0.5))
     picks = [13, 8, 11, 12]         # the cluster, out of order, and a loner
-    x = spec.vectors(vals[picks])
+    idx = [i - np.searchsorted(vals, -0.5) for i in picks]
+    assert np.abs(spec.values[idx] - vals[picks]).max() <= 1e-13 * norm_a
+    x = spec.vectors(idx)
     for col, i in enumerate(picks):
         # the sine of the angle between the two vectors
         overlap = abs(np.vdot(vecs[:, i], x[:, col]))
@@ -467,8 +494,8 @@ def test_near_degenerate_eigenvalues_get_their_own_vectors():
 def test_window_eigenvalues_closed_window_and_singular_shift():
     # epsilon = 0: the matrix is diagonal, every eigenvalue equals a
     # diagonal entry exactly and A - lambda I is exactly singular, which
-    # the shifted LU of the residual check must survive; h = 1/4 makes the
-    # eigenvalues h n exact, so lo and hi sit exactly on eigenvalues
+    # the residual check must accept; h = 1/4 makes the eigenvalues h n
+    # exact, so lo and hi sit exactly on eigenvalues
     op = build_operator(_symbol(1, terms=[_y(1, 0, 1.0)]), 0.25, 6, 1)
     assert np.array_equal(window_spectrum(op, (0.25, 1.0)).values,
                           [0.25, 0.5, 0.75, 1.0])
@@ -479,19 +506,13 @@ def test_window_eigenvalues_closed_window_and_singular_shift():
 
 
 def test_window_residual_guard_rejects_a_shifted_eigenvalue(monkeypatch):
-    import scipy.linalg
     op = build_operator(_symbol(1, terms=[_y(1, 0, 1.0)],
                                 waves=[(0.2, (1,), None)]), 0.5, 2, 1)
     assert op.dim <= SPOT_CHECKS
     window = (-10.0, 10.0)
     assert window_spectrum(op, window).values.size == op.dim
-    eig_banded = scipy.linalg.eig_banded
     for bad in range(op.dim):
-        def shifted(*args, bad=bad, **kwargs):
-            vals = eig_banded(*args, **kwargs).copy()
-            vals[bad] += 1e-6
-            return vals
-        monkeypatch.setattr(scipy.linalg, "eig_banded", shifted)
+        _shift_one_eigenvalue(monkeypatch, bad)
         with pytest.raises(InvariantError, match="residual"):
             window_spectrum(op, window)
 
