@@ -13,9 +13,10 @@ are reconstructible as polynomials in eps; those polynomials are what the
 quantization consumes and differentiates, and `_eps_poly` is the one
 routine that evaluates them and their eps-derivatives.  The remainder
 ledger collects, per step, the angle-free content outside the normal-form
-ansatz (divided by eps^s) and is transported whole through every later
-transformation; it never re-enters the perturbation channel, which is what
-lets the perturbation norm contract quadratically.
+ansatz (divided by eps^s) and keeps each entry as it was added; reading
+`NormalFormState.rterms` transports it through the flows after its entry.
+It never re-enters the perturbation channel, which is what lets the
+perturbation norm contract quadratically.
 
 Each step: low-mode cutoff -> homological solve (in absolute units, against
 N_eps = <omega, y> + (eps/2) <z, M z>) -> time-1 flow of the generator
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -250,7 +252,7 @@ class NormalFormState:
     eps_coeffs: tuple = ()
     omega_coeffs: tuple = ()
     M_coeffs: tuple = ()
-    rterms: tuple = ()          # (step s, series stored divided by eps^s)
+    ledger: tuple = ()          # (step s, birth step, series / eps^s) as added
     norm_log: tuple = ()
     flows: tuple = ()
     step_stats: tuple = ()
@@ -260,14 +262,14 @@ class NormalFormState:
                 rterm: FourierTaylorSeries | None = None):
         omega = np.asarray(omega, dtype=float)
         M = np.asarray(M, dtype=float) if geometry.d0 else np.zeros((0, 0))
-        rterms = ()
+        ledger = ()
         if rterm is not None and not rterm.is_zero():
             if epsilon > 0:
-                rterms = ((1, rterm.scale(1.0 / epsilon)),)
+                ledger = ((1, 0, rterm.scale(1.0 / epsilon)),)
             else:
-                rterms = ((0, rterm),)
+                ledger = ((0, 0, rterm),)
         return cls(geometry=geometry, omega0=omega, M0=M, epsilon=epsilon,
-                   P=P, rterms=rterms)
+                   P=P, ledger=ledger)
 
     @classmethod
     def from_reduced(cls, red) -> "NormalFormState":
@@ -292,6 +294,22 @@ class NormalFormState:
         """<omega_p, y> + (eps/2) <z, M_p z>, the bracket-active part of N."""
         return integrable_part(self.geometry, 0.0, self.omega_p(), self.M_p(),
                                self.epsilon)
+
+    @cached_property
+    def rterms(self) -> tuple:
+        """The remainder ledger as (s, series / eps^s), each entry carried
+        through the time-1 flows after its birth step, in order.  Computed
+        on the first read and kept; an entry whose Lie series does not
+        settle within LIE_ORDER_CAP raises InvariantError here, not in the
+        step that added the flow."""
+        out = []
+        for s, birth, rs in self.ledger:
+            w = self.epsilon ** s if s else 1.0
+            for F in self.flows[birth:]:
+                rs_moved, _ = lie_transform_auto(rs.scale(w), F, 1.0)
+                rs = rs_moved.scale(1.0 / w)
+            out.append((s, rs))
+        return tuple(out)
 
     def rterm_total(self) -> FourierTaylorSeries:
         """Transported flat remainder in absolute units."""
@@ -399,17 +417,13 @@ def kam_step(state: NormalFormState, Kplus: int, gamma: float,
     P_raw = moved - integrable_part(geo, const_abs, omega_next_abs,
                                     M_next_abs, eps)
 
-    # transport the remainder ledger whole: each entry rides along the flow
+    # the new flat content joins the ledger as it stands after F; the
+    # ledger is transported only when it is read (NormalFormState.rterms)
     # and never re-enters the perturbation channel
-    new_rterms = []
-    for s, rs in state.rterms:
-        w = eps ** s if s else 1.0
-        rs_moved, _ = lie_transform_auto(rs.scale(w), F, 1.0)
-        new_rterms.append((s, rs_moved.scale(1.0 / w)))
-
+    ledger = state.ledger
     flat_new, P_next = P_raw.partition(flat_remainder_part(P_raw))
     if not flat_new.is_zero():
-        new_rterms.append((s_new, flat_new.scale(eps ** (-s_new))))
+        ledger += ((s_new, s_new, flat_new.scale(eps ** (-s_new))),)
 
     norm_after = norm(P_next)
     if norm_after > norm_before * (1.0 + 1e-9):
@@ -428,7 +442,7 @@ def kam_step(state: NormalFormState, Kplus: int, gamma: float,
         omega_coeffs=state.omega_coeffs + (d_omega / scale,),
         M_coeffs=state.M_coeffs + ((M_next_abs - M_now) / scale
                                    if geo.d0 else np.zeros((0, 0)),),
-        rterms=tuple(new_rterms),
+        ledger=ledger,
         norm_log=state.norm_log + (norm_after,),
         flows=state.flows + (F,),
         step_stats=state.step_stats + (stats,),
@@ -472,7 +486,9 @@ def iterate(state: NormalFormState, delta: ApproximationFunction,
     """Run steps until pmax, the target norm, or a rejection.
 
     The trajectory starts with the initial norm at the undepleted weights
-    and appends the post-step norm at each step's depleted weights.
+    and appends the post-step norm at each step's depleted weights.  The
+    remainder ledger is left untransported: the first read of the state's
+    `rterms` carries it through the flows.
     """
     if pmax < 0:
         raise ConfigError("pmax must be >= 0")

@@ -638,14 +638,13 @@ def to_text(s: FourierTaylorSeries) -> str:
     The header gives d, d0 and the series' kmax and degmax; rows come out in
     storage order, which is sorted (k, j, q) order."""
     g = s.geometry
-    d = g.d
+    # one format per geometry: the exponents, then repr of both floats
+    row = " | ".join([" ".join(["{}"] * g.d)] * 2
+                     + [" ".join(["{}"] * g.zdim) if g.d0 else "-",
+                        "{!r} {!r}"]).format
     lines = [f"# d d0 kmax degmax", f"{g.d} {g.d0} {s.kmax} {s.degmax}"]
-    for r, re, im in zip(s._exps.tolist(), s._coefs.real.tolist(),
-                         s._coefs.imag.tolist()):
-        k_part = " ".join(map(str, r[:d]))
-        j_part = " ".join(map(str, r[d:2 * d]))
-        q_part = " ".join(map(str, r[2 * d:])) if g.d0 else "-"
-        lines.append(f"{k_part} | {j_part} | {q_part} | {re!r} {im!r}")
+    lines += [row(*r, re, im) for r, re, im in zip(
+        s._exps.tolist(), s._coefs.real.tolist(), s._coefs.imag.tolist())]
     return "\n".join(lines) + "\n"
 
 

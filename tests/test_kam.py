@@ -23,6 +23,11 @@ from resonorm.kam import (
     solve_homological,
     symplectic_J,
 )
+from resonorm.reduction import (
+    TaylorData,
+    reduce_hamiltonian,
+    unimodular_completion,
+)
 from resonorm.series import (
     FourierTaylorSeries,
     PhaseGeometry,
@@ -514,6 +519,58 @@ def test_step_rejects_on_divisor_failure():
     _, table = check_divisors([2.0, 1.0], None, 8, 0.05, DELTA)
     assert np.array_equal(bad.k, table.k[~table.passed])
     assert len(bad) == (~table.passed).sum() and not bad.passed.any()
+
+
+def reduced_state():
+    """The reduction of a three-action model along the resonance (0, 0, 1):
+    d = 2, d0 = 1, with a non-empty flat remainder that enters the ledger
+    at step 0, and steps that each add flat content of their own."""
+    mod = unimodular_completion([(0, 0, 1)])
+    taylor = TaylorData(value=0.0, gradient=np.array([1.0, GOLDEN, 0.0]),
+                        hessian=np.diag([1.0, 1.0, 1.7]))
+    geo = PhaseGeometry(d=3, d0=0)
+    P0 = (cos_series(geo, (0, 0, 1), 1.3) + cos_series(geo, (1, 0, 1), 0.4)
+          + cos_series(geo, (0, 1, -1), 0.4))
+    red = reduce_hamiltonian(taylor, P0, mod, np.zeros(3), epsilon=1e-3,
+                             delta=DELTA, gamma=0.01, degmax=2)
+    assert not red.Rterm.is_zero()
+    return NormalFormState.from_reduced(red)
+
+
+def eager_rterms(state):
+    """The ledger carried the way a step once did it: every entry present
+    rides through each flow as the step applies it, and the step's own flat
+    content joins after the transport."""
+    eps = state.epsilon
+    out = [(s, rs) for s, birth, rs in state.ledger if birth == 0]
+    for p, F in enumerate(state.flows, 1):
+        moved = []
+        for s, rs in out:
+            w = eps ** s if s else 1.0
+            rs_moved, _ = lie_transform_auto(rs.scale(w), F, 1.0)
+            moved.append((s, rs_moved.scale(1.0 / w)))
+        out = moved + [(s, rs) for s, birth, rs in state.ledger if birth == p]
+    return out
+
+
+def test_ledger_transported_on_read_matches_the_eager_loop():
+    st = reduced_state()
+    for p in (1, 2):
+        st = kam_step(st, 4 * p, 0.01, DELTA)
+    assert [birth for _, birth, _ in st.ledger] == [0, 1, 2]
+    got, want = st.rterms, eager_rterms(st)
+    assert [s for s, _ in got] == [s for s, _ in want] == [1, 1, 2]
+    for (_, a), (_, b) in zip(got, want):
+        assert np.array_equal(a.exps(), b.exps())
+        assert np.array_equal(a.coefs(), b.coefs())
+
+
+def test_iterate_leaves_the_ledger_untransported():
+    res = iterate(reduced_state(), DELTA, Schedule(K=4, gamma=0.01), pmax=2)
+    assert res.steps_run == 2 and len(res.state.ledger) == 3
+    assert "rterms" not in vars(res.state)
+    first = res.state.rterms
+    assert res.state.rterms is first
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ def test_k0_eps_derivative_polynomial():
                       epsilon=0.1, P=st.P, p=2, eps_coeffs=(0.3, -0.2),
                       omega_coeffs=(np.array([0.5]), np.array([0.0])),
                       M_coeffs=(np.zeros((0, 0)), np.zeros((0, 0))),
-                      rterms=((0, R0), (1, R1), (2, R2)))
+                      ledger=((0, 0, R0), (1, 0, R1), (2, 0, R2)))
     I = np.array([2.0])
     e = 0.1
     # the angle-dependent part of R1 averages away

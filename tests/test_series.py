@@ -465,6 +465,32 @@ def test_text_round_trip_byte_exact_in_sorted_order():
             assert complex(*map(float, c_part)) == c
 
 
+def _to_text_by_joins(s):
+    """Reference writer: each row assembled from three joins and an
+    f-string."""
+    g, d = s.geometry, s.geometry.d
+    lines = ["# d d0 kmax degmax", f"{g.d} {g.d0} {s.kmax} {s.degmax}"]
+    for (k, j, q), c in s.terms():
+        k_part = " ".join(map(str, k))
+        j_part = " ".join(map(str, j))
+        q_part = " ".join(map(str, q)) if g.d0 else "-"
+        lines.append(f"{k_part} | {j_part} | {q_part} | {c.real!r} {c.imag!r}")
+    return "\n".join(lines) + "\n"
+
+
+def test_text_matches_the_reference_writer_byte_for_byte():
+    rng = np.random.default_rng(73)
+    for geo in (G1, PhaseGeometry(d=2, d0=0), G11, G21):
+        s = random_series(geo, rng, nterms=60, kmax=12, degmax=4)
+        # negative zeros, integral floats and tiny exponents print via repr
+        s = s + FourierTaylorSeries(geo, {
+            ((0,) * geo.d, (0,) * geo.d, (0,) * geo.zdim): complex(3.0, -0.0),
+            ((-11,) * geo.d, (1,) * geo.d, (0,) * geo.zdim): 1.25e-300j})
+        assert to_text(s) == _to_text_by_joins(s)
+    zero = FourierTaylorSeries.zero(G21)
+    assert to_text(zero) == _to_text_by_joins(zero)
+
+
 def test_construction_validation_and_prune():
     with pytest.raises(ValueError, match="index dims 2,1,2"):
         FourierTaylorSeries(G11, {((0, 0), (0,), (0, 0)): 1.0})
