@@ -29,7 +29,7 @@ from .errors import (
     InvariantError,
     ResonormError,
 )
-from .freqsets import ZoneSpec, excluded_set_measure, summability_check, zones_measure_mc
+from .freqsets import ZoneSpec, summability_check, zones_and_excluded_set
 from .gevrey import (
     ApproximationFunction,
     ba_integrals,
@@ -444,15 +444,15 @@ def cmd_measure(cfg: RunConfig, outdir: Path, seed: int) -> int:
     d = cfg.get("measure", "d", 2, int)
     samples = cfg.get("measure", "samples", 100_000, int)
     specs = cfg.get("measure", "zones", [], lambda s: _rows(s, _zone))
-    rows = []
-    for spec, (est, ci) in zip(specs, zones_measure_mc(specs, l, samples, seed)):
-        exact = _exact_zone_measure(spec.k, spec.beta)
-        rows.append(("/".join(str(v) for v in spec.k), spec.beta, est, ci,
-                     exact if exact is not None else math.nan, math.nan))
     gamma1 = cfg.get("measure", "gamma1", 1e-3, float)
     Kmax = cfg.get("measure", "Kmax", 6, int)
-    est, ci, maj = excluded_set_measure(gamma1, delta, Kmax, l, d, samples,
-                                        seed)
+    zones, (est, ci, maj) = zones_and_excluded_set(
+        specs, gamma1, delta, Kmax, l, d, samples, seed)
+    rows = []
+    for spec, (z_est, z_ci) in zip(specs, zones):
+        exact = _exact_zone_measure(spec.k, spec.beta)
+        rows.append(("/".join(str(v) for v in spec.k), spec.beta, z_est, z_ci,
+                     exact if exact is not None else math.nan, math.nan))
     rows.append(("union", gamma1, est, ci, math.nan, maj))
     write_csv(outdir / "measure.csv",
               ["k_or_union", "beta", "estimate", "ci95", "exact_if_known",

@@ -8,13 +8,13 @@ per-mode strip bound  |{w in [0,1]^l : |<w,k>| <= beta}| <= 2*beta/|k|.
 
 The union (the excluded set) takes beta per shell |k| = m from
 `kam.divisor_thresholds`, the first divisor condition of `check_divisors`,
-keeps one mode per +-k pair, and is counted in two passes per chunk of
-the draw.  The screen splits k = (k', k_d) by its last Fourier digit.  For
-every nonzero prefix k' it takes s = <w', k'> and the nearest digit
-c = rint(-s/w_d), and flags the sample when |s + c w_d| <= beta*(k') + e,
-where beta*(k') is the largest beta over that prefix's modes and e bounds
-the rounding error.  It also flags every sample with
-w_d <= 2 (max beta + e).  The exact check then evaluates
+keeps one mode per +-k pair, and is counted in two stages per chunk of
+the draw, a screen and an exact check.  The screen splits k = (k', k_d)
+by its last Fourier digit.  For every nonzero prefix k' it takes
+s = <w', k'> and the nearest digit c = rint(-s/w_d), and flags the sample
+when |s + c w_d| <= beta*(k') + e, where beta*(k') is the largest beta
+over that prefix's modes and e bounds the rounding error.  It also flags
+every sample with w_d <= 2 (max beta + e).  The exact check then evaluates
 |<w,k>| <= beta_k for every mode on the flagged samples only, as one
 W_f @ K^T product.
 
@@ -26,6 +26,14 @@ include every hit, and the estimate equals a loop over every mode and
 every sample.  (That product and a per-mode mat-vec may round <w,k>
 differently in the last bit, so the two could disagree only on a sample
 within an ulp of a strip's edge.)
+
+`measure` counts the zones and the union in one pass over one seeded
+draw (`zones_and_excluded_set`): each chunk is drawn once, into a buffer
+allocated once, and handed to every zone's indicator and to the union's
+screen and exact check, whose per-chunk arrays are also allocated once
+and written in place.  The union keeps its chunks and each zone its
+per-row mat-vec, on the same stream, so both results equal those of
+separate `zones_measure_mc` and `excluded_set_measure` calls.
 """
 from __future__ import annotations
 
@@ -34,7 +42,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.random  # numpy loads it lazily: at import, not inside a command
+from numpy.random import default_rng  # at import: numpy loads it lazily
 
 from .errors import ConfigError
 from .gevrey import ApproximationFunction
@@ -57,9 +65,14 @@ class ZoneSpec:
             raise ConfigError("k must be nonzero")
 
 
-def _zone_indicator(spec: ZoneSpec, W: np.ndarray) -> np.ndarray:
+def _zone_indicator(spec: ZoneSpec, W: np.ndarray, tmp=None,
+                    out=None) -> np.ndarray:
+    """|<w,k>| <= beta for each row w of W; when given, `tmp` (float) and
+    `out` (bool), one entry per row, receive <w,k> and the result."""
     k = np.asarray(spec.k, dtype=float)
-    return np.abs(W[:, :k.size] @ k) <= spec.beta
+    s = np.matmul(W[:, :k.size], k, out=tmp)
+    np.abs(s, out=s)
+    return np.less_equal(s, spec.beta, out=out)
 
 
 def zone_measure_mc(spec: ZoneSpec, l: int, samples: int, seed: int):
@@ -75,23 +88,59 @@ def zones_measure_mc(specs, l: int, samples: int, seed: int):
     """`zone_measure_mc` for several zones from one draw: each chunk of
     the seeded stream is drawn once and tested with every zone's own
     indicator, so each (estimate, ci95) equals that of its own call."""
+    _check_zones(specs, l, samples)
+    hits, _ = _count(specs, None, l, samples, seed)
+    return [_binomial(h, samples) for h in hits]
+
+
+def excluded_set_measure(gamma1: float, delta: ApproximationFunction,
+                         Kmax: int, l: int, d: int, samples: int, seed: int):
+    """MC measure of the union of zones T_k(gamma1/Delta(|k|)) over
+    0 < |k| <= Kmax, plus the analytic majorant for comparison.
+
+    Each chunk of the draw is screened per nonzero prefix k' and then
+    checked exactly on the flagged samples only; see the module docstring.
+    Returns (estimate, ci95, majorant)."""
+    _check_union(gamma1, l, d, samples)
+    _, hits = _count([], _union_screen(gamma1, delta, Kmax, l, d, samples),
+                     l, samples, seed)
+    return (*_binomial(hits, samples), union_majorant(gamma1, delta, Kmax, d))
+
+
+def zones_and_excluded_set(specs, gamma1: float, delta: ApproximationFunction,
+                           Kmax: int, l: int, d: int, samples: int,
+                           seed: int):
+    """`zones_measure_mc(specs, l, samples, seed)` and
+    `excluded_set_measure(gamma1, delta, Kmax, l, d, samples, seed)` from
+    one pass over one draw: each chunk is drawn once and counted by every
+    zone and by the union, so both results equal those of the two calls.
+    Both inputs are checked before the draw, in the calls' order."""
+    _check_zones(specs, l, samples)
+    _check_union(gamma1, l, d, samples)
+    zone_hits, hits = _count(
+        specs, _union_screen(gamma1, delta, Kmax, l, d, samples), l, samples,
+        seed)
+    return ([_binomial(h, samples) for h in zone_hits],
+            (*_binomial(hits, samples),
+             union_majorant(gamma1, delta, Kmax, d)))
+
+
+def _check_zones(specs, l: int, samples: int):
     if samples < 10_000:
         raise ConfigError("use at least 1e4 samples")
     if any(len(spec.k) > l for spec in specs):
         raise ConfigError("mode dimension exceeds the cube dimension")
-    if not specs:
-        return []
-    rng = np.random.default_rng(seed)
-    hits = [0] * len(specs)
-    chunk = 200_000
-    left = samples
-    while left > 0:
-        n = min(chunk, left)
-        W = rng.random((n, l))
-        for i, spec in enumerate(specs):
-            hits[i] += int(_zone_indicator(spec, W).sum())
-        left -= n
-    return [_binomial(h, samples) for h in hits]
+
+
+def _check_union(gamma1: float, l: int, d: int, samples: int):
+    if not math.isfinite(gamma1) or gamma1 < 0:
+        raise ConfigError("gamma1 must be finite and non-negative")
+    if d > l:
+        raise ConfigError("mode dimension exceeds the cube dimension")
+    if d < 1:
+        raise ConfigError("mode dimension must be at least 1")
+    if samples < 10_000:
+        raise ConfigError("use at least 1e4 samples")
 
 
 def _binomial(hits: int, samples: int):
@@ -116,22 +165,10 @@ def union_majorant(gamma1: float, delta: ApproximationFunction, Kmax: int,
     return float(np.sum(((2 * m + 1) ** d - (2 * m - 1) ** d) * 2.0 * beta / m))
 
 
-def excluded_set_measure(gamma1: float, delta: ApproximationFunction,
-                         Kmax: int, l: int, d: int, samples: int, seed: int):
-    """MC measure of the union of zones T_k(gamma1/Delta(|k|)) over
-    0 < |k| <= Kmax, plus the analytic majorant for comparison.
-
-    Each chunk of the draw is screened per nonzero prefix k' and then
-    checked exactly on the flagged samples only; see the module docstring.
-    Returns (estimate, ci95, majorant)."""
-    if not math.isfinite(gamma1) or gamma1 < 0:
-        raise ConfigError("gamma1 must be finite and non-negative")
-    if d > l:
-        raise ConfigError("mode dimension exceeds the cube dimension")
-    if d < 1:
-        raise ConfigError("mode dimension must be at least 1")
-    if samples < 10_000:
-        raise ConfigError("use at least 1e4 samples")
+def _union_screen(gamma1: float, delta: ApproximationFunction, Kmax: int,
+                  l: int, d: int, samples: int):
+    """The screen over the excluded set's modes, one per +-k pair with
+    beta = gamma1/Delta(|k|) > 0, or None when there is no such mode."""
     # the zones of k and -k are one set; product order lists each pair's
     # negative half before the origin, so keep the modes after it
     ks = np.array(list(_modes_up_to(d, Kmax)), dtype=float).reshape(-1, d)
@@ -139,44 +176,89 @@ def excluded_set_measure(gamma1: float, delta: ApproximationFunction,
     shell = np.abs(ks).max(axis=1).astype(int)
     betas = divisor_thresholds(gamma1, delta, Kmax, 0)[shell - 1, 0]
     ks, betas = ks[betas > 0], betas[betas > 0]   # a zero-width zone is empty
-    hits = 0
-    if betas.size:
+    return _Screen(ks, betas, Kmax, l, samples) if betas.size else None
+
+
+def _chunk_rows(l: int, prefixes: int, samples: int) -> int:
+    # the draw plus two chunk x prefix arrays stay within 100k x l floats
+    return min(samples, max(1024, 100_000 * l // (l + 2 * prefixes)))
+
+
+class _Screen:
+    """The union's screen and exact check (module docstring) for chunks of
+    up to `chunk` rows, with every per-chunk array allocated here once."""
+
+    def __init__(self, ks: np.ndarray, betas: np.ndarray, Kmax: int, l: int,
+                 samples: int):
+        d = ks.shape[1]
         # beta*(k') per prefix: the modes of one prefix are adjacent rows
         pre = ks[:, :-1]
         first = np.flatnonzero(np.r_[True, (pre[1:] != pre[:-1]).any(axis=1)])
         bstar = np.maximum.reduceat(betas, first)
         live = pre[first].any(axis=1)
-        prefixes, bstar = pre[first][live].T, bstar[live]
+        self.prefixes, bstar = pre[first][live].T, bstar[live]
         # |fl(<w,k>) - <w,k>| <= d^2 Kmax u on the unit cube, in any order
         slack = 4.0 * d * d * Kmax * np.finfo(float).eps
-        near = (bstar + slack)[:, None]
-        lane = 2.0 * (betas.max() + slack)
-        # the draw plus two chunk x prefix arrays stay within 100k x l floats
-        chunk = max(1024, 100_000 * l // (l + 2 * bstar.size))
-        rng = np.random.default_rng(seed)
-        left = samples
-        with np.errstate(divide="ignore", invalid="ignore"):
-            while left > 0:
-                n = min(chunk, left)
-                W = rng.random((n, l))
-                wd = W[:, d - 1]
-                flag = wd <= lane
-                if bstar.size:
-                    # prefix x sample: s = <w', k'>, then s + c w_d
-                    s = np.multiply.outer(prefixes[0], W[:, 0])
-                    for j in range(1, d - 1):
-                        s += np.multiply.outer(prefixes[j], W[:, j])
-                    c = s / wd
-                    np.rint(c, out=c)
-                    c *= wd
-                    s -= c
-                    np.abs(s, out=s)
-                    flag |= (s <= near).any(axis=0)
-                Wf = W[flag, :d]
-                hits += int((np.abs(Wf @ ks.T) <= betas).any(axis=1).sum())
-                left -= n
-    p, ci95 = _binomial(hits, samples)
-    return p, ci95, union_majorant(gamma1, delta, Kmax, d)
+        self.near = (bstar + slack)[:, None]
+        self.lane = 2.0 * (betas.max() + slack)
+        self.ks, self.betas = ks, betas
+        self.chunk = chunk = _chunk_rows(l, bstar.size, samples)
+        self.cols = np.empty((d, chunk))
+        self.s = np.empty((bstar.size, chunk))
+        self.c = np.empty_like(self.s)
+        self.close = np.empty(self.s.shape, dtype=bool)
+        self.flag = np.empty(chunk, dtype=bool)
+        self.any_close = np.empty(chunk, dtype=bool)
+
+    def hits(self, W: np.ndarray) -> int:
+        """How many rows of the draw W lie in the union."""
+        n, d = len(W), len(self.cols)
+        cols = self.cols[:, :n]
+        np.copyto(cols, W[:, :d].T)   # contiguous operands for the screen
+        wd = cols[d - 1]
+        flag = np.less_equal(wd, self.lane, out=self.flag[:n])
+        if self.near.size:
+            # prefix x sample: s = <w', k'>, then s + c w_d
+            s, c = self.s[:, :n], self.c[:, :n]
+            np.multiply.outer(self.prefixes[0], cols[0], out=s)
+            for j in range(1, d - 1):
+                s += np.multiply.outer(self.prefixes[j], cols[j], out=c)
+            np.divide(s, wd, out=c)
+            np.rint(c, out=c)
+            c *= wd
+            s -= c
+            np.abs(s, out=s)
+            close = np.less_equal(s, self.near, out=self.close[:, :n])
+            flag |= np.logical_or.reduce(close, axis=0, out=self.any_close[:n])
+        Wf = W[flag, :d]
+        return int(np.count_nonzero(
+            (np.abs(Wf @ self.ks.T) <= self.betas).any(axis=1)))
+
+
+def _count(specs, screen, l: int, samples: int, seed: int):
+    """Hits of every zone and of the union (through its screen, or none)
+    in one pass over the seeded draw of samples x l uniforms."""
+    zone_hits = [0] * len(specs)
+    hits = 0
+    if not specs and screen is None:
+        return zone_hits, hits
+    chunk = screen.chunk if screen else _chunk_rows(l, 0, samples)
+    W = np.empty((chunk, l))
+    tmp, inside = np.empty(chunk), np.empty(chunk, dtype=bool)
+    rng = default_rng(seed)
+    left = samples
+    # the screen divides by w_d, which may be 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while left > 0:
+            n = min(chunk, left)
+            w = rng.random(out=W[:n])
+            for i, spec in enumerate(specs):
+                zone_hits[i] += int(np.count_nonzero(
+                    _zone_indicator(spec, w, tmp[:n], inside[:n])))
+            if screen is not None:
+                hits += screen.hits(w)
+            left -= n
+    return zone_hits, hits
 
 
 @dataclass

@@ -627,6 +627,7 @@ OUT_OF_RANGE_CFG = {"reduce": REDUCE_CFG, "iterate": DIRECT_CFG,
     ("scar", "mass_window = -1", r"\[scarring\] mass_window = -1.0 must be"),
     ("measure", "zones = 1.5 0 0.1", r"bad value for \[measure\] zones"),
     ("measure", "d = 0", "mode dimension must be at least 1"),
+    ("measure", "zones = 1 0 1 0.1", "mode dimension exceeds the cube dimension"),
     ("scar", "lam = nan", "lam must exceed 1"),
     ("scar", "delta_exp = nan", "window exponent must exceed 7/4"),
     ("scar", "L = nan", r"need finite h > 0, L >= 0"),

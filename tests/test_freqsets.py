@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from resonorm import freqsets
+from resonorm.cli import main
 from resonorm.errors import ConfigError
 from resonorm.freqsets import (
     SummabilityResult,
@@ -15,6 +17,7 @@ from resonorm.freqsets import (
     summability_check,
     union_majorant,
     zone_measure_mc,
+    zones_and_excluded_set,
     zones_measure_mc,
 )
 from resonorm.gevrey import (
@@ -176,6 +179,60 @@ def test_excluded_set_measure_gamma_estimates(seed, want):
     est, _, _ = excluded_set_measure(2e-3, power_log_delta(3.0), Kmax=8, l=2,
                                      d=2, samples=2_000_000, seed=seed)
     assert est == want
+
+
+ZONES = [ZoneSpec(k=(1, 0), beta=0.1), ZoneSpec(k=(0, 1), beta=0.05),
+         ZoneSpec(k=(1, 1), beta=0.2), ZoneSpec(k=(1, -1), beta=0.1)]
+
+
+@pytest.mark.parametrize("specs, gamma1, Kmax, l, d, samples, seed", [
+    (ZONES, 2e-3, 8, 2, 2, 123_457, 51),   # 11,111-row chunks, a partial one
+    (ZONES, 2e-3, 8, 2, 2, 10_000, 52),    # fewer samples than one chunk
+    (ZONES + [ZoneSpec(k=(2, 1, 1), beta=0.2)], 4e-3, 5, 4, 2, 60_001, 53),
+    (ZONES, 0.05, 4, 2, 1, 250_001, 54),   # d = 1: no prefix, the lane only
+    (ZONES, 0.0, 4, 2, 2, 150_000, 55),    # gamma1 = 0: the zones alone
+    ([], 1e-2, 3, 3, 3, 50_000, 56),       # no zones: the union alone
+])
+def test_one_pass_equals_the_separate_calls(specs, gamma1, Kmax, l, d,
+                                            samples, seed):
+    delta = power_log_delta(a=3.0, alpha=2.0)
+    zones, union = zones_and_excluded_set(specs, gamma1, delta, Kmax, l, d,
+                                          samples, seed)
+    assert zones == zones_measure_mc(specs, l, samples, seed)
+    assert union == excluded_set_measure(gamma1, delta, Kmax, l, d, samples,
+                                         seed)
+    # and each zone as one indicator over the whole draw
+    W = np.random.default_rng(seed).random((samples, l))
+    assert [est for est, _ in zones] == [
+        int(_zone_indicator(s, W).sum()) / samples for s in specs]
+    assert (union[0] > 0.0) == (gamma1 > 0.0)
+
+
+def test_measure_draws_the_stream_once(tmp_path, monkeypatch):
+    # a counting proxy around the generator that freqsets seeds: `measure`
+    # seeds one and draws samples x l numbers from it, each exactly once
+    seeded, drawn = [], []
+
+    class Counting:
+        def __init__(self, seed):
+            seeded.append(seed)
+            self.rng = np.random.default_rng(seed)
+
+        def random(self, *args, **kwargs):
+            out = self.rng.random(*args, **kwargs)
+            drawn.append(out.size)
+            return out
+
+    monkeypatch.setattr(freqsets, "default_rng", Counting)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[gevrey]\nfamily = power_log\na = 3.0\nalpha = 2.0\n"
+                   "[measure]\nl = 3\nd = 2\nsamples = 123457\n"
+                   "zones = 1 0 0.1 ; 1 1 0.2 ; 2 1 -1 0.05\n"
+                   "gamma1 = 2e-3\nKmax = 6\n[run]\nseed = 5\n")
+    assert main(["measure", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 0
+    assert seeded == [5]
+    assert sum(drawn) == 123_457 * 3
 
 
 @pytest.mark.parametrize("kw", [
