@@ -388,9 +388,7 @@ def _oracle_operator(cfg: RunConfig, state: NormalFormState, h, window):
     if Nt < need:
         raise CoverageError(
             f"oracle basis Nt={Nt} does not cover the window; need >= {need}")
-    Nh = cfg.get("oracle", "Nh", 16, int)
-    dim_cap = cfg.get("oracle", "dim_cap", 4096, int)
-    return build_operator(symbol, h, Nt, Nh, dim_cap=dim_cap)
+    return build_operator(symbol, h, Nt, cfg.get("oracle", "Nh", 16, int))
 
 
 def _interior_filter(op, window):

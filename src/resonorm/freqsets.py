@@ -33,7 +33,7 @@ allocated once, and handed to every zone's indicator and to the union's
 screen and exact check, whose per-chunk arrays are also allocated once
 and written in place.  The union keeps its chunks and each zone its
 per-row mat-vec, on the same stream, so both results equal those of
-separate `zones_measure_mc` and `excluded_set_measure` calls.
+separate `zone_measure_mc` and `excluded_set_measure` calls.
 """
 from __future__ import annotations
 
@@ -81,16 +81,9 @@ def zone_measure_mc(spec: ZoneSpec, l: int, samples: int, seed: int):
     Returns (estimate, ci95): the mean of the indicator and the 95%
     binomial confidence half-width.  Deterministic for a fixed seed.
     """
-    return zones_measure_mc([spec], l, samples, seed)[0]
-
-
-def zones_measure_mc(specs, l: int, samples: int, seed: int):
-    """`zone_measure_mc` for several zones from one draw: each chunk of
-    the seeded stream is drawn once and tested with every zone's own
-    indicator, so each (estimate, ci95) equals that of its own call."""
-    _check_zones(specs, l, samples)
-    hits, _ = _count(specs, None, l, samples, seed)
-    return [_binomial(h, samples) for h in hits]
+    _check_zones([spec], l, samples)
+    (hits,), _ = _count([spec], None, l, samples, seed)
+    return _binomial(hits, samples)
 
 
 def excluded_set_measure(gamma1: float, delta: ApproximationFunction,
@@ -110,11 +103,11 @@ def excluded_set_measure(gamma1: float, delta: ApproximationFunction,
 def zones_and_excluded_set(specs, gamma1: float, delta: ApproximationFunction,
                            Kmax: int, l: int, d: int, samples: int,
                            seed: int):
-    """`zones_measure_mc(specs, l, samples, seed)` and
+    """`zone_measure_mc(spec, l, samples, seed)` for each of specs and
     `excluded_set_measure(gamma1, delta, Kmax, l, d, samples, seed)` from
     one pass over one draw: each chunk is drawn once and counted by every
-    zone and by the union, so both results equal those of the two calls.
-    Both inputs are checked before the draw, in the calls' order."""
+    zone and by the union, so the results equal those of the separate
+    calls.  Both inputs are checked before the draw, in the calls' order."""
     _check_zones(specs, l, samples)
     _check_union(gamma1, l, d, samples)
     zone_hits, hits = _count(

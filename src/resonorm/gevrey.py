@@ -128,23 +128,6 @@ def subgevrey_exp_delta(beta: float, alpha: float = 2.0,
                                  name=f"subgevrey_exp(beta={beta})")
 
 
-def tabulated_delta(ts, vals, alpha: float = 2.0) -> ApproximationFunction:
-    """Monotone interpolation of tabulated samples, linear in log Delta,
-    extended by the last log-slope beyond the table (so Delta is +inf
-    where that leaves the float range)."""
-    ts = np.asarray(ts, dtype=float)
-    vals = np.asarray(vals, dtype=float)
-    if np.any(np.diff(ts) <= 0) or np.any(np.diff(vals) <= 0):
-        raise ValueError("samples must be strictly increasing")
-    logv = np.log(vals)
-    slope = (logv[-1] - logv[-2]) / (ts[-1] - ts[-2])
-
-    def log(t):
-        return np.interp(t, ts, logv) + slope * np.maximum(t - ts[-1], 0.0)
-
-    return ApproximationFunction(alpha, log, name="tabulated")
-
-
 def _geometric_grid(lo: float, hi: float, nodes_per_decade: int) -> np.ndarray:
     decades = math.log10(hi / lo)
     n = max(8, int(round(decades * nodes_per_decade)))

@@ -16,10 +16,13 @@ factor as c e^{i<k,x>} prod_a (h (n_a + k_a/2))^(j_a); transitions
 leaving the box are dropped, and comparisons therefore stay away from the
 box edge.  Per resonant degree of freedom the basis is the first Nh
 Hermite levels of the unit oscillator, with position and momentum given
-by the standard ladder matrices at scale sqrt(h/2); the q digits of a row
-act as the Kronecker product over resonant directions of the Weyl-ordered
-monomials `weyl_uv_power` (u v is the symmetrized product).  A real
-symbol gives a Hermitian matrix.
+by the standard ladder matrices U and P at scale sqrt(h/2), built once
+per operator; the q digits of a row act as the Kronecker product over
+resonant directions of `weyl_uv_power`, McCoy's Weyl ordering of any
+monomial u^a v^b (u v is the symmetrized product).  A real symbol gives a
+Hermitian matrix.  Products of the truncated ladders are exact only below
+the top levels (U U misses the level Nh it would pass through), so every
+comparison reads the operator through `interior`, which cuts them.
 
 Storage.  A `ModelOperator` holds the operator once, as its nonzero
 entries (row, col, value) in row-major order, both triangles, with
@@ -53,6 +56,8 @@ exact degeneracy across components gets orthonormal vectors, one per
 component.  Every vector handed out, and compare's spot checks, pass a
 residual check over the entries.  `diagonalize`, the dense eigh with
 checked residuals, is the reference that tests and library callers use.
+No dimension is capped: each dense array formed, a size class of stacked
+blocks or diagonalize's matrix, is, at DENSE_ENTRIES_MAX entries.
 """
 from __future__ import annotations
 
@@ -65,7 +70,7 @@ import numpy.random  # numpy loads it lazily: at import, not inside a command
 
 from .errors import ConfigError, CoverageError, InvariantError
 
-DIM_CAP_DEFAULT = 4096
+DENSE_ENTRIES_MAX = 4096 ** 2   # in any one dense array, else ConfigError
 # eigenpairs whose residual diagonalize checks, and window eigenvalues whose
 # eigenvector window_spectrum checks (all, when fewer)
 SPOT_CHECKS = 10
@@ -102,43 +107,29 @@ class ModelOperator:
 
 def hermite_position(Nh: int, h: float) -> np.ndarray:
     """<m'|u|m> ladder matrix: sqrt(h/2) (a + a^dagger)."""
-    U = np.zeros((Nh, Nh))
-    for m in range(Nh - 1):
-        U[m, m + 1] = U[m + 1, m] = math.sqrt(h * (m + 1) / 2.0)
-    return U
+    off = np.sqrt(h * np.arange(1, Nh) / 2.0)
+    return np.diag(off, 1) + np.diag(off, -1)
 
 
 def hermite_momentum(Nh: int, h: float) -> np.ndarray:
     """<m'|h D_u|m>: i sqrt(h/2) (a^dagger - a)."""
-    P = np.zeros((Nh, Nh), dtype=complex)
-    for m in range(Nh - 1):
-        P[m + 1, m] = 1j * math.sqrt(h * (m + 1) / 2.0)
-        P[m, m + 1] = -1j * math.sqrt(h * (m + 1) / 2.0)
-    return P
+    off = 1j * np.sqrt(h * np.arange(1, Nh) / 2.0)
+    return np.diag(off, -1) - np.diag(off, 1)
 
 
-def weyl_uv_power(upow: int, vpow: int, Nh: int, h: float) -> np.ndarray:
-    """Weyl quantization of u^upow v^vpow on one Hermite factor.
+def weyl_uv_power(upow: int, vpow: int, U: np.ndarray,
+                  P: np.ndarray) -> np.ndarray:
+    """Weyl quantization of u^upow v^vpow on one Hermite factor with
+    ladders U and P, by McCoy's rule
 
-    Supported monomials: 1, u, v, u^2, v^2, u v (symmetrized product);
-    higher powers are outside the model class.
-    """
-    U = hermite_position(Nh, h).astype(complex)
-    P = hermite_momentum(Nh, h)
-    key = (upow, vpow)
-    if key == (0, 0):
-        return np.eye(Nh, dtype=complex)
-    if key == (1, 0):
-        return U
-    if key == (0, 1):
-        return P
-    if key == (2, 0):
-        return U @ U
-    if key == (0, 2):
-        return P @ P
-    if key == (1, 1):
-        return 0.5 * (U @ P + P @ U)
-    raise ConfigError(f"unsupported oscillator monomial u^{upow} v^{vpow}")
+        Op^W(u^a v^b) = 2^(-a) sum_r C(a, r) U^r P^b U^(a-r).
+
+    Left and right multiplication by U commute, so the sum is a-fold
+    symmetrization, X <- (U X + X U)/2 starting from X = P^b."""
+    X = np.linalg.matrix_power(P, vpow)
+    for _ in range(upow):
+        X = 0.5 * (U @ X + X @ U)
+    return X
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +154,7 @@ def _sum_coincident(keys, vals):
     return out, sums
 
 
-def build_operator(symbol, h: float, Nt: int, Nh: int, *,
-                   dim_cap: int = DIM_CAP_DEFAULT) -> ModelOperator:
+def build_operator(symbol, h: float, Nt: int, Nh: int) -> ModelOperator:
     """Weyl-quantize a real FourierTaylorSeries symbol on the torus box
     |n| <= Nt (x) Nh Hermite levels per resonant direction.
 
@@ -196,8 +186,7 @@ def build_operator(symbol, h: float, Nt: int, Nh: int, *,
                               dtype=np.int64)
     nh = len(hermite_levels)
     dim = len(n) * nh
-    if dim > dim_cap:
-        raise ConfigError(f"matrix dimension {dim} exceeds cap {dim_cap}")
+    U, P = hermite_position(Nh, h).astype(complex), hermite_momentum(Nh, h)
 
     parts = [(np.zeros(0, np.int64),) * 2 + (np.zeros(0, complex),)]
     for row, c in zip(symbol.exps(), symbol.coefs()):
@@ -209,7 +198,7 @@ def build_operator(symbol, h: float, Nt: int, Nh: int, *,
         f = c * np.prod((h * (n[inside] + k / 2.0)) ** j, axis=1)
         osc = np.ones((1, 1), dtype=complex)
         for a in range(d0):
-            osc = np.kron(osc, weyl_uv_power(q[a], q[d0 + a], Nh, h))
+            osc = np.kron(osc, weyl_uv_power(q[a], q[d0 + a], U, P))
         oi, oj = np.nonzero(osc)
         parts.append(((dst[:, None] * nh + oi).ravel(),
                       (src[:, None] * nh + oj).ravel(),
@@ -255,7 +244,9 @@ def diagonalize(op: ModelOperator):
 
     Residuals ||A v - lambda v|| of SPOT_CHECKS distinct pairs (all of
     them in a smaller matrix), drawn with a fixed seed, are checked against
-    RESIDUAL_TOL * max|lambda|, which equals ||A||_2 for a Hermitian A."""
+    RESIDUAL_TOL * max|lambda|, which equals ||A||_2 for a Hermitian A.
+    A matrix of more than DENSE_ENTRIES_MAX entries raises ConfigError."""
+    _check_dense(op.dim ** 2, f"the {op.dim} x {op.dim} matrix")
     A = op.matrix
     try:
         vals, vecs = np.linalg.eigh(A)
@@ -307,6 +298,12 @@ class WindowSpectrum:
         return x
 
 
+def _check_dense(entries: int, what: str):
+    if entries > DENSE_ENTRIES_MAX:
+        raise ConfigError(f"{what} has {entries} entries, above the "
+                          f"dense-array bound of {DENSE_ENTRIES_MAX}")
+
+
 def _component_labels(n: int, rows, cols) -> np.ndarray:
     """The smallest index of the connected component of each index
     0..n-1 in the graph with edges (rows[i], cols[i]), both directions
@@ -334,7 +331,9 @@ def window_spectrum(op: ModelOperator, window) -> WindowSpectrum:
     their indices ascending.  The components of each size go into one
     stacked dense array and one np.linalg.eigh call, real when every
     entry of the stack is, so every eigenvalue and eigenvector comes from
-    one solve per size; the extremes give max|lambda| = ||A||_2.  Then
+    one solve per size; the extremes give max|lambda| = ||A||_2.  A size
+    class of more than DENSE_ENTRIES_MAX entries raises ConfigError before
+    any block is formed.  Then
     min(SPOT_CHECKS, window size) window values, drawn with a fixed seed,
     are confirmed by `WindowSpectrum.vectors`, which raises on a value off
     the spectrum."""
@@ -348,8 +347,12 @@ def window_spectrum(op: ModelOperator, window) -> WindowSpectrum:
     comp[order] = np.repeat(np.arange(starts.size), sizes)
     pos = np.empty(n, dtype=np.int64)          # its place in the component
     pos[order] = np.arange(n) - np.repeat(starts, sizes)
+    counts = np.bincount(sizes)                # components of each size
+    entries = counts * np.arange(counts.size) ** 2
+    s = int(entries.argmax())
+    _check_dense(int(entries[s]), f"{counts[s]} stacked blocks of size {s}")
     eigvecs, vals, source = [None] * len(members), [], []
-    for s in sorted(set(sizes.tolist())):
+    for s in np.flatnonzero(counts).tolist():
         ks = np.flatnonzero(sizes == s)
         e = sizes[comp[op.rows]] == s
         A = np.zeros((ks.size, s, s), dtype=complex)

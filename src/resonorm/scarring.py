@@ -268,33 +268,3 @@ def match_quasimodes(table: QuasiEigenvalueTable, oracle_eigs):
     return [(m, i, e, d) for m, i, e, d in
             zip(_labels(table.m[keep]), best[keep].tolist(),
                 eigs[best[keep]].tolist(), best_d[keep].tolist())]
-
-
-# ---------------------------------------------------------------------------
-# supporting sweeps
-# ---------------------------------------------------------------------------
-
-def weyl_count_check(eigs, band, h: float, d: int, phase_volume: float):
-    """Eigenvalue count in the band against (2 pi h)^(-d) * volume;
-    returns (count, prediction, relative error)."""
-    eigs = np.asarray(eigs, dtype=float)
-    lo, hi = band
-    count = int(np.count_nonzero((eigs >= lo) & (eigs <= hi)))
-    pred = phase_volume / (2.0 * math.pi * h) ** d
-    rel = abs(count - pred) / max(pred, 1e-300)
-    return count, pred, rel
-
-
-def epsilon_collision_sweep(state_builder, eps_values, h: float, maslov,
-                            modes, delta_exp: float):
-    """Fraction of epsilon grid points at which some window pair collides
-    (|mu_m - mu_m'| < h^delta); exercises the small-collision-measure
-    claim on a grid."""
-    hd = h ** delta_exp
-    hits = 0
-    for eps in eps_values:
-        mus = build_quasi_table(state_builder(eps), h, maslov, modes).mu
-        gaps = np.abs(np.subtract.outer(mus, mus))[~np.eye(mus.size,
-                                                          dtype=bool)]
-        hits += bool(np.any(gaps < hd))
-    return hits / max(len(list(eps_values)), 1)

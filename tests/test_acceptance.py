@@ -224,7 +224,7 @@ def _desk_model(h, eps=0.01, lam=1.0, lamt=1.0, w=1.0, window=(0.12, 0.38),
                 Nh=24, coupling=0.1):
     Nt = int(math.ceil(window[1] / (h * w))) + 4
     st, op = desk_model(h, Nt, Nh, eps=eps, lam=lam, lamt=lamt, w=w,
-                        coupling=coupling, dim_cap=8000)
+                        coupling=coupling)
     sub = interior(op)
     vals, vecs = np.linalg.eigh(sub.matrix)
     sel = (vals >= window[0]) & (vals <= window[1])

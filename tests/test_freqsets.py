@@ -18,13 +18,8 @@ from resonorm.freqsets import (
     union_majorant,
     zone_measure_mc,
     zones_and_excluded_set,
-    zones_measure_mc,
 )
-from resonorm.gevrey import (
-    ApproximationFunction,
-    power_log_delta,
-    tabulated_delta,
-)
+from resonorm.gevrey import ApproximationFunction, power_log_delta
 
 
 def test_strip_measure_exact():
@@ -58,12 +53,17 @@ def test_zones_from_one_draw_equal_their_own_calls():
     # three chunks, the last one partial; modes shorter than l included
     specs = [ZoneSpec(k=(1,), beta=0.1), ZoneSpec(k=(1, -1), beta=0.05),
              ZoneSpec(k=(2, 1, 1), beta=0.2)]
-    together = zones_measure_mc(specs, l=3, samples=450_000, seed=29)
+    delta = power_log_delta(a=3.0, alpha=2.0)
+    together, _ = zones_and_excluded_set(specs, 0.0, delta, 2, 3, 3,
+                                         450_000, 29)
     assert together == [zone_measure_mc(s, l=3, samples=450_000, seed=29)
                         for s in specs]
-    assert zones_measure_mc([], l=3, samples=450_000, seed=29) == []
+    assert zones_and_excluded_set([], 0.0, delta, 2, 3, 3, 450_000,
+                                  29)[0] == []
     with pytest.raises(ConfigError):
-        zones_measure_mc(specs, l=2, samples=450_000, seed=29)
+        zones_and_excluded_set(specs, 0.0, delta, 2, 2, 2, 450_000, 29)
+    with pytest.raises(ConfigError):
+        zone_measure_mc(specs[2], l=2, samples=450_000, seed=29)
 
 
 def test_zone_indicator_matches_per_sample_loop():
@@ -198,7 +198,7 @@ def test_one_pass_equals_the_separate_calls(specs, gamma1, Kmax, l, d,
     delta = power_log_delta(a=3.0, alpha=2.0)
     zones, union = zones_and_excluded_set(specs, gamma1, delta, Kmax, l, d,
                                           samples, seed)
-    assert zones == zones_measure_mc(specs, l, samples, seed)
+    assert zones == [zone_measure_mc(s, l, samples, seed) for s in specs]
     assert union == excluded_set_measure(gamma1, delta, Kmax, l, d, samples,
                                          seed)
     # and each zone as one indicator over the whole draw
@@ -276,19 +276,19 @@ def test_summability_subexponential():
     assert res.tail_bound < 1e-6 * res.partial
 
 
-def test_summability_tabulated_delta_past_the_table():
-    # the tail integral reaches t where the table's last log-slope
-    # overflows a float: Delta is +inf there, so the summand is 0
-    ts = np.geomspace(0.01, 1e6, 200)
-    res = summability_check(tabulated_delta(ts, [(1 + t) ** 3 for t in ts]),
-                            2)
+def test_summability_past_the_float_range():
+    # Delta = (1+t)^3 with a linear tail in log Delta past 1e6: the tail
+    # integral reaches t where Delta is +inf, so the summand is 0 there
+    tail = ApproximationFunction(
+        alpha=2.0, log=lambda t: 3.0 * np.log1p(np.minimum(t, 1e6))
+        + 3e-6 * np.maximum(t - 1e6, 0.0))
+    res = summability_check(tail, 2)
     assert res.converges
     assert math.isfinite(res.estimate)
-    # sum m/(1+m)^3 = zeta(2) - zeta(3), to the error of interpolating
-    # log Delta linearly in t between nodes 1.1 apart: below
-    # 3 (0.1)^2 / 8, about 0.4 %, in each Delta
+    # sum m/(1+m)^3 = zeta(2) - zeta(3), less the terms past 1e6 that the
+    # tail shrinks, below 1e-6 in all
     want = math.pi ** 2 / 6.0 - 1.2020569031595942
-    assert abs(res.estimate - want) <= 5e-3 * want
+    assert abs(res.estimate - want) <= 1e-5 * want
 
 
 def test_summability_divergent():

@@ -19,7 +19,6 @@ from resonorm.gevrey import (
     majorant_norm,
     power_log_delta,
     subgevrey_exp_delta,
-    tabulated_delta,
 )
 from resonorm.quadrature import qagi
 from resonorm.series import FourierTaylorSeries, PhaseGeometry, poisson_bracket
@@ -190,15 +189,6 @@ def test_inadmissible_bounded():
     assert not rep.ok
 
 
-def test_tabulated_delta_interpolation():
-    base = power_log_delta(a=2.0, alpha=2.0)
-    ts = np.geomspace(0.01, 1e6, 200)
-    tab = tabulated_delta(ts, [base(t) for t in ts], alpha=2.0)
-    for t in (0.5, 3.0, 1e3):
-        assert abs(tab(t) - base(t)) < 0.02 * base(t)
-    assert check_admissible(tab, grid_hi=1e5).ok
-
-
 def test_delta_values_match_scalar_calls():
     ms = np.arange(1.0, 50_001.0)
     cube = power_log_delta(a=3.0)             # one exp(log) path for both
@@ -209,13 +199,15 @@ def test_delta_values_match_scalar_calls():
 
 
 def test_log_values_and_call_agree():
-    # past 1e6 the table's last log-slope leaves the float range at 1e12:
-    # log Delta stays finite there while Delta is +inf
-    nodes = np.geomspace(0.01, 1e6, 200)
+    # (1+t)^3 with a linear tail in log Delta past 1e6, which leaves the
+    # float range before 1e12: log Delta stays finite there while Delta is
+    # +inf
+    tail = ApproximationFunction(
+        alpha=2.0, log=lambda t: 3.0 * np.log1p(np.minimum(t, 1e6))
+        + 3e-6 * np.maximum(t - 1e6, 0.0), name="linear tail")
     ts = np.array([0.0, 0.5, 3.0, 1e3, 1e6, 1e8, 1e12])
     for delta in (power_log_delta(a=2.0), power_log_delta(a=2.5, b=1.0),
-                  subgevrey_exp_delta(beta=0.3),
-                  tabulated_delta(nodes, (1 + nodes) ** 3)):
+                  subgevrey_exp_delta(beta=0.3), tail):
         logs = delta.log(ts)
         assert np.isfinite(logs).all(), delta.name
         vals = delta.values(ts)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from desk import desk_model
+from resonorm import oracle
 from resonorm.errors import ConfigError, CoverageError, InvariantError
 from resonorm.kam import NormalFormState
 from resonorm.oracle import (
@@ -178,9 +179,38 @@ def test_shift_out_of_range_rejected():
         build_operator(symbol, 0.1, 2, 1)
 
 
-def test_dimension_cap():
-    with pytest.raises(ConfigError, match="cap"):
-        build_operator(_symbol(2, terms=[_y(2, 0, 1.0)]), 0.1, 40, 1)
+def test_many_small_components_solve():
+    # assembled dimension 81^2 = 6561, every component one torus mode: the
+    # dense arrays are 6561 blocks of 1 x 1, however large the dimension
+    h = 0.1
+    op = build_operator(_symbol(2, terms=[_y(2, 0, 1.0)]), h, 40, 1)
+    assert op.dim == 6561
+    spec = window_spectrum(op, (-0.45, 0.45))
+    assert {len(m) for m in spec.members} == {1}
+    np.testing.assert_allclose(spec.values,
+                               np.repeat(h * np.arange(-4, 5), 81),
+                               rtol=0, atol=1e-15)
+
+
+def test_dimension_cap(monkeypatch):
+    # blocks of sizes 2 and 1, with a bound that only the 2 x 2 class
+    # exceeds: it raises before any block, even the smaller class's, is
+    # formed and solved, and diagonalize's 3 x 3 matrix exceeds it too
+    op = _from_dense(np.array([[0, 1, 0], [1, 0, 0], [0, 0, 2.0]]))
+    solves = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: solves.append(a.shape) or eigh(a))
+    monkeypatch.setattr(oracle, "DENSE_ENTRIES_MAX", 3)
+    with pytest.raises(ConfigError, match="1 stacked blocks of size 2"):
+        window_spectrum(op, (-5.0, 5.0))
+    with pytest.raises(ConfigError, match="3 x 3"):
+        diagonalize(op)
+    assert solves == []
+    monkeypatch.setattr(oracle, "DENSE_ENTRIES_MAX", 4)
+    assert np.allclose(window_spectrum(op, (-5.0, 5.0)).values,
+                       [-1.0, 1.0, 2.0])
+    assert solves == [(1, 1, 1), (1, 2, 2)]
 
 
 def test_diagonalize_small_cases():
@@ -545,16 +575,56 @@ def test_interior_without_resonant_directions_is_the_operator():
 
 
 def test_weyl_symmetrization_uv():
-    Nh, h = 8, 0.3
+    h = 0.3
+    for Nh in (8, 24, 72):
+        U = hermite_position(Nh, h)
+        P = hermite_momentum(Nh, h)
+        # the ladders: sqrt(h m / 2) next to the diagonal, zero elsewhere
+        m = np.arange(1, Nh)
+        assert np.array_equal(U[m, m - 1], np.sqrt(h * m / 2.0))
+        assert np.array_equal(U, U.T) and np.count_nonzero(U) == 2 * (Nh - 1)
+        assert np.array_equal(P, 1j * (np.tril(U) - np.triu(U)))
+        U = U.astype(complex)
+        for (a, b), want in {(0, 0): np.eye(Nh), (1, 0): U, (0, 1): P,
+                             (2, 0): U @ U, (0, 2): P @ P,
+                             (1, 1): 0.5 * (U @ P + P @ U)}.items():
+            assert np.array_equal(weyl_uv_power(a, b, U, P), want), (a, b)
+        # [u, h D_u] = i h on the interior of the ladder
+        comm = U @ P - P @ U
+        assert np.allclose(np.diag(comm)[:-1], 1j * h, atol=1e-12)
+
+
+def test_weyl_quartic_identity():
+    # Op^W(|z|^4) = (Op^W |z|^2)^2 + h^2: the Weyl symbol of the square
+    # carries the Moyal term -h^2 of u^2 # v^2 + v^2 # u^2.  Truncating the
+    # ladder changes only the rows within four levels of the top.
+    Nh, h = 30, 0.05
+    U = hermite_position(Nh, h).astype(complex)
+    P = hermite_momentum(Nh, h)
+
+    def W(a, b):
+        return weyl_uv_power(a, b, U, P)
+
+    z2 = W(2, 0) + W(0, 2)
+    square = z2 @ z2
+    gap = W(4, 0) + 2 * W(2, 2) + W(0, 4) - square
+    # to a few ulps of the largest entry (8.1; h^2 = 0.0025)
+    np.testing.assert_allclose(gap[:Nh - 4], h ** 2 * np.eye(Nh)[:Nh - 4],
+                               rtol=0, atol=4 * np.finfo(float).eps
+                               * np.abs(square).max())
+
+
+def test_cubic_row_builds_hermitian():
+    # c u^2 v quantizes to c (U^2 P + 2 U P U + P U^2)/4, Hermitian for a
+    # real c, and passes build_operator's check
+    h, Nh, c = 0.1, 12, 0.7
+    op = build_operator(_symbol(1, 1, terms=[(((0,), (0,), (2, 1)), c)]), h,
+                        0, Nh)
     U = hermite_position(Nh, h)
     P = hermite_momentum(Nh, h)
-    got = weyl_uv_power(1, 1, Nh, h)
-    avg = 0.5 * (U @ P + P @ U)
-    assert np.allclose(got, avg)
-    # [u, h D_u] = i h on the interior of the ladder
-    comm = U @ P - P @ U
-    interior = np.diag(comm)[:-1]
-    assert np.allclose(interior, 1j * h, atol=1e-12)
+    want = c * (U @ U @ P + 2 * U @ P @ U + P @ U @ U) / 4
+    np.testing.assert_allclose(op.matrix, want, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(want, want.conj().T, rtol=0, atol=1e-15)
 
 
 def test_required_Nt_margin():

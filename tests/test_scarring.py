@@ -14,14 +14,12 @@ from resonorm.scarring import (
     CensusReport,
     QuasiEigenvalueTable,
     build_quasi_table,
-    epsilon_collision_sweep,
     local_diffeo_check,
     mass_on_torus,
     match_quasimodes,
     resonant_ground_energy,
     separation_check,
     torus_window_modes,
-    weyl_count_check,
     window_census,
 )
 from resonorm.series import FourierTaylorSeries, PhaseGeometry
@@ -408,31 +406,8 @@ def test_match_quasimodes_nearest():
 
 
 # ---------------------------------------------------------------------------
-# supporting sweeps
+# supporting checks
 # ---------------------------------------------------------------------------
-
-def test_weyl_count_pure_torus():
-    h, w = 0.005, 1.0
-    op = build_operator(FourierTaylorSeries.linear_y(PhaseGeometry(d=1), [w]),
-                        h, 60, 1)
-    eigs, _ = diagonalize(op)
-    band = (0.05, 0.25)
-    volume = 2.0 * math.pi * (band[1] - band[0]) / w
-    count, pred, rel = weyl_count_check(eigs, band, h, 1, volume)
-    assert rel < 0.15
-
-
-def test_epsilon_collision_sweep_rare():
-    h = 0.02
-    modes = [(m,) for m in range(20, 40)]
-
-    def builder(eps):
-        return make_state([GOLDEN], eps=eps)
-
-    frac = epsilon_collision_sweep(builder, np.linspace(0.0, 0.05, 21), h,
-                                   (0,), modes, delta_exp=3.85)
-    assert frac == 0.0
-
 
 def test_separation_hypothesis_by_family():
     # numeric determination of which built-in divisor families satisfy
@@ -460,21 +435,6 @@ def test_separation_hypothesis_by_family():
     vals_s = [ratio(subexp, h) for h in (1e-2, 1e-4, 1e-6)]
     assert vals_s[0] > vals_s[1] > vals_s[2]       # decreasing at desk scale
     print(f"hypothesis ratios: a=3 {vals}, a=2 {vals_b}, subexp {vals_s}")
-
-
-def test_collision_sweep_below_scale():
-    # the fraction of epsilon values with a window collision is compared to
-    # the h^(delta-7/4) / Delta^(-1)(C1 h^(-1/2)) scale
-    h, delta_exp, C1 = 0.02, 3.85, 1.0
-    modes = [(m,) for m in range(20, 40)]
-
-    def builder(eps):
-        return make_state([GOLDEN], eps=eps)
-
-    frac = epsilon_collision_sweep(builder, np.linspace(0.0, 0.05, 21), h,
-                                   (0,), modes, delta_exp=delta_exp)
-    scale = h ** (delta_exp - 1.75) / DELTA.inverse(C1 * h ** -0.5)
-    assert frac <= scale + 0.05
 
 
 def test_resonant_ground_energy_values():
