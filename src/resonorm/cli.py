@@ -97,6 +97,26 @@ def _matrix(s: str) -> np.ndarray:
 _POSITIVE = (lambda v: 0.0 < v < math.inf, "be finite and > 0")
 
 
+# every [section] key that some command reads; a config may set no other
+KEYS = (
+    ("run", ("seed",)),
+    ("gevrey", ("family", "alpha", "varsigma", "a", "b", "beta", "rho",
+                "sigma")),
+    ("kam", ("K", "gamma", "target", "pmax", "epsilon", "degmax",
+             "action_scaling_exponent")),
+    ("h0", ("value", "gradient", "hessian", "cubic", "y0")),
+    ("module", ("generators",)),
+    ("p0", ("file",)),
+    ("direct", ("omega", "d0", "M", "epsilon", "p_file")),
+    ("quantize", ("h", "window", "maslov", "scaling", "n_res_max")),
+    ("oracle", ("Nh", "Nt", "coupling", "gap_factor")),
+    ("scarring", ("lam", "delta_exp", "meas_ratio", "C1", "L",
+                  "mass_window")),
+    ("measure", ("l", "d", "samples", "zones", "gamma1", "Kmax")),
+    ("gamma_table", ("r", "n", "kappa", "T")),
+)
+
+
 class RunConfig:
     """Validated view over the INI file."""
 
@@ -106,6 +126,14 @@ class RunConfig:
         self.path = path
         cp = configparser.ConfigParser()
         cp.read(path)
+        # configparser folds key case, so compare folded names
+        keys = dict(KEYS)
+        for section in cp.sections():
+            known = {key.lower() for key in keys.get(section, ())}
+            for key in cp[section]:
+                if key not in known:
+                    raise ConfigError(f"unknown key [{section}] {key} in "
+                                      f"{path}: no command reads it")
         self.cp = cp
 
     def has(self, section: str) -> bool:

@@ -10,22 +10,41 @@ The union (the excluded set) takes beta per shell |k| = m from
 `kam.divisor_thresholds`, the first divisor condition of `check_divisors`,
 keeps one mode per +-k pair, and is counted in two stages per chunk of
 the draw, a screen and an exact check.  The screen splits k = (k', k_d)
-by its last Fourier digit.  For every nonzero prefix k' it takes
-s = <w', k'> and the nearest digit c = rint(-s/w_d), and flags the sample
-when |s + c w_d| <= beta*(k') + e, where beta*(k') is the largest beta
-over that prefix's modes and e bounds the rounding error.  It also flags
-every sample with w_d <= 2 (max beta + e).  The exact check then evaluates
-|<w,k>| <= beta_k for every mode on the flagged samples only, as one
-W_f @ K^T product.
+by its last Fourier digit.  It divides once per sample, r = w'/w_d, and
+for every nonzero prefix k' takes t = <r, k'>; it flags the sample when
+|t - rint t| w_d <= beta*(k') + e, where beta*(k') is the largest beta
+over that prefix's modes and e bounds the rounding error.  These steps
+run in float32, in buffers allocated once.  It also flags every sample
+with w_d <= 2 (max beta + e), a test on the float64 draw.  The exact
+check then evaluates |<w,k>| <= beta_k in float64 for every mode on the
+flagged samples only, gathered by index, as one W_f @ K^T product.
 
-The screen misses no hit.  Let |<w,k>| <= beta(k) with w_d > 2 beta*.
-Then |-s/w_d - k_d| <= beta*/w_d < 1/2, so k_d is the nearest digit c and
-the prefix's test flags w.  A mode with k' = 0 hits only where
-|k_d| w_d <= beta, inside the small-w_d lane.  So the flagged samples
-include every hit, and the estimate equals a loop over every mode and
+The screen misses no hit.  Write u = 2^-24 for float32's unit roundoff,
+so that e = 16 (d^2 Kmax + d) u, and D(x) for the distance from x to the
+nearest integer.  Let the exact check count w for k = (k', k_d), k' != 0:
+then |<w,k>| <= beta + rho, where rho <= d^2 Kmax 2^-53 bounds the float64
+product's error on the unit cube.  If w_d <= 2 (max beta + e), the lane
+flags w.  Otherwise beta* < w_d/2 < 1/2, and the exact t = <w',k'>/w_d has
+D(t) w_d <= |t + k_d| w_d = |<w,k>| <= beta* + rho.  In float32 each term
+of t passes through at most d + 2 roundings (w_j and w_d to float32, the
+quotient, the product by k'_j, d - 2 sums), each of relative error at
+most u (gradual underflow adds at most 2^-149 instead, which the margin
+below absorbs), so |t^ - t| w_d <= (d + 2)(d - 1) Kmax u (1 + O(u)).  D is
+1-Lipschitz, t^ - rint t^ is exact, and the product by fl(w_d) adds two
+roundings, so the screen's value is at most
+(beta* + rho + (d + 2)(d - 1) Kmax u (1 + O(u))) (1 + u)^2, while its
+threshold fl(beta* + e) is at least (beta* + e)(1 - u)^2.  With beta* < 1/2
+the value stays below the threshold when e (1 - u)^2 exceeds
+2u + ((d^2 + d) Kmax + 1) u (1 + O(u)), which this e does by a factor of
+more than 10.  A mode with k' = 0 hits only where |k_d| w_d <= beta + rho,
+inside the lane.  So the flagged samples include every sample that the
+exact check counts, and the estimate equals a loop over every mode and
 every sample.  (That product and a per-mode mat-vec may round <w,k>
 differently in the last bit, so the two could disagree only on a sample
-within an ulp of a strip's edge.)
+within an ulp of a strip's edge.)  In the lane, w_d may be 0.0 or
+subnormal in float32, where r overflows: the lane has set the flag, the
+screen's value there cannot clear it, and the count ignores those
+floating-point warnings.
 
 `measure` counts the zones and the union in one pass over one seeded
 draw (`zones_and_excluded_set`): each chunk is drawn once, into a buffer
@@ -65,11 +84,13 @@ class ZoneSpec:
             raise ConfigError("k must be nonzero")
 
 
-def _zone_indicator(spec: ZoneSpec, W: np.ndarray, tmp=None,
-                    out=None) -> np.ndarray:
+def _zone_indicator(spec: ZoneSpec, W: np.ndarray, tmp=None, out=None,
+                    k=None) -> np.ndarray:
     """|<w,k>| <= beta for each row w of W; when given, `tmp` (float) and
-    `out` (bool), one entry per row, receive <w,k> and the result."""
-    k = np.asarray(spec.k, dtype=float)
+    `out` (bool), one entry per row, receive <w,k> and the result, and `k`
+    is spec.k as a float array."""
+    if k is None:
+        k = np.asarray(spec.k, dtype=float)
     s = np.matmul(W[:, :k.size], k, out=tmp)
     np.abs(s, out=s)
     return np.less_equal(s, spec.beta, out=out)
@@ -173,7 +194,10 @@ def _union_screen(gamma1: float, delta: ApproximationFunction, Kmax: int,
 
 
 def _chunk_rows(l: int, prefixes: int, samples: int) -> int:
-    # the draw plus two chunk x prefix arrays stay within 100k x l floats
+    # at least 1024 rows, else as many as keep the draw (float64: 8 l bytes
+    # a row) and the screen's prefix x chunk arrays (t and c in float32 and
+    # the close mask: 9 bytes a prefix) within 800,000 l bytes; the screen's
+    # float32 columns and two row masks add 4 d + 2 bytes a row
     return min(samples, max(1024, 100_000 * l // (l + 2 * prefixes)))
 
 
@@ -189,41 +213,44 @@ class _Screen:
         first = np.flatnonzero(np.r_[True, (pre[1:] != pre[:-1]).any(axis=1)])
         bstar = np.maximum.reduceat(betas, first)
         live = pre[first].any(axis=1)
-        self.prefixes, bstar = pre[first][live].T, bstar[live]
-        # |fl(<w,k>) - <w,k>| <= d^2 Kmax u on the unit cube, in any order
-        slack = 4.0 * d * d * Kmax * np.finfo(float).eps
-        self.near = (bstar + slack)[:, None]
+        self.prefixes = pre[first][live].T.astype(np.float32)
+        bstar = bstar[live]
+        # e, the float32 rounding margin of the module docstring
+        slack = 8.0 * (d * d * Kmax + d) * float(np.finfo(np.float32).eps)
+        self.near = (bstar + slack).astype(np.float32)[:, None]
         self.lane = 2.0 * (betas.max() + slack)
         self.ks, self.betas = ks, betas
         self.chunk = chunk = _chunk_rows(l, bstar.size, samples)
-        self.cols = np.empty((d, chunk))
-        self.s = np.empty((bstar.size, chunk))
-        self.c = np.empty_like(self.s)
-        self.close = np.empty(self.s.shape, dtype=bool)
+        # float32 columns for the prefix tests, none when there is no prefix
+        self.cols = np.empty((d if bstar.size else 0, chunk),
+                             dtype=np.float32)
+        self.t = np.empty((bstar.size, chunk), dtype=np.float32)
+        self.c = np.empty_like(self.t)
+        self.close = np.empty(self.t.shape, dtype=bool)
         self.flag = np.empty(chunk, dtype=bool)
         self.any_close = np.empty(chunk, dtype=bool)
 
     def hits(self, W: np.ndarray) -> int:
         """How many rows of the draw W lie in the union."""
-        n, d = len(W), len(self.cols)
-        cols = self.cols[:, :n]
-        np.copyto(cols, W[:, :d].T)   # contiguous operands for the screen
-        wd = cols[d - 1]
-        flag = np.less_equal(wd, self.lane, out=self.flag[:n])
+        n, d = len(W), self.ks.shape[1]
+        flag = np.less_equal(W[:, d - 1], self.lane, out=self.flag[:n])
         if self.near.size:
-            # prefix x sample: s = <w', k'>, then s + c w_d
-            s, c = self.s[:, :n], self.c[:, :n]
-            np.multiply.outer(self.prefixes[0], cols[0], out=s)
+            cols = self.cols[:, :n]
+            np.copyto(cols, W[:, :d].T)   # contiguous float32 operands
+            wd, r = cols[d - 1], cols[:d - 1]
+            r /= wd                       # r = w'/w_d, one divide a sample
+            # prefix x sample: t = <r, k'>, then |t - rint t| w_d
+            t, c = self.t[:, :n], self.c[:, :n]
+            np.multiply.outer(self.prefixes[0], r[0], out=t)
             for j in range(1, d - 1):
-                s += np.multiply.outer(self.prefixes[j], cols[j], out=c)
-            np.divide(s, wd, out=c)
-            np.rint(c, out=c)
-            c *= wd
-            s -= c
-            np.abs(s, out=s)
-            close = np.less_equal(s, self.near, out=self.close[:, :n])
+                t += np.multiply.outer(self.prefixes[j], r[j], out=c)
+            np.rint(t, out=c)
+            t -= c
+            np.abs(t, out=t)
+            t *= wd
+            close = np.less_equal(t, self.near, out=self.close[:, :n])
             flag |= np.logical_or.reduce(close, axis=0, out=self.any_close[:n])
-        Wf = W[flag, :d]
+        Wf = W[np.flatnonzero(flag), :d]
         return int(np.count_nonzero(
             (np.abs(Wf @ self.ks.T) <= self.betas).any(axis=1)))
 
@@ -238,16 +265,17 @@ def _count(specs, screen, l: int, samples: int, seed: int):
     chunk = screen.chunk if screen else _chunk_rows(l, 0, samples)
     W = np.empty((chunk, l))
     tmp, inside = np.empty(chunk), np.empty(chunk, dtype=bool)
+    ks = [np.asarray(spec.k, dtype=float) for spec in specs]
     rng = default_rng(seed)
     left = samples
-    # the screen divides by w_d, which may be 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # the screen divides by w_d, which may be 0.0 or, in float32, subnormal
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while left > 0:
             n = min(chunk, left)
             w = rng.random(out=W[:n])
-            for i, spec in enumerate(specs):
+            for i, (spec, k) in enumerate(zip(specs, ks)):
                 zone_hits[i] += int(np.count_nonzero(
-                    _zone_indicator(spec, w, tmp[:n], inside[:n])))
+                    _zone_indicator(spec, w, tmp[:n], inside[:n], k)))
             if screen is not None:
                 hits += screen.hits(w)
             left -= n

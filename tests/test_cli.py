@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from resonorm.cli import RunConfig, main
+from resonorm.cli import KEYS, RunConfig, main
 from resonorm.errors import DivisorError
 from resonorm.gevrey import lemma_ba_bound, power_log_delta
 from resonorm.kam import check_divisors
@@ -590,6 +590,49 @@ def test_measure_bad_input_exits_2(tmp_path, old, new):
     cfg.write_text(text)
     assert main(["measure", "--config", str(cfg),
                  "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("command, base, old, new, key", [
+    ("measure", MEASURE_CFG, "Kmax = 5", "Kmax = 5\nKmaxx = 8",
+     r"\[measure\] kmaxx"),
+    ("compare", RESONANT_CFG, "Nh = 24", "Nh = 24\ndim_cap = 10",
+     r"\[oracle\] dim_cap"),
+    ("measure", MEASURE_CFG, "[run]", "[oracel]\nNh = 72\n\n[run]",
+     r"\[oracel\] nh"),
+])
+def test_unknown_config_keys_exit_2(tmp_path, capsys, command, base, old,
+                                    new, key):
+    # a key that no command reads, misspelt or retired, is an error rather
+    # than a default silently taken in its place
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(base.replace(old, new))
+    assert main([command, "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert re.search("unknown key " + key, capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
+def test_key_table_is_what_the_cli_reads():
+    # the table of known keys lists every key the CLI reads, by `get`,
+    # `checked`, `series_file` or a membership test, and no other
+    import resonorm.cli as cli
+    text = Path(cli.__file__).read_text()
+    read = set(re.findall(
+        r'(?:get|checked|series_file)\(\s*"(\w+)",\s*"(\w+)"', text))
+    read |= {(s, k) for k, s in
+             re.findall(r'"(\w+)" in self\.cp\["(\w+)"\]', text)}
+    assert read == {(s, k) for s, keys in KEYS for k in keys}
+
+
+def test_benchmark_inputs_load(tmp_path):
+    # every input the benchmark generates passes the key check
+    workloads = _load_perfbench("workloads")
+    gens = [g for n, g in vars(workloads).items() if n.startswith("gen_")]
+    assert len(gens) == 4
+    for gen in gens:
+        inputs = tmp_path / gen.__name__
+        workloads.write_inputs(gen(0), inputs)
+        assert RunConfig(inputs / "run.ini").has("gevrey")
 
 
 # scar's base lists C1 and mass_window, so that a bad value replaces

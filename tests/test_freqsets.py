@@ -1,6 +1,7 @@
 """Measure-estimation tests against exact strip/triangle geometry, union
 majorants, scaling in the zone width, and the summability check."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -179,6 +180,103 @@ def test_excluded_set_measure_gamma_estimates(seed, want):
     est, _, _ = excluded_set_measure(2e-3, power_log_delta(3.0), Kmax=8, l=2,
                                      d=2, samples=2_000_000, seed=seed)
     assert est == want
+
+
+def _edge_rows(gamma1, delta, Kmax, l, d, rng):
+    """For every mode, rows 1 to 4 float32 ulps inside each edge of its
+    strip, and 1 and 2 ulps outside, with the other coordinates drawn;
+    then rows whose w_d is 0, subnormal in float32, or tiny in float64."""
+    rows = []
+    for k in _modes_up_to(d, Kmax):
+        beta = gamma1 / delta(max(map(abs, k)))
+        k = np.array(k, dtype=float)
+        i = d - 1 if k[-1] else int(np.flatnonzero(k)[-1])   # solve for w_i
+        for edge in (beta, -beta):
+            for _ in range(100):
+                w = rng.random(l)
+                w[i] = 0.0
+                wi = (edge - w[:d] @ k) / k[i]
+                if 0.0 <= wi < 1.0:
+                    break
+            else:
+                continue
+            ulp = float(np.spacing(np.float32(wi)))
+            inward = -np.sign(edge) * np.sign(k[i])    # shrinks |<w,k>|
+            for m in (1, 2, 3, 4, -1, -2):
+                w[i] = min(max(wi + inward * m * ulp, 0.0), 1.0 - 2.0 ** -53)
+                rows.append(w.copy())
+    for wd in (0.0, 1e-39, 1e-300):
+        for _ in range(10):
+            w = rng.random(l)
+            w[d - 1] = wd
+            rows.append(w)
+    return np.array(rows)
+
+
+def _every_mode_hits(gamma1, delta, Kmax, d, W):
+    inside = np.zeros(len(W), dtype=bool)
+    for k in _modes_up_to(d, Kmax):
+        beta = gamma1 / delta(max(map(abs, k)))
+        if beta > 0.0:
+            inside |= _zone_indicator(ZoneSpec(k=k, beta=beta), W)
+    return int(inside.sum())
+
+
+@pytest.mark.parametrize("gamma1, Kmax, l, d", [
+    (2e-3, 8, 2, 2),                    # the measure-gamma input's modes
+    (1e-2, 3, 3, 3),
+    (4e-3, 5, 4, 2),                    # l > d
+    (0.05, 4, 1, 1),                    # d = 1: no prefix, the lane only
+])
+def test_screen_counts_rows_at_the_strip_edges(monkeypatch, gamma1, Kmax, l,
+                                               d):
+    # rows within float32 ulps of an edge, where a random draw almost never
+    # lands, test the screen's float32 rounding margin: the count through
+    # the screen equals the every-mode float64 count, with no warning
+    delta = power_log_delta(a=3.0, alpha=2.0)
+    rows = _edge_rows(gamma1, delta, Kmax, l, d, np.random.default_rng(61))
+    want = _every_mode_hits(gamma1, delta, Kmax, d, rows)
+    assert 0 < want < len(rows)
+
+    class Rows:
+        """A generator that hands out `rows` in order."""
+
+        def __init__(self, seed):
+            self.at = 0
+
+        def random(self, out):
+            out[...] = rows[self.at:self.at + len(out)]
+            self.at += len(out)
+            return out
+
+    monkeypatch.setattr(freqsets, "default_rng", Rows)
+    screen = freqsets._union_screen(gamma1, delta, Kmax, l, d, len(rows))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, hits = freqsets._count([], screen, l, len(rows), 0)
+    assert hits == want
+
+
+@pytest.mark.parametrize("gamma1, Kmax, l, d", [
+    (2e-3, 8, 2, 2),                    # the measure-gamma input
+    (1e-2, 3, 3, 3),
+    (4e-3, 5, 4, 2),
+])
+def test_screen_buffers_fit_the_chunk_budget(gamma1, Kmax, l, d):
+    # `_chunk_rows`: the float64 draw and the screen's prefix x chunk arrays
+    # within 800,000 l bytes, plus 4 d + 2 bytes a row for its float32
+    # columns and two row masks
+    screen = freqsets._union_screen(gamma1, power_log_delta(3.0), Kmax, l, d,
+                                    2_000_000)
+    chunk = screen.chunk
+    per_chunk = [a for a in vars(screen).values()
+                 if isinstance(a, np.ndarray) and a.shape[-1] == chunk]
+    assert len(per_chunk) == 6
+    draw = 8 * l * chunk
+    assert draw + sum(a.nbytes for a in per_chunk) <= \
+        800_000 * l + (4 * d + 2) * chunk
+    if (gamma1, Kmax, l, d) == (2e-3, 8, 2, 2):
+        assert chunk == 11_111
 
 
 ZONES = [ZoneSpec(k=(1, 0), beta=0.1), ZoneSpec(k=(0, 1), beta=0.05),
