@@ -37,21 +37,35 @@ The canonical bracket convention used throughout is
 
 which makes {<w,y>, e^{i<k,x>}} = i<k,w> e^{i<k,x>}.
 
-The bracket runs as d + d0 fused channels over the pairs of operand terms.
-Channel i (angle/action pair) weighs a pair by i(j1_i k2_i - k1_i j2_i),
-channel a (resonant pair u_a, v_a) by q1_u q2_v - q1_v q2_u; a pair with a
-nonzero weight yields one term.  Exponent rows are packed into transient
-int64 codes in a mixed radix taken from the operands' digit ranges (the
-Kronecker substitution), so the product monomial is code1 + code2 and the
-derivative is a fixed stride subtracted per channel.  The pair grid is
-walked in blocks of PAIR_BLOCK pairs; equal codes are merged by a stable
-sort and a segment sum whenever the terms emitted since the last merge
-outnumber the merged result, and once more at the end.
+The bracket runs as d + d0 channels.  Channel i (angle/action pair) is
+i(j1_i k2_i - k1_i j2_i), channel a (resonant pair u_a, v_a) is
+q1_u q2_v - q1_v q2_u, each digit standing for a derivative.  Each
+difference is two products, and a product pairs only the rows of f with a
+nonzero digit in one column (coefficient times digit) with the rows of g
+with a nonzero digit in the other, so no pair of zero weight is formed.
+Exponent rows are packed into transient int64 codes in a mixed radix taken
+from the operands' digit ranges (the Kronecker substitution), so the
+product monomial is code1 + code2 and the derivative is a fixed stride
+subtracted per channel.  The products are summed in one of two ways:
+
+* densely, when the code width (the product of the radices) is at most
+  DENSE_CELLS_PER_PAIR cells per pair formed and the products' shorter
+  sides hold DENSE_COLUMN pairs per row on average: one indexed add into
+  a complex array of width cells per row of a product's shorter side.
+  The rows on the other side have distinct codes, so no add repeats a
+  cell, and the nonzero cells come out in code order, which is canonical
+  order.
+* by sort otherwise (small brackets, and wide codes up to the CODE_BITS
+  guard): the pairs are formed in blocks of PAIR_BLOCK, and equal codes are
+  merged by a stable sort and a segment sum whenever the terms formed
+  since the last merge outnumber the merged result, and once more at the
+  end.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,10 +73,17 @@ from .errors import ConfigError, GeometryMismatchError, InvariantError
 
 PRUNE_EPS = 1e-15
 LIE_ORDER_CAP = 32
-#: Operand term pairs the bracket processes at once; bounds its scratch memory.
+#: Product pairs the bracket's sort path forms at once; bounds its scratch
+#: memory.
 PAIR_BLOCK = 4096
 #: Widest mixed-radix code the bracket packs into an int64.
 CODE_BITS = 62
+#: Most accumulator cells per pair formed for which the bracket sums densely;
+#: bounds the accumulator's memory by the work.
+DENSE_CELLS_PER_PAIR = 4
+#: Fewest pairs per indexed add, on average, for which it sums densely; a
+#: shorter add costs more per pair than the sort.
+DENSE_COLUMN = 64
 
 
 @dataclass(frozen=True)
@@ -531,24 +552,95 @@ def average_over_angles(P: FourierTaylorSeries) -> FourierTaylorSeries:
 
 # -- Poisson bracket ---------------------------------------------------------
 
-def _bracket_channels(geo: PhaseGeometry):
-    """(a-column, b-column, coefficient factor, columns lowered) per channel:
-    the weight of a pair is a1*b2 - b1*a2."""
+@lru_cache
+def _bracket_products(geo: PhaseGeometry):
+    """The products a bracket sums (two per channel, module docstring), as
+    read-only arrays: per product, the column of f and the column of g
+    whose digits it multiplies, its coefficient factor and a 0/1 mask of
+    the columns it lowers."""
     d, d0 = geo.d, geo.d0
-    xy = [(d + i, i, 1j, (d + i,)) for i in range(d)]
-    uv = [(2 * d + a, 2 * d + d0 + a, 1.0, (2 * d + a, 2 * d + d0 + a))
-          for a in range(d0)]
-    return xy + uv
+    channels = ([(d + i, i, 1j, [d + i]) for i in range(d)]
+                + [(2 * d + a, 2 * d + d0 + a, 1.0,
+                    [2 * d + a, 2 * d + d0 + a]) for a in range(d0)])
+    cols1, cols2, factors, lowered = [], [], [], []
+    for a, b, factor, low in channels:
+        mask = np.zeros(geo.width, np.int64)
+        mask[low] = 1
+        cols1 += [a, b]
+        cols2 += [b, a]
+        factors += [factor, -factor]
+        lowered += [mask, mask]
+    table = (np.array(cols1), np.array(cols2), np.array(factors, complex),
+             np.array(lowered))
+    for column in table:
+        column.flags.writeable = False
+    return table
 
 
 def _merge_codes(codes, coefs):
-    """Codes sorted (stably), coefficients of equal codes summed."""
+    """Codes sorted (stably), coefficients of equal codes summed in their
+    order of appearance: the merge of the sort path."""
     order = np.argsort(codes, kind="stable")
     codes, coefs = codes[order], coefs[order]
     if len(codes) < 2:
         return codes, coefs
     starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
     return codes[starts], np.add.reduceat(coefs, starts)
+
+
+def _use_dense(width, m, n):
+    """Whether products of m[p] x n[p] pairs are summed in a dense
+    accumulator of width cells (module docstring) rather than by sort."""
+    npairs = int(m @ n)
+    columns = int(np.minimum(m, n).sum())
+    return (width <= DENSE_CELLS_PER_PAIR * npairs
+            and DENSE_COLUMN * columns <= npairs)
+
+
+def _sum_dense(U, X, V, Y, first1, first2, m, n, width):
+    """Codes and summed coefficients of the products, via one dense
+    accumulator of width cells."""
+    acc = np.zeros(width, complex)
+    for a, ma, b, nb in zip(first1.tolist(), m.tolist(), first2.tolist(),
+                            n.tolist()):
+        u, x, v, y = U[a:a + ma], X[a:a + ma], V[b:b + nb], Y[b:b + nb]
+        if ma < nb:
+            u, x, v, y = v, y, u, x
+        # u holds distinct codes: no cell repeats within one column
+        for vj, yj in zip(v.tolist(), y.tolist()):
+            acc[u + vj] += x * yj
+    codes = np.flatnonzero(acc != 0)
+    return codes, acc[codes]
+
+
+def _sum_sorted(U, X, V, Y, first1, first2, m, n):
+    """Codes and summed coefficients of the products, merged by sort in
+    blocks of PAIR_BLOCK pairs."""
+    # formed pairs wait in `pending` until they outnumber the merged result
+    # (and a block), so scratch memory stays proportional to the output
+    sizes = m * n
+    ends = np.cumsum(sizes)
+    codes, coefs = np.empty(0, np.int64), np.empty(0, complex)
+    pending_codes, pending_coefs = [], []
+    npending = 0
+    total = int(ends[-1])
+    for start in range(0, total, PAIR_BLOCK):
+        stop = min(start + PAIR_BLOCK, total)
+        t = np.arange(start, stop)
+        p = np.searchsorted(ends, t, side="right")
+        i, j = np.divmod(t - (ends - sizes)[p], n[p])
+        i += first1[p]
+        j += first2[p]
+        pending_codes.append(U[i] + V[j])
+        pending_coefs.append(X[i] * Y[j])
+        npending += len(t)
+        if npending > max(len(codes), PAIR_BLOCK) or stop == total:
+            codes, coefs = _merge_codes(
+                np.concatenate([codes, *pending_codes]),
+                np.concatenate([coefs, *pending_coefs]))
+            pending_codes, pending_coefs = [], []
+            npending = 0
+    return codes, coefs
 
 
 def poisson_bracket(f: FourierTaylorSeries,
@@ -580,35 +672,30 @@ def poisson_bracket(f: FourierTaylorSeries,
                        dtype=np.int64)
     code1 = (e1 - lo1) @ strides
     code2 = (e2 - lo2) @ strides
-    c1, c2 = f._coefs, g._coefs
-    channels = [(e1[:, a], e1[:, b], e2[:, a], e2[:, b], factor,
-                 int(strides[list(lowered)].sum()))
-                for a, b, factor, lowered in _bracket_channels(geo)]
 
-    # emitted terms wait in `pending` until they outnumber the merged result
-    # (and a block), so scratch memory stays proportional to the output
-    codes, coefs = np.empty(0, np.int64), np.empty(0, complex)
-    pending_codes, pending_coefs = [], []
-    npending = 0
-    npairs = n1 * n2
-    for start in range(0, npairs, PAIR_BLOCK):
-        stop = min(start + PAIR_BLOCK, npairs)
-        ia, ib = np.divmod(np.arange(start, stop), n2)
-        base = code1[ia] + code2[ib]
-        c12 = c1[ia] * c2[ib]
-        for a1, b1, a2, b2, factor, shift in channels:
-            w = a1[ia] * b2[ib] - b1[ia] * a2[ib]
-            nz = np.flatnonzero(w)
-            pending_codes.append(base[nz] - shift)
-            pending_coefs.append(c12[nz] * (factor * w[nz]))
-            npending += len(nz)
-        if npending > max(len(codes), PAIR_BLOCK) or stop == npairs:
-            codes, coefs = _merge_codes(
-                np.concatenate([codes, *pending_codes]),
-                np.concatenate([coefs, *pending_coefs]))
-            pending_codes, pending_coefs = [], []
-            npending = 0
-    exps = codes[:, None] // strides % np.array(radix) + (lo1 + lo2)
+    # product p pairs the rows of f with a nonzero digit in column cols1[p]
+    # (coefficient times digit times factor, code lowered) with the rows of
+    # g with a nonzero digit in column cols2[p] (coefficient times digit);
+    # the nonzero entries come grouped by product
+    cols1, cols2, factors, lowered = _bracket_products(geo)
+    digits1 = e1[:, cols1].T
+    p1, r1 = np.nonzero(digits1)
+    U = code1[r1] - (lowered @ strides)[p1]
+    X = f._coefs[r1] * (factors[p1] * digits1[p1, r1])
+    digits2 = e2[:, cols2].T
+    p2, r2 = np.nonzero(digits2)
+    V = code2[r2]
+    Y = g._coefs[r2] * digits2[p2, r2]
+    m = np.bincount(p1, minlength=len(cols1))
+    n = np.bincount(p2, minlength=len(cols1))
+    products = (U, X, V, Y, np.cumsum(m) - m, np.cumsum(n) - n, m, n)
+    if _use_dense(width, m, n):
+        codes, coefs = _sum_dense(*products, width)
+    else:
+        codes, coefs = _sum_sorted(*products)
+    exps = codes[:, None] // strides
+    exps %= radix
+    exps += lo1 + lo2
     return _make(geo, exps, coefs, prune=True)
 
 
@@ -649,8 +736,9 @@ def to_text(s: FourierTaylorSeries) -> str:
 
 
 def from_text(text: str) -> FourierTaylorSeries:
-    """Inverse of to_text.  Raises ValueError on malformed text and on a row
-    beyond the kmax or degmax its header declares."""
+    """Inverse of to_text.  Raises ValueError on malformed text, on a row
+    beyond the kmax or degmax its header declares and on a repeated
+    (k, j, q) row, in that order."""
     lines = [ln for ln in text.splitlines()
              if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
@@ -658,13 +746,15 @@ def from_text(text: str) -> FourierTaylorSeries:
     head = lines[0].split()
     d, d0, kmax, degmax = (int(v) for v in head)
     geo = PhaseGeometry(d, d0)
-    coeffs = {}
+    coeffs, repeated = {}, []
     for ln in lines[1:]:
         k_part, j_part, q_part, c_part = (p.strip() for p in ln.split("|"))
         k = tuple(int(v) for v in k_part.split())
         j = tuple(int(v) for v in j_part.split())
         q = () if q_part == "-" else tuple(int(v) for v in q_part.split())
         re_s, im_s = c_part.split()
+        if (k, j, q) in coeffs:
+            repeated.append(f"repeated row k={k}, j={j}, q={q}: {ln.strip()}")
         coeffs[(k, j, q)] = complex(float(re_s), float(im_s))
     s = FourierTaylorSeries(geo, coeffs, prune=False)
     if s.kmax > kmax:
@@ -672,4 +762,6 @@ def from_text(text: str) -> FourierTaylorSeries:
         raise ValueError(f"mode {tuple(k.tolist())} exceeds kmax={kmax}")
     if s.degmax > degmax:
         raise ValueError(f"degree {s.degmax} exceeds degmax={degmax}")
+    if repeated:
+        raise ValueError(repeated[0])
     return s

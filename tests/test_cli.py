@@ -255,7 +255,9 @@ def test_reduce_writes_tight_series_headers(tmp_path):
 @pytest.mark.parametrize("text, message", [
     ("garbage\n", "invalid literal"),
     ("1 0 0 1\n1 | 0 | - | 0.5 0.0\n", r"mode \(1,\) exceeds kmax=0"),
-], ids=["garbage", "header-too-small"])
+    ("1 0 1 1\n1 | 0 | - | 0.5 0.0\n1 | 0 | - | 0.25 0.0\n",
+     r"repeated row k=\(1,\), j=\(0,\), q=\(\)"),
+], ids=["garbage", "header-too-small", "repeated-row"])
 def test_malformed_series_file_exits_2(tmp_path, capsys, command, text,
                                        message):
     # [p0] file and [direct] p_file go through the same reader

@@ -8,10 +8,12 @@ of single monomials.
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from resonorm import series
 from resonorm.series import (
     PAIR_BLOCK,
     PhaseGeometry,
@@ -215,11 +217,13 @@ def _oracle_cases():
         for real in (False, True):
             yield (geo, random_series(geo, rng, real=real),
                    random_series(geo, rng, real=real))
-        # operands spanning several pair blocks, the last one partial
+        # product pairs spanning several pair blocks, the last one partial
         f = _distinct_series(geo, rng, 101)
         g = _distinct_series(geo, rng, 90)
-        assert len(f) * len(g) > 2 * PAIR_BLOCK
-        assert len(f) * len(g) % PAIR_BLOCK
+        cols1, cols2, _, _ = series._bracket_products(geo)
+        npairs = (f.exps()[:, cols1] != 0).sum(0) @ (
+            g.exps()[:, cols2] != 0).sum(0)
+        assert npairs > 2 * PAIR_BLOCK and npairs % PAIR_BLOCK
         yield geo, f, g
         zero = FourierTaylorSeries.zero(geo)
         yield geo, zero, g
@@ -236,20 +240,104 @@ def _oracle_cases():
     yield G11, u, u * u
 
 
+def _log_paths(monkeypatch, chosen):
+    """Append to chosen, per bracket from here on, whether it sums
+    densely."""
+    use_dense = series._use_dense
+
+    def spy(*args):
+        chosen.append(use_dense(*args))
+        return chosen[-1]
+
+    monkeypatch.setattr("resonorm.series._use_dense", spy)
+
+
 def test_bracket_matches_independent_oracle(monkeypatch):
+    chosen = []
     for geo, f, g in _oracle_cases():
-        got = dict(poisson_bracket(f, g).terms())
         want = oracle_bracket(dict(f.terms()), dict(g.terms()), geo)
-        if not want:
-            # a result that cancels cancels exactly: empty with no epsilon
-            # floor to prune below
+        # the path the operands pick, then each path forced
+        for force in (None, True, False):
             with monkeypatch.context() as m:
-                m.setattr("resonorm.series.PRUNE_EPS", 0.0)
-                assert poisson_bracket(f, g).is_zero()
-            assert not got
-        keys = set(got) | set(want)
-        for key in keys:
-            assert abs(got.get(key, 0j) - want.get(key, 0j)) < 1e-12
+                if force is None:
+                    _log_paths(m, chosen)
+                else:
+                    m.setattr("resonorm.series._use_dense",
+                              lambda *args: force)
+                got = dict(poisson_bracket(f, g).terms())
+                if not want:
+                    # a result that cancels cancels exactly: empty with no
+                    # epsilon floor to prune below
+                    m.setattr("resonorm.series.PRUNE_EPS", 0.0)
+                    assert poisson_bracket(f, g).is_zero()
+            if not want:
+                assert not got
+            keys = set(got) | set(want)
+            for key in keys:
+                assert abs(got.get(key, 0j) - want.get(key, 0j)) < 1e-12
+    # both paths run on operands of their own choosing
+    assert True in chosen and False in chosen
+
+
+def test_bracket_wide_codes_merge_by_sort():
+    # digit ranges needing 49 bits: a dense accumulator of that many cells
+    # cannot be allocated, so only the sort path can form this bracket
+    geo = PhaseGeometry(d=3, d0=2)
+    f = FourierTaylorSeries(geo, {
+        ((60, -60, 60), (10, 10, 10), (5, 5, 5, 5)): 1.0 + 0.5j,
+        ((-60, 60, -60), (0, 1, 0), (0, 1, 1, 0)): -2.0,
+        ((3, 0, -1), (1, 0, 0), (1, 0, 0, 1)): 0.7,
+    })
+    g = FourierTaylorSeries(geo, {
+        ((-60, 60, 60), (10, 0, 10), (5, 0, 5, 5)): 0.5 - 1.0j,
+        ((60, 60, -60), (1, 1, 0), (1, 1, 0, 0)): 1.5,
+        ((0, 2, 1), (0, 0, 1), (0, 1, 0, 1)): -0.3j,
+    })
+    got = poisson_bracket(f, g)
+    want = oracle_bracket(dict(f.terms()), dict(g.terms()), geo)
+    assert want and dict(got.terms()).keys() == want.keys()
+    for key, c in got.terms():
+        assert abs(c - want[key]) < 1e-12
+
+
+def _benchmark_shaped_operands(rng):
+    """A 1,400-term P and a 96-term generator at d = 2, d0 = 1 with the digit
+    ranges of the largest bracket of the reduce-iterate benchmark: P has
+    |k| <= 4, j in {0, 1}^2, u <= 3, v <= 5, u + v <= 5; the generator
+    carries ansatz monomials on the modes 0 < |k| <= 2."""
+    keys = [(k, j, q) for k in itertools.product(range(-4, 5), repeat=2)
+            for j in itertools.product((0, 1), repeat=2)
+            for q in itertools.product(range(4), range(6)) if sum(q) <= 5]
+    f = FourierTaylorSeries(G21, {
+        keys[i]: complex(*rng.normal(size=2))
+        for i in rng.choice(len(keys), 1400, replace=False)})
+    keys = [(k, tuple(r[:2]), tuple(r[2:]))
+            for k in itertools.product(range(-2, 3), repeat=2) if any(k)
+            for r in ansatz_monomials(G21).tolist()]
+    g = FourierTaylorSeries(G21, {
+        keys[i]: complex(*rng.normal(size=2))
+        for i in rng.choice(len(keys), 96, replace=False)})
+    return f, g
+
+
+def test_bracket_scratch_memory_is_bounded(monkeypatch):
+    f, g = _benchmark_shaped_operands(np.random.default_rng(5))
+    chosen = []
+    _log_paths(monkeypatch, chosen)
+    poisson_bracket(f, g)
+    assert chosen == [True]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = poisson_bracket(f, g)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the accumulator is 73,008 cells (1.17 MB) and the ~22,700 result rows
+    # take 1.1 MB; forming the ~120,000 product pairs at once would add
+    # 24 bytes each (2.9 MB)
+    assert len(out) > 20000
+    assert peak < 2.5e6
 
 
 def test_bracket_code_width_guard():
@@ -530,7 +618,10 @@ def test_from_text_rejects_rows_beyond_its_header():
             ("1 1 2 2", "-3 | 0 | 0 0", r"mode \(-3,\) exceeds kmax=2"),
             ("1 1 2 2", "0 | 1 | 1 1", "degree 3 exceeds degmax=2"),
             ("1 1 2 2", "0 | -1 | 0 0", "non-negative"),
-            ("1 1 0 1", "1 | 0 | 1 0", r"mode \(1,\) exceeds kmax=0")):
+            ("1 1 0 1", "1 | 0 | 1 0", r"mode \(1,\) exceeds kmax=0"),
+            # within the bounds, but a repeat would keep only its last value
+            ("1 1 1 1", "1 | 0 | 1 0",
+             r"repeated row k=\(1,\), j=\(0,\), q=\(1, 0\): 1 \| 0 \| 1 0")):
         with pytest.raises(ValueError, match=match):
             from_text(f"{head}\n{rows}{row} | 1.0 0.0\n")
 
